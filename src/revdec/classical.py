@@ -23,9 +23,10 @@ plain integer arithmetic and nothing from the circuit models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Any
 
 from .sop import derive_sop, eval_sop
 
@@ -37,8 +38,10 @@ __all__ = [
     "ClaSignals",
     "ConventionalTrace",
     "SkipSignals",
+    "Architecture",
     "CLA_VERBATIM",
     "CLA_CORRECTED",
+    "CLASSICAL_ROWS",
     "DECIMAL_ARCHITECTURES",
     "valid_operands",
     "oracle",
@@ -73,10 +76,9 @@ class BcdOperands:
 
     def __post_init__(self) -> None:
         for label, digit in (("a", self.a), ("b", self.b)):
-            if not isinstance(digit, int) or not 0 <= digit <= 9:
+            if type(digit) is not int or not 0 <= digit <= 9:
                 raise InvalidBcd(f"operand {label}={digit!r} is not a BCD digit")
-        if self.cin not in (0, 1):
-            raise ValueError(f"cin must be 0 or 1, got {self.cin!r}")
+        _check_carry(self.cin)
 
     def a_bits(self) -> tuple[int, int, int, int]:
         return tuple((self.a >> i) & 1 for i in range(4))  # type: ignore[return-value]
@@ -161,6 +163,11 @@ class SkipSignals:
     big_p: int
     c4: int
     cout: int
+
+
+def _check_carry(cin: object) -> None:
+    if type(cin) is not int or cin not in (0, 1):
+        raise ValueError(f"cin must be 0 or 1, got {cin!r}")
 
 
 def valid_operands() -> Iterator[BcdOperands]:
@@ -381,25 +388,75 @@ def carry_skip_add(op: BcdOperands) -> tuple[BcdResult, SkipSignals]:
 
 
 # ----------------------------------------------------------------------
+# architecture registry
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Architecture:
+    """One named digit-adder design: the single record every caller looks up.
+
+    A classical row computes a digit with ``add`` and renders its
+    intermediate signals as one line with ``trace``.  A reversible row
+    instead has a ``build`` that assembles its netlist from an optional
+    gate catalog; nothing is built until it is called.  ``exact`` is false
+    only for a design whose disagreements with :func:`oracle` are
+    documented errata rather than failures.
+    """
+
+    name: str
+    add: Callable[[BcdOperands], BcdResult] | None = None
+    trace: Callable[[BcdOperands], str] | None = None
+    build: Callable[..., Any] | None = None
+    exact: bool = True
+
+    @property
+    def chainable(self) -> bool:
+        """Whether :func:`decimal_add` may ripple this design across digits."""
+        return self.exact and self.add is not None
+
+
+def _render_signals(signals: object) -> str:
+    """``name=value`` for every field of a signal record, in field order."""
+    return " ".join(f"{f.name}={getattr(signals, f.name)}" for f in fields(signals))
+
+
+CLASSICAL_ROWS = (
+    Architecture(
+        "conventional",
+        add=lambda op: conventional_add(op)[0],
+        trace=lambda op: _render_signals(conventional_add(op)[1]),
+    ),
+    Architecture(
+        "cla_verbatim",
+        add=lambda op: cla_add(op, CLA_VERBATIM),
+        trace=lambda op: _render_signals(cla_signals(op)),
+        exact=False,
+    ),
+    Architecture(
+        "cla_corrected",
+        add=lambda op: cla_add(op, CLA_CORRECTED),
+        trace=lambda op: _render_signals(cla_signals(op)),
+    ),
+    Architecture(
+        "carry_skip",
+        add=lambda op: carry_skip_add(op)[0],
+        trace=lambda op: _render_signals(carry_skip_add(op)[1]),
+    ),
+)
+
+
+# ----------------------------------------------------------------------
 # multi-digit addition
 # ----------------------------------------------------------------------
 
-DECIMAL_ARCHITECTURES = ("conventional", "cla_corrected", "carry_skip")
+_CHAINABLE = {arch.name: arch for arch in CLASSICAL_ROWS if arch.chainable}
+DECIMAL_ARCHITECTURES = tuple(_CHAINABLE)
 
 
 @lru_cache(maxsize=None)
 def _digit_stage(a: int, b: int, cin: int, arch: str) -> tuple[int, int]:
-    op = BcdOperands(a, b, cin)
-    if arch == "conventional":
-        result = conventional_add(op)[0]
-    elif arch == "cla_corrected":
-        result = cla_add(op, CLA_CORRECTED)
-    elif arch == "carry_skip":
-        result = carry_skip_add(op)[0]
-    else:
-        raise ValueError(
-            f"unknown architecture {arch!r}; choose from {DECIMAL_ARCHITECTURES}"
-        )
+    result = _CHAINABLE[arch].add(BcdOperands(a, b, cin))
     return result.sum, result.cout
 
 
@@ -422,8 +479,7 @@ def decimal_add(
         )
     if not x_digits:
         raise ValueError("operands must have at least one digit")
-    if cin not in (0, 1):
-        raise ValueError(f"cin must be 0 or 1, got {cin!r}")
+    _check_carry(cin)
     if arch not in DECIMAL_ARCHITECTURES:
         raise ValueError(
             f"unknown architecture {arch!r}; choose from {DECIMAL_ARCHITECTURES}"

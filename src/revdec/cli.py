@@ -16,15 +16,10 @@ import sys
 from collections.abc import Sequence
 
 from .classical import (
-    CLA_VERBATIM,
     DECIMAL_ARCHITECTURES,
     BcdOperands,
     InvalidBcd,
     LengthMismatch,
-    carry_skip_add,
-    cla_add,
-    cla_signals,
-    conventional_add,
     decimal_add,
 )
 from .gates import NotBijective, ParseError, UnknownGate, catalog_from_env
@@ -36,9 +31,6 @@ from .reversible import (
 )
 from .verification import (
     ARCHITECTURES,
-    DESIGN_TARGETS,
-    REVERSIBLE_ARCHITECTURES,
-    _build_for,
     cla_agreement,
     cla_errata,
     table1_report,
@@ -52,25 +44,13 @@ __all__ = ["main", "main_entry"]
 def _parse_digit_pair(text: str) -> tuple[list[int], list[int]]:
     """Split ``"123,45"`` into equal-width little-endian digit lists."""
     parts = text.split(",")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
         raise ValueError(
             f"--digits expects two comma-separated decimal numbers, got {text!r}"
         )
     width = max(len(p) for p in parts)
     padded = [p.zfill(width) for p in parts]
     return tuple([int(c) for c in reversed(p)] for p in padded)  # type: ignore[return-value]
-
-
-def _print_trace_classical(arch: str, op: BcdOperands) -> None:
-    if arch == "conventional":
-        _, trace = conventional_add(op)
-        print(f"z={trace.z} k={trace.k} correct={trace.correct}")
-    elif arch in ("cla_verbatim", "cla_corrected"):
-        s = cla_signals(op)
-        print(f"g={s.g} p={s.p} h={s.h} m={s.m} n={s.n} c1={s.c1}")
-    elif arch == "carry_skip":
-        _, s = carry_skip_add(op)
-        print(f"p_bits={s.p_bits} big_p={s.big_p} c4={s.c4} cout={s.cout}")
 
 
 def _simulate_reversible(
@@ -106,20 +86,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print("error: provide --a and --b (or --digits)", file=sys.stderr)
         return 2
     op = BcdOperands(args.a, args.b, args.cin)
-    if args.arch in REVERSIBLE_ARCHITECTURES:
-        build = _build_for(args.arch, catalog)
-        total, cout = _simulate_reversible(build, op, args.trace)
+    arch = ARCHITECTURES[args.arch]
+    if arch.build is not None:
+        total, cout = _simulate_reversible(arch.build(catalog), op, args.trace)
     else:
         if args.trace:
-            _print_trace_classical(args.arch, op)
-        if args.arch == "conventional":
-            result = conventional_add(op)[0]
-        elif args.arch == "carry_skip":
-            result = carry_skip_add(op)[0]
-        elif args.arch == "cla_verbatim":
-            result = cla_add(op, CLA_VERBATIM)
-        else:
-            result = cla_add(op)
+            print(arch.trace(op))
+        result = arch.add(op)
         total, cout = result.sum, result.cout
     print(f"sum={total} cout={cout}")
     return 0
@@ -127,14 +100,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     catalog = catalog_from_env()
-    archs = ARCHITECTURES if args.arch == "all" else (args.arch,)
+    archs = (
+        ARCHITECTURES.values() if args.arch == "all" else (ARCHITECTURES[args.arch],)
+    )
     failed = False
     reports = []
     for arch in archs:
-        report = verify_architecture(arch, catalog)
+        report = verify_architecture(arch.name, catalog)
         reports.append(report)
         ok = report.total - len(report.mismatches)
-        line = f"{arch}: {ok}/{report.total}"
+        line = f"{arch.name}: {ok}/{report.total}"
         if report.metrics is not None:
             m = report.metrics
             line += (
@@ -143,7 +118,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
         if report.passed:
             line += " PASS"
-        elif arch == "cla_verbatim" and not args.strict:
+        elif not arch.exact and not args.strict:
             line += " agreement={:.3f} (documented errata; not a failure)".format(
                 report.agreement
             )
@@ -163,9 +138,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print("error: provide --arch and/or --table1", file=sys.stderr)
         return 2
     if args.arch:
-        build = _build_for(args.arch, catalog)
+        build = ARCHITECTURES[args.arch].build(catalog)
         m = build.metrics
-        target_gates, target_garbage = DESIGN_TARGETS[args.arch]
+        target_gates, target_garbage = build.target
         print(
             f"arch={args.arch} gates={m.gate_count} garbage={m.garbage_count} "
             f"ancilla={m.ancilla_count} depth={m.depth} "
@@ -180,7 +155,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     catalog = catalog_from_env()
-    build = _build_for(args.arch, catalog)
+    build = ARCHITECTURES[args.arch].build(catalog)
     text = (
         build.netlist.to_json()
         if args.format == "json"
@@ -271,6 +246,7 @@ def _cmd_errata(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    netlist_archs = [name for name, arch in ARCHITECTURES.items() if arch.build]
     parser = argparse.ArgumentParser(
         prog="revdec",
         description="Simulate, verify, measure and export the BCD adder designs.",
@@ -304,14 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_metrics = sub.add_parser("metrics", help="cost figures for the netlist builds")
-    p_metrics.add_argument("--arch", default=None, choices=REVERSIBLE_ARCHITECTURES)
+    p_metrics.add_argument("--arch", default=None, choices=netlist_archs)
     p_metrics.add_argument(
         "--table1", action="store_true", help="print the full cost comparison"
     )
     p_metrics.set_defaults(func=_cmd_metrics)
 
     p_export = sub.add_parser("export", help="write a build as JSON or DOT")
-    p_export.add_argument("--arch", required=True, choices=REVERSIBLE_ARCHITECTURES)
+    p_export.add_argument("--arch", required=True, choices=netlist_archs)
     p_export.add_argument("--format", required=True, choices=("json", "dot"))
     p_export.add_argument("--out", required=True, help="output path, or - for stdout")
     p_export.set_defaults(func=_cmd_export)

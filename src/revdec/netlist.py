@@ -558,33 +558,39 @@ class Netlist:
 
         def driver_node(wire: str) -> str:
             kind, idx = drivers[wire]
-            return f'"in:{wire}"' if kind == "input" else f'"g{idx}"'
+            return _dot_quote(f"in:{wire}") if kind == "input" else f'"g{idx}"'
 
-        lines = [f'digraph "{self.name}" {{', "  rankdir=LR;"]
+        lines = [f"digraph {_dot_quote(self.name)} {{", "  rankdir=LR;"]
         for decl in self.inputs:
             label = (
                 f"{decl.wire} = {decl.const} [{decl.role}]"
                 if decl.role == ROLE_ANCILLA
                 else f"{decl.wire} [{decl.role}]"
             )
-            lines.append(f'  "in:{decl.wire}" [shape=ellipse, label="{label}"];')
+            node = _dot_quote(f"in:{decl.wire}")
+            lines.append(f"  {node} [shape=ellipse, label={_dot_quote(label)}];")
         for g, inst in enumerate(self.gates):
-            lines.append(f'  "g{g}" [shape=box, label="g{g}: {inst.gate.name}"];')
+            label = _dot_quote(f"g{g}: {inst.gate.name}")
+            lines.append(f'  "g{g}" [shape=box, label={label}];')
         for decl in self.outputs:
             shape = "doublecircle" if decl.role == ROLE_PRIMARY_OUTPUT else "ellipse"
-            lines.append(
-                f'  "out:{decl.wire}" [shape={shape}, '
-                f'label="{decl.wire} [{decl.role}]"];'
-            )
+            node = _dot_quote(f"out:{decl.wire}")
+            label = _dot_quote(f"{decl.wire} [{decl.role}]")
+            lines.append(f"  {node} [shape={shape}, label={label}];")
         for g, inst in enumerate(self.gates):
             for wire in inst.input_wires:
-                lines.append(f'  {driver_node(wire)} -> "g{g}" [label="{wire}"];')
+                label = _dot_quote(wire)
+                lines.append(f'  {driver_node(wire)} -> "g{g}" [label={label}];')
         for decl in self.outputs:
-            lines.append(
-                f'  {driver_node(decl.wire)} -> "out:{decl.wire}" [label="{decl.wire}"];'
-            )
+            node, label = _dot_quote(f"out:{decl.wire}"), _dot_quote(decl.wire)
+            lines.append(f"  {driver_node(decl.wire)} -> {node} [label={label}];")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _dot_quote(text: str) -> str:
+    """A DOT quoted string: backslashes and double quotes are escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 class NetlistBuilder:

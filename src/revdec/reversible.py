@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
-from .classical import BcdOperands, BcdResult
+from .classical import Architecture, BcdOperands, BcdResult
 from .gates import BitVector, GatePermutation, UnknownGate, builtin_catalog
 from .netlist import CostMetrics, Netlist, NetlistBuilder
 
@@ -32,6 +32,7 @@ __all__ = [
     "FIDELITY_EXACT",
     "FIDELITY_RECONSTRUCTED",
     "ReversibleAdderBuild",
+    "REVERSIBLE_ROWS",
     "and4_subcircuit",
     "skip_mux_subcircuit",
     "build_conventional_reversible",
@@ -54,13 +55,16 @@ class ReversibleAdderBuild:
     ``primary_output_map`` maps each logical result name (``s0`` .. ``s3``,
     ``cout``) to its bit position in the netlist's primary output vector.
     ``figure_fidelity`` records whether the wiring is an exact transcription
-    of the reference schematic or a behavioral reconstruction.
+    of the reference schematic or a behavioral reconstruction, and
+    ``target`` is the design's (gates, garbage) goal its measured costs are
+    compared against.
     """
 
     netlist: Netlist
     primary_output_map: Mapping[str, int]
     metrics: CostMetrics
     figure_fidelity: str
+    target: tuple[int, int]
 
 
 def _required(catalog: Mapping[str, GatePermutation], name: str) -> GatePermutation:
@@ -129,7 +133,7 @@ def _declare_operands(builder: NetlistBuilder) -> tuple[list[str], list[str], st
 
 
 def _finish(
-    builder: NetlistBuilder, fidelity: str
+    builder: NetlistBuilder, fidelity: str, target: tuple[int, int]
 ) -> ReversibleAdderBuild:
     for wire in PRIMARY_OUTPUT_ORDER:
         builder.primary_output(wire)
@@ -139,6 +143,7 @@ def _finish(
         primary_output_map={name: i for i, name in enumerate(PRIMARY_OUTPUT_ORDER)},
         metrics=net.metrics(),
         figure_fidelity=fidelity,
+        target=target,
     )
 
 
@@ -204,7 +209,7 @@ def build_conventional_reversible(
         new_gate, (corr_c3, raw3_b, builder.ancilla(0)),
         ("corr_end", "mix3", "s3"),
     )
-    return _finish(builder, FIDELITY_RECONSTRUCTED)
+    return _finish(builder, FIDELITY_RECONSTRUCTED, (11, 22))
 
 
 def build_carry_skip_reversible(
@@ -295,7 +300,7 @@ def build_carry_skip_reversible(
         ("cout", "mix2", "s2", "corr_c3"),
     )
     builder.gate(ts3, (raw3_c, corr_c3, builder.ancilla(0)), ("raw3_t", "corr_t", "s3"))
-    return _finish(builder, FIDELITY_RECONSTRUCTED)
+    return _finish(builder, FIDELITY_RECONSTRUCTED, (15, 27))
 
 
 def input_pattern(op: BcdOperands) -> BitVector:
@@ -314,3 +319,9 @@ def simulate_digit_add(build: ReversibleAdderBuild, op: BcdOperands) -> BcdResul
     """Run one digit addition through a built netlist."""
     primary, _ = build.netlist.simulate(input_pattern(op))
     return decode_primary(build, primary)
+
+
+REVERSIBLE_ROWS = (
+    Architecture("rev_conventional", build=build_conventional_reversible),
+    Architecture("rev_carry_skip", build=build_carry_skip_reversible),
+)

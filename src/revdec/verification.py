@@ -16,12 +16,14 @@ answers four questions:
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import partial
 
 from .classical import (
-    CLA_CORRECTED,
     CLA_VERBATIM,
+    CLASSICAL_ROWS,
+    Architecture,
     BcdOperands,
     BcdResult,
     carry_skip_add,
@@ -34,18 +36,11 @@ from .classical import (
 )
 from .gates import GatePermutation
 from .netlist import CostMetrics
-from .reversible import (
-    ReversibleAdderBuild,
-    build_carry_skip_reversible,
-    build_conventional_reversible,
-    simulate_digit_add,
-)
+from .reversible import REVERSIBLE_ROWS, simulate_digit_add
 
 __all__ = [
     "ARCHITECTURES",
-    "REVERSIBLE_ARCHITECTURES",
     "BASELINE_COSTS",
-    "DESIGN_TARGETS",
     "EQUATION_NAMES",
     "Mismatch",
     "VerificationReport",
@@ -62,26 +57,14 @@ __all__ = [
     "table1_report",
 ]
 
-ARCHITECTURES = (
-    "conventional",
-    "cla_verbatim",
-    "cla_corrected",
-    "carry_skip",
-    "rev_conventional",
-    "rev_carry_skip",
-)
-
-REVERSIBLE_ARCHITECTURES = ("rev_conventional", "rev_carry_skip")
+# Every architecture by name, in the order sweeps and reports list them.
+ARCHITECTURES: dict[str, Architecture] = {
+    arch.name: arch for arch in (*CLASSICAL_ROWS, *REVERSIBLE_ROWS)
+}
 
 # Gate and garbage counts of the fixed prior reversible design every cost
 # comparison is anchored to.  These are quoted constants, not measurements.
 BASELINE_COSTS = (23, 22)
-
-# Design targets (gates, garbage) for the two builds in this package.
-DESIGN_TARGETS: dict[str, tuple[int, int]] = {
-    "rev_conventional": (11, 22),
-    "rev_carry_skip": (15, 27),
-}
 
 EQUATION_NAMES = (
     "S0_VERBATIM",
@@ -143,33 +126,6 @@ class VerificationReport:
         }
 
 
-def _build_for(
-    architecture: str, catalog: Mapping[str, GatePermutation] | None
-) -> ReversibleAdderBuild:
-    if architecture == "rev_conventional":
-        return build_conventional_reversible(catalog)
-    return build_carry_skip_reversible(catalog)
-
-
-def _result_function(
-    architecture: str, catalog: Mapping[str, GatePermutation] | None
-) -> tuple[Callable[[BcdOperands], BcdResult], ReversibleAdderBuild | None]:
-    if architecture == "conventional":
-        return lambda op: conventional_add(op)[0], None
-    if architecture == "cla_verbatim":
-        return lambda op: cla_add(op, CLA_VERBATIM), None
-    if architecture == "cla_corrected":
-        return lambda op: cla_add(op, CLA_CORRECTED), None
-    if architecture == "carry_skip":
-        return lambda op: carry_skip_add(op)[0], None
-    if architecture in REVERSIBLE_ARCHITECTURES:
-        build = _build_for(architecture, catalog)
-        return lambda op: simulate_digit_add(build, op), build
-    raise ValueError(
-        f"unknown architecture {architecture!r}; choose from {ARCHITECTURES}"
-    )
-
-
 def verify_architecture(
     architecture: str,
     catalog: Mapping[str, GatePermutation] | None = None,
@@ -180,13 +136,21 @@ def verify_architecture(
     gate catalog) and simulated per input; their reports carry the measured
     cost metrics and the design targets.
     """
-    fn, build = _result_function(architecture, catalog)
+    arch = ARCHITECTURES.get(architecture)
+    if arch is None:
+        choices = tuple(ARCHITECTURES)
+        raise ValueError(f"unknown architecture {architecture!r}; choose from {choices}")
+    if arch.build is None:
+        build, add = None, arch.add
+    else:
+        build = arch.build(catalog)
+        add = partial(simulate_digit_add, build)
     mismatches = []
     total = 0
     for op in valid_operands():
         total += 1
         expected = oracle(op)
-        actual = fn(op)
+        actual = add(op)
         if actual != expected:
             mismatches.append(Mismatch(op, expected, actual))
     return VerificationReport(
@@ -194,7 +158,7 @@ def verify_architecture(
         total=total,
         mismatches=tuple(mismatches),
         metrics=build.metrics if build else None,
-        targets=DESIGN_TARGETS.get(architecture),
+        targets=build.target if build else None,
     )
 
 
@@ -213,36 +177,46 @@ class ErrataEntry:
     expected: int
 
 
-def evaluate_printed_equation(name: str, op: BcdOperands) -> int:
-    """The bit the as-given equation set actually produces for one column."""
+def _columns(result: BcdResult) -> tuple[int, ...]:
+    """The five output bits of one result, in :data:`EQUATION_NAMES` order."""
+    return (*result.sum_bits(), result.cout)
+
+
+def _column_index(name: str) -> int:
     if name not in EQUATION_NAMES:
         raise ValueError(f"unknown equation {name!r}; choose from {EQUATION_NAMES}")
-    result = cla_add(op, CLA_VERBATIM)
-    if name == "COUT_VERBATIM":
-        return result.cout
-    return result.sum_bits()[EQUATION_NAMES.index(name)]
+    return EQUATION_NAMES.index(name)
+
+
+def evaluate_printed_equation(name: str, op: BcdOperands) -> int:
+    """The bit the as-given equation set actually produces for one column."""
+    return _columns(cla_add(op, CLA_VERBATIM))[_column_index(name)]
 
 
 def expected_column(name: str, op: BcdOperands) -> int:
     """The bit the decimal truth table requires for one column."""
-    if name not in EQUATION_NAMES:
-        raise ValueError(f"unknown equation {name!r}; choose from {EQUATION_NAMES}")
-    result = oracle(op)
-    if name == "COUT_VERBATIM":
-        return result.cout
-    return result.sum_bits()[EQUATION_NAMES.index(name)]
+    return _columns(oracle(op))[_column_index(name)]
+
+
+def _equation_sweep() -> Iterator[tuple[BcdOperands, tuple[int, ...], tuple[int, ...]]]:
+    """Each valid input with its five observed and five required bits.
+
+    The as-given equations and the oracle run once per input; both audits
+    below read every column from this one sweep.
+    """
+    for op in valid_operands():
+        yield op, _columns(cla_add(op, CLA_VERBATIM)), _columns(oracle(op))
 
 
 def cla_agreement() -> dict[str, tuple[int, int]]:
     """Per-equation ``(matching inputs, total inputs)`` over the valid sweep."""
-    counts = {name: 0 for name in EQUATION_NAMES}
+    counts = [0] * len(EQUATION_NAMES)
     total = 0
-    for op in valid_operands():
+    for _, observed, expected in _equation_sweep():
         total += 1
-        for name in EQUATION_NAMES:
-            if evaluate_printed_equation(name, op) == expected_column(name, op):
-                counts[name] += 1
-    return {name: (counts[name], total) for name in EQUATION_NAMES}
+        for i, (bit, want) in enumerate(zip(observed, expected)):
+            counts[i] += bit == want
+    return {name: (count, total) for name, count in zip(EQUATION_NAMES, counts)}
 
 
 def cla_errata() -> tuple[ErrataEntry, ...]:
@@ -253,22 +227,17 @@ def cla_errata() -> tuple[ErrataEntry, ...]:
     with both bits.  Equations that agree everywhere produce no entry, so
     an empty result would mean the printed equations are fully correct.
     """
-    entries = []
-    for name in EQUATION_NAMES:
-        for op in valid_operands():
-            observed = evaluate_printed_equation(name, op)
-            expected = expected_column(name, op)
-            if observed != expected:
-                entries.append(
-                    ErrataEntry(
-                        equation=name,
-                        first_failing_input=op,
-                        observed=observed,
-                        expected=expected,
-                    )
+    first: dict[int, ErrataEntry] = {}
+    for op, observed, expected in _equation_sweep():
+        for i, name in enumerate(EQUATION_NAMES):
+            if i not in first and observed[i] != expected[i]:
+                first[i] = ErrataEntry(
+                    equation=name,
+                    first_failing_input=op,
+                    observed=observed[i],
+                    expected=expected[i],
                 )
-                break
-    return tuple(entries)
+    return tuple(first[i] for i in sorted(first))
 
 
 # ----------------------------------------------------------------------
@@ -314,42 +283,50 @@ class SubstitutionSite:
         }
 
 
+def _or_differs_from_xor(terms: tuple[int, ...]) -> bool:
+    xor_value = 0
+    for t in terms:
+        xor_value ^= t
+    return int(any(terms)) != xor_value
+
+
 def _audit_terms(
     site: str,
     term_names: tuple[str, ...],
     valid_terms: Callable[[BcdOperands], tuple[int, ...]],
-    all_valuations: Callable[[], "list[tuple[dict[str, int], tuple[int, ...]]]"],
+    valuations: Iterable[tuple[dict[str, int], tuple[int, ...]]],
 ) -> SubstitutionSite:
-    first = None
-    count = 0
-    for op in valid_operands():
-        terms = valid_terms(op)
-        or_value = int(any(terms))
-        xor_value = 0
-        for t in terms:
-            xor_value ^= t
-        if or_value != xor_value:
-            count += 1
-            if first is None:
-                first = op
-    off_example = None
-    for signals, terms in all_valuations():
-        or_value = int(any(terms))
-        xor_value = 0
-        for t in terms:
-            xor_value ^= t
-        if or_value != xor_value:
-            off_example = signals
-            break
+    counterexamples = [
+        op for op in valid_operands() if _or_differs_from_xor(valid_terms(op))
+    ]
+    off_example = next(
+        (signals for signals, terms in valuations if _or_differs_from_xor(terms)),
+        None,
+    )
     return SubstitutionSite(
         site=site,
         terms=term_names,
-        or_equals_xor_on_valid=first is None,
-        first_valid_counterexample=first,
-        valid_counterexample_count=count,
+        or_equals_xor_on_valid=not counterexamples,
+        first_valid_counterexample=counterexamples[0] if counterexamples else None,
+        valid_counterexample_count=len(counterexamples),
         diverges_off_domain=off_example is not None,
         off_domain_example=off_example,
     )
+
+
+def _detection_site(
+    site: str,
+    term_names: tuple[str, ...],
+    terms: Callable[[int, int], tuple[int, int, int]],
+) -> SubstitutionSite:
+    """Audit one decimal-carry condition set over the conventional stage."""
+
+    def valid_terms(op: BcdOperands) -> tuple[int, ...]:
+        _, trace = conventional_add(op)
+        return terms(trace.k, trace.z)
+
+    valuations = (({"k": k, "z": z}, terms(k, z)) for k in (0, 1) for z in range(16))
+    return _audit_terms(site, term_names, valid_terms, valuations)
 
 
 def xor_substitution_audit() -> tuple[SubstitutionSite, ...]:
@@ -363,28 +340,6 @@ def xor_substitution_audit() -> tuple[SubstitutionSite, ...]:
     those no valid digit pair can produce.
     """
 
-    def detection_valid(op: BcdOperands) -> tuple[int, ...]:
-        _, trace = conventional_add(op)
-        return detection_terms(trace.k, trace.z)
-
-    def detection_all() -> list[tuple[dict[str, int], tuple[int, ...]]]:
-        return [
-            ({"k": k, "z": z}, detection_terms(k, z))
-            for k in (0, 1)
-            for z in range(16)
-        ]
-
-    def naive_valid(op: BcdOperands) -> tuple[int, ...]:
-        _, trace = conventional_add(op)
-        return naive_detection_terms(trace.k, trace.z)
-
-    def naive_all() -> list[tuple[dict[str, int], tuple[int, ...]]]:
-        return [
-            ({"k": k, "z": z}, naive_detection_terms(k, z))
-            for k in (0, 1)
-            for z in range(16)
-        ]
-
     def mux_valid(op: BcdOperands) -> tuple[int, ...]:
         _, signals = carry_skip_add(op)
         return (
@@ -392,35 +347,19 @@ def xor_substitution_audit() -> tuple[SubstitutionSite, ...]:
             (signals.big_p ^ 1) & signals.c4,
         )
 
-    def mux_all() -> list[tuple[dict[str, int], tuple[int, ...]]]:
-        return [
-            (
-                {"big_p": bp, "cin": cin, "c4": c4},
-                (bp & cin, (bp ^ 1) & c4),
-            )
-            for bp in (0, 1)
-            for cin in (0, 1)
-            for c4 in (0, 1)
-        ]
-
+    mux_all = (
+        ({"big_p": bp, "cin": cin, "c4": c4}, (bp & cin, (bp ^ 1) & c4))
+        for bp in (0, 1)
+        for cin in (0, 1)
+        for c4 in (0, 1)
+    )
     return (
-        _audit_terms(
-            "decimal_carry_detection",
-            ("k", "z3&z2", "z3&~z2&z1"),
-            detection_valid,
-            detection_all,
+        _detection_site(
+            "decimal_carry_detection", ("k", "z3&z2", "z3&~z2&z1"), detection_terms
         ),
+        _detection_site("naive_detection", ("k", "z3&z2", "z3&z1"), naive_detection_terms),
         _audit_terms(
-            "naive_detection",
-            ("k", "z3&z2", "z3&z1"),
-            naive_valid,
-            naive_all,
-        ),
-        _audit_terms(
-            "skip_mux_select",
-            ("big_p&cin", "~big_p&c4"),
-            mux_valid,
-            mux_all,
+            "skip_mux_select", ("big_p&cin", "~big_p&c4"), mux_valid, mux_all
         ),
     )
 
@@ -497,14 +436,16 @@ def table1_report(
     rows = [
         Table1Row(label="baseline", gates=BASELINE_COSTS[0], garbage=BASELINE_COSTS[1])
     ]
-    for architecture in REVERSIBLE_ARCHITECTURES:
-        build = _build_for(architecture, catalog)
+    for arch in ARCHITECTURES.values():
+        if arch.build is None:
+            continue
+        build = arch.build(catalog)
         gates_measured = build.metrics.gate_count
         garbage_measured = build.metrics.garbage_count
-        target_gates, target_garbage = DESIGN_TARGETS[architecture]
+        target_gates, target_garbage = build.target
         rows.append(
             Table1Row(
-                label=architecture,
+                label=arch.name,
                 gates=gates_measured,
                 garbage=garbage_measured,
                 target_gates=target_gates,

@@ -1,0 +1,85 @@
+"""Architecture registry and single-pass audit tests."""
+
+from __future__ import annotations
+
+import argparse
+from collections import Counter
+
+import pytest
+
+from revdec import verification
+from revdec.classical import CLA_CORRECTED, DECIMAL_ARCHITECTURES
+from revdec.cli import build_parser
+from revdec.verification import ARCHITECTURES, cla_agreement, cla_errata
+
+ORDER = [
+    "conventional",
+    "cla_verbatim",
+    "cla_corrected",
+    "carry_skip",
+    "rev_conventional",
+    "rev_carry_skip",
+]
+
+
+def arch_choices(command: str) -> list[str]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions if a.dest == "arch")
+    return list(action.choices)
+
+
+class TestRegistry:
+    def test_one_ordered_table(self):
+        assert list(ARCHITECTURES) == ORDER
+        assert all(name == arch.name for name, arch in ARCHITECTURES.items())
+
+    def test_verify_and_simulate_offer_every_row(self):
+        assert arch_choices("simulate") == list(ARCHITECTURES)
+        assert arch_choices("verify") == [*ARCHITECTURES, "all"]
+
+    @pytest.mark.parametrize("command", ["metrics", "export"])
+    def test_netlist_commands_offer_the_rows_with_a_build(self, command):
+        with_build = [name for name, arch in ARCHITECTURES.items() if arch.build]
+        assert with_build == ["rev_conventional", "rev_carry_skip"]
+        assert arch_choices(command) == with_build
+
+    def test_chainable_rows(self):
+        chainable = [name for name, arch in ARCHITECTURES.items() if arch.chainable]
+        assert chainable == ["conventional", "cla_corrected", "carry_skip"]
+        assert list(DECIMAL_ARCHITECTURES) == chainable
+
+    def test_each_row_is_either_classical_or_a_netlist(self):
+        for arch in ARCHITECTURES.values():
+            if arch.build is None:
+                assert arch.add is not None and arch.trace is not None
+            else:
+                assert arch.add is None and arch.trace is None
+
+    def test_build_targets(self):
+        targets = {
+            name: arch.build().target
+            for name, arch in ARCHITECTURES.items()
+            if arch.build
+        }
+        assert targets == {"rev_conventional": (11, 22), "rev_carry_skip": (15, 27)}
+
+
+class TestSinglePassAudits:
+    @pytest.mark.parametrize("audit", [cla_agreement, cla_errata])
+    def test_one_sweep_of_equations_and_oracle(self, monkeypatch, audit):
+        calls = Counter()
+        real_cla_add, real_oracle = verification.cla_add, verification.oracle
+
+        def counting_cla_add(op, variant=CLA_CORRECTED):
+            calls[f"cla_add:{variant}"] += 1
+            return real_cla_add(op, variant)
+
+        def counting_oracle(op):
+            calls["oracle"] += 1
+            return real_oracle(op)
+
+        monkeypatch.setattr(verification, "cla_add", counting_cla_add)
+        monkeypatch.setattr(verification, "oracle", counting_oracle)
+        audit()
+        assert calls == {"cla_add:verbatim": 200, "oracle": 200}

@@ -10,7 +10,6 @@ from revdec.classical import BcdOperands
 from revdec.verification import (
     ARCHITECTURES,
     BASELINE_COSTS,
-    DESIGN_TARGETS,
     EQUATION_NAMES,
     cla_agreement,
     cla_errata,
@@ -47,7 +46,7 @@ class TestVerifyArchitecture:
         report = verify_architecture("rev_conventional")
         assert report.metrics is not None
         assert report.metrics.gate_count == 9
-        assert report.targets == DESIGN_TARGETS["rev_conventional"]
+        assert report.targets == (11, 22)
         classical = verify_architecture("conventional")
         assert classical.metrics is None and classical.targets is None
 
