@@ -515,18 +515,27 @@ class Netlist:
         """
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (RecursionError, ValueError) as exc:
+            # ValueError also covers undecodable bytes; RecursionError is
+            # what the decoder raises on pathologically deep nesting.
             raise ParseError(f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParseError("top-level JSON value must be an object")
         try:
+            if not isinstance(doc["name"], str):
+                raise ParseError(f"netlist name must be a string, got {doc['name']!r}")
             defs: dict[str, GatePermutation] = {}
             for entry in doc["gate_defs"]:
                 gate = make_gate(entry["name"], entry["width"], entry["table"])
+                if gate.name in defs:
+                    raise ParseError(f"gate {gate.name!r} is defined twice")
                 defs[gate.name] = gate
-            inputs = tuple(
-                InputDecl(e["wire"], e["role"], e.get("const")) for e in doc["inputs"]
-            )
+            inputs = []
+            for e in doc["inputs"]:
+                wire, role, const = e["wire"], e["role"], e.get("const")
+                if const is not None and type(const) is not int:
+                    raise ParseError(f"input {wire!r} has a non-integer const {const!r}")
+                inputs.append(InputDecl(wire, role, const))
             outputs = tuple(OutputDecl(e["wire"], e["role"]) for e in doc["outputs"])
             gates = []
             for e in doc["gates"]:
@@ -538,7 +547,7 @@ class Netlist:
                 gates.append(
                     GateInstance(defs[gate_name], tuple(e["in"]), tuple(e["out"]))
                 )
-            net = cls(doc["name"], inputs, tuple(outputs), tuple(gates))
+            net = cls(doc["name"], tuple(inputs), tuple(outputs), tuple(gates))
         except (ParseError, MalformedNetlist, NotBijective):
             raise
         except (KeyError, TypeError, ValueError) as exc:

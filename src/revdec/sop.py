@@ -2,11 +2,14 @@
 
 Given the on-set of a boolean function (and optionally a don't-care set),
 :func:`derive_sop` produces a compact, deterministic list of product terms
-covering exactly the on-set over the cared-about inputs.  The algorithm is
-the classic tabulation method: repeatedly merge implicants that differ in a
-single literal until only prime implicants remain, then pick a cover
-greedily with fixed tie-breaking so repeated runs always return the same
-result.
+covering exactly the on-set over the cared-about inputs.  The prime
+implicants come from a ternary implicant table held as integer bitmaps: for
+every mask of fixed inputs, one int whose bit ``v`` says whether the cube
+``(mask, v)`` lies wholly inside the on-set plus don't-cares.  Each mask's
+row is its parent row (one more input fixed) merged with itself shifted by
+the freed bit, and a cube is prime when no row one literal shorter contains
+it.  A cover is then picked greedily with fixed tie-breaking, so repeated
+runs always return the same result.
 
 A product term (cube) is a ``(mask, value)`` pair over the input bits:
 input ``x`` satisfies the cube when ``x & mask == value``.  An empty mask is
@@ -22,32 +25,34 @@ __all__ = ["Cube", "derive_sop", "eval_sop"]
 Cube = tuple[int, int]
 
 
-def _merge_to_primes(n_vars: int, minterms: Iterable[int]) -> list[Cube]:
-    """All prime implicants of the given minterms (cared plus don't-care)."""
-    current: set[Cube] = {((1 << n_vars) - 1, m) for m in minterms}
-    primes: set[Cube] = set()
-    while current:
-        merged: set[Cube] = set()
-        used: set[Cube] = set()
-        ordered = sorted(current)
-        index = set(current)
-        for mask, value in ordered:
-            for bit_pos in range(n_vars):
-                bit = 1 << bit_pos
-                if not mask & bit:
-                    continue
-                partner = (mask, value ^ bit)
-                if partner in index:
-                    merged.add((mask & ~bit, value & ~bit))
-                    used.add((mask, value))
-                    used.add(partner)
-        primes.update(c for c in ordered if c not in used)
-        current = merged
-    return sorted(primes)
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+def _prime_implicants(n_vars: int, care: int) -> list[Cube]:
+    """All prime implicants of the function that is 1 on the ``care`` bitmap."""
+    full = (1 << n_vars) - 1
+    # zero[b]: the values 0..full with bit b clear, as runs of b ones every 2b.
+    every = (1 << full + 1) - 1
+    zero = {
+        1 << p: every // ((1 << (2 << p)) - 1) * ((1 << (1 << p)) - 1)
+        for p in range(n_vars)
+    }
+    table = [0] * (full + 1)
+    table[full] = care
+    for mask in range(full - 1, -1, -1):
+        b = ~mask & (mask + 1)  # the lowest free bit
+        parent = table[mask | b]
+        table[mask] = parent & (parent >> b) & zero[b]
+    primes: list[Cube] = []
+    for mask, bits in enumerate(table):
+        fixed = mask
+        while fixed and bits:
+            b = fixed & -fixed
+            fixed ^= b
+            wider = table[mask ^ b]
+            bits &= ~(wider | wider << b)
+        while bits:
+            low = bits & -bits
+            primes.append((mask, low.bit_length() - 1))
+            bits ^= low
+    return primes
 
 
 def derive_sop(
@@ -62,24 +67,31 @@ def derive_sop(
     deterministic: primes are chosen largest-coverage-first with ties broken
     by literal count and then by the cube encoding.
     """
-    on = sorted(set(on_set))
-    dc = set(dc_set) - set(on)
+    on = sum(1 << x for x in set(on_set))
     if not on:
         return ()
-    primes = _merge_to_primes(n_vars, [*on, *dc])
+    primes = _prime_implicants(n_vars, on | sum(1 << x for x in set(dc_set)))
+
+    # span[mask]: the minterms of the cube (mask, 0); (mask, v) covers them << v.
+    span: dict[int, int] = {}
+    coverage: dict[Cube, int] = {}
+    for mask, value in primes:
+        if mask not in span:
+            span[mask] = 1
+            for b in (1 << p for p in range(n_vars) if not mask >> p & 1):
+                span[mask] |= span[mask] << b
+        coverage[mask, value] = (span[mask] << value) & on
 
     chosen: list[Cube] = []
-    uncovered = set(on)
-    coverage = {
-        cube: frozenset(m for m in on if m & cube[0] == cube[1]) for cube in primes
-    }
+    uncovered = on
     while uncovered:
+        primes = [c for c in primes if coverage[c] & uncovered]
         best = min(
-            (c for c in primes if coverage[c] & uncovered),
-            key=lambda c: (-len(coverage[c] & uncovered), _popcount(c[0]), c),
+            primes,
+            key=lambda c: (-(coverage[c] & uncovered).bit_count(), c[0].bit_count(), c),
         )
         chosen.append(best)
-        uncovered -= coverage[best]
+        uncovered &= ~coverage[best]
     return tuple(sorted(chosen))
 
 

@@ -27,6 +27,49 @@ from revdec.classical import (
 
 ALL_OPS = tuple(valid_operands())
 
+# The five exact covers (s0..s3, cout) that _corrected_covers derives, as
+# (mask, value) cubes over x = a | b << 4 | cin << 8.
+CORRECTED_COVERS = (
+    # s0
+    (
+        (273, 1), (273, 16), (273, 256), (273, 273),
+    ),
+    # s1
+    (
+        (57, 57), (63, 32), (119, 36), (119, 51), (119, 87), (119, 102), (119, 117),
+        (121, 72), (147, 147), (151, 132), (153, 136), (183, 2), (191, 17), (243, 2),
+        (247, 21), (297, 297), (303, 32), (312, 312), (318, 32), (359, 66), (359, 102),
+        (359, 291), (359, 327), (359, 357), (361, 72), (363, 32), (367, 321), (374, 36),
+        (374, 102), (374, 306), (374, 342), (374, 372), (376, 72), (387, 387),
+        (391, 132), (393, 136), (402, 402), (406, 132), (408, 136), (438, 2),
+        (446, 272), (483, 2), (491, 257), (498, 2), (502, 276),
+    ),
+    # s2
+    (
+        (89, 89), (95, 64), (102, 34), (104, 104), (110, 64), (119, 6), (119, 36),
+        (119, 66), (119, 119), (125, 49), (134, 134), (149, 149), (153, 136), (215, 19),
+        (230, 4), (329, 329), (335, 64), (344, 344), (350, 64), (359, 6), (359, 36),
+        (359, 66), (359, 359), (365, 289), (374, 6), (374, 36), (374, 66), (374, 374),
+        (380, 304), (389, 389), (393, 136), (404, 404), (408, 136), (455, 259),
+        (470, 274),
+    ),
+    # s3
+    (
+        (119, 38), (119, 53), (119, 68), (119, 83), (119, 98), (127, 113), (153, 153),
+        (159, 128), (247, 23), (249, 8), (359, 38), (359, 68), (359, 98), (359, 293),
+        (359, 323), (367, 353), (374, 38), (374, 68), (374, 98), (374, 308), (374, 338),
+        (382, 368), (393, 393), (399, 128), (408, 408), (414, 128), (487, 263),
+        (489, 8), (502, 278), (504, 8),
+    ),
+    # cout
+    (
+        (25, 25), (40, 40), (55, 55), (70, 70), (72, 72), (85, 85), (100, 100),
+        (115, 115), (130, 130), (132, 132), (136, 136), (145, 145), (265, 265),
+        (280, 280), (295, 295), (310, 310), (325, 325), (340, 340), (355, 355),
+        (370, 370), (385, 385), (400, 400),
+    ),
+)
+
 
 class TestOperands:
     def test_sweep_is_complete_and_ordered(self):
@@ -193,6 +236,12 @@ class TestClaCorrected:
         # cube counts must not drift.
         _corrected_covers.cache_clear()
         assert [len(c) for c in _corrected_covers()] == [4, 45, 35, 30, 22]
+
+    def test_derived_covers_are_pinned_exactly(self):
+        # Golden pin: any faster derivation must reproduce these cubes.
+        _corrected_covers.cache_clear()
+        assert _corrected_covers() == CORRECTED_COVERS
+        assert sum(map(len, CORRECTED_COVERS)) == 136
 
 
 class TestCarrySkip:

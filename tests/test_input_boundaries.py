@@ -1,14 +1,18 @@
-"""Input-boundary tests: CLI digit strings, bool operands and DOT quoting."""
+"""Input-boundary tests: CLI digits, bool operands, DOT quoting, netlist JSON."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revdec.classical import BcdOperands, InvalidBcd, decimal_add
 from revdec.cli import main
-from revdec.gates import builtin, make_gate
-from revdec.netlist import NetlistBuilder
-from revdec.reversible import build_carry_skip_reversible
+from revdec.gates import NotBijective, ParseError, builtin, make_gate
+from revdec.netlist import MalformedNetlist, Netlist, NetlistBuilder
+from revdec.reversible import build_carry_skip_reversible, build_conventional_reversible
 
 
 class TestDigitStrings:
@@ -93,3 +97,88 @@ class TestDotQuoting:
         dot = build_carry_skip_reversible().netlist.to_dot()
         assert "\\" not in dot
         assert all(_balanced(line) for line in dot.splitlines())
+
+
+class TestNetlistJsonBoundary:
+    @staticmethod
+    def doc():
+        return json.loads(build_conventional_reversible().netlist.to_json())
+
+    def test_deeply_nested_json_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            Netlist.from_json("[" * 100000)
+
+    @pytest.mark.parametrize("text", [b"\xff", b'{"name": "\xc3"}'])
+    def test_undecodable_bytes_are_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            Netlist.from_json(text)
+
+    @pytest.mark.parametrize("inputs", [[[1]], ["x"], [{"wire": "x"}]])
+    def test_wrong_input_entries_are_a_parse_error(self, inputs):
+        doc = self.doc()
+        doc["inputs"] = inputs
+        with pytest.raises(ParseError):
+            Netlist.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", [[1], 7, None, {"a": 1}])
+    def test_non_string_name_is_rejected(self, name):
+        doc = self.doc()
+        doc["name"] = name
+        with pytest.raises(ParseError, match="name"):
+            Netlist.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("const", [True, False, 1.0, "1"])
+    def test_ancilla_const_must_be_an_integer(self, const):
+        doc = self.doc()
+        ancilla = next(e for e in doc["inputs"] if e["role"] == "ancilla")
+        ancilla["const"] = const
+        with pytest.raises(ParseError, match="const"):
+            Netlist.from_json(json.dumps(doc))
+
+    def test_duplicate_gate_def_is_rejected(self):
+        doc = self.doc()
+        first = doc["gate_defs"][0]
+        doc["gate_defs"].append(dict(first, table=list(reversed(first["table"]))))
+        with pytest.raises(ParseError, match=first["name"]):
+            Netlist.from_json(json.dumps(doc))
+
+    def test_builtin_round_trip_text_is_unchanged(self):
+        text = build_conventional_reversible().netlist.to_json()
+        assert Netlist.from_json(text).to_json() == text
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestNetlistJsonProperties:
+    DOCUMENTED = (ParseError, MalformedNetlist, NotBijective)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | st.binary())
+    def test_arbitrary_text_raises_only_documented_errors(self, text):
+        with pytest.raises(self.DOCUMENTED):
+            Netlist.from_json(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_replaced_field_raises_only_documented_errors(self, data):
+        doc = TestNetlistJsonBoundary.doc()
+        # Descend to a random depth and replace whatever sits there with an
+        # arbitrary JSON value.
+        node, key = doc, data.draw(st.sampled_from(sorted(doc)))
+        while isinstance(node[key], (dict, list)) and node[key] and data.draw(
+            st.booleans()
+        ):
+            node = node[key]
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            key = data.draw(st.sampled_from(keys))
+        node[key] = data.draw(JSON_VALUES)
+        try:
+            Netlist.from_json(json.dumps(doc))
+        except self.DOCUMENTED:
+            pass
