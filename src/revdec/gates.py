@@ -129,9 +129,13 @@ class GatePermutation:
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("gate name must be non-empty")
-        if not isinstance(self.width, int) or not 1 <= self.width <= MAX_WIDTH:
+        # parse_gate_defs must read a format_gate name back as one field.
+        if not isinstance(self.name, str) or self.name.split() != [self.name]:
+            raise ValueError(
+                "gate name must be a non-empty string without whitespace, "
+                f"got {self.name!r}"
+            )
+        if type(self.width) is not int or not 1 <= self.width <= MAX_WIDTH:
             raise ValueError(
                 f"gate width must be between 1 and {MAX_WIDTH}, got {self.width!r}"
             )
@@ -164,20 +168,14 @@ class GatePermutation:
             )
         return self.table[pattern]
 
-    def inverse(self) -> "GatePermutation":
-        """The gate that undoes this one; inputs and outputs swap roles."""
-        inv = [0] * len(self.table)
-        for pattern, out in enumerate(self.table):
-            inv[out] = pattern
-        return GatePermutation(f"{self.name}_INV", self.width, tuple(inv))
-
 
 def make_gate(name: str, width: int, table: Sequence[int]) -> GatePermutation:
     """Validate and wrap a permutation table as a gate.
 
     Raises :class:`NotBijective` when two inputs collide on one output, and
-    ``ValueError`` for structural problems (wrong table length, entries out
-    of range, unsupported width).
+    ``ValueError`` for structural problems (a name that is not a non-empty
+    string without whitespace, a width that is not an ``int`` in range,
+    wrong table length, entries out of range).
     """
     return GatePermutation(name, width, tuple(table))
 

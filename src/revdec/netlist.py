@@ -19,9 +19,9 @@ serialization.
 from __future__ import annotations
 
 import json
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gates import (
     BitVector,
@@ -186,7 +186,9 @@ class Netlist:
     same inputs, outputs and gate placements (including the gates' tables)
     in the same order.  Validation is explicit via :meth:`validate`;
     operations that only make sense on well-formed circuits (simulation,
-    metrics, export) call it themselves.
+    metrics, export) call it themselves.  Its result is remembered, as is
+    the analysis behind it (drivers, dependency order, the circuit lowered to
+    wire indices); a failed check caches nothing and raises again.
     """
 
     name: str
@@ -212,8 +214,9 @@ class Netlist:
     def garbage_wires(self) -> tuple[str, ...]:
         return tuple(d.wire for d in self.outputs if d.role == ROLE_GARBAGE)
 
+    @cached_property
     def _drivers(self) -> dict[str, tuple[str, int]]:
-        """Map each wire to its unique driver.
+        """Map each wire to its unique driver, inputs first, then gate outputs.
 
         The driver is ``("input", input_index)`` or ``("gate", gate_index)``.
         Raises :class:`MalformedNetlist` if any wire is driven twice.
@@ -230,6 +233,7 @@ class Netlist:
                 drivers[wire] = ("gate", g)
         return drivers
 
+    @cached_property
     def _topo_order(self) -> tuple[int, ...]:
         """Indices of ``gates`` in dependency order.
 
@@ -237,38 +241,54 @@ class Netlist:
         driver and no dependency cycle exists.  Does not check the
         consumption rules; :meth:`validate` layers those on top.
         """
-        drivers = self._drivers()
-        for inst in self.gates:
+        drivers = self._drivers
+        missing = [0] * len(self.gates)  # gate-driven inputs not yet ordered
+        consumers: dict[int, list[int]] = {}
+        for g, inst in enumerate(self.gates):
             for wire in inst.input_wires:
                 if wire not in drivers:
                     raise MalformedNetlist(f"wire {wire!r} is consumed but never driven")
+                kind, idx = drivers[wire]
+                if kind == "gate":
+                    missing[g] += 1
+                    consumers.setdefault(idx, []).append(g)
         for decl in self.outputs:
             if decl.wire not in drivers:
                 raise MalformedNetlist(f"output {decl.wire!r} is never driven")
 
-        missing = [
-            sum(1 for w in inst.input_wires if drivers[w][0] == "gate")
-            for inst in self.gates
-        ]
-        consumers: dict[int, list[int]] = {}
-        for g, inst in enumerate(self.gates):
-            for wire in inst.input_wires:
-                kind, idx = drivers[wire]
-                if kind == "gate":
-                    consumers.setdefault(idx, []).append(g)
-
-        ready = deque(g for g, n in enumerate(missing) if n == 0)
-        order: list[int] = []
-        while ready:
-            g = ready.popleft()
-            order.append(g)
+        order = [g for g, n in enumerate(missing) if n == 0]
+        for g in order:  # a FIFO queue: the loop reaches the gates it appends
             for nxt in consumers.get(g, ()):
                 missing[nxt] -= 1
                 if missing[nxt] == 0:
-                    ready.append(nxt)
+                    order.append(nxt)
         if len(order) != len(self.gates):
             raise MalformedNetlist("netlist contains a dependency cycle")
         return tuple(order)
+
+    @cached_property
+    def _plan(self):
+        """The circuit lowered to wire indices for :meth:`_values`.
+
+        Wire ``i`` is key ``i`` of :attr:`_drivers`.  Holds every wire's
+        starting value (ancilla constant, else 0), the primary input wires,
+        ``(gate index, table, input wires, output wires)`` per gate in
+        dependency order, the primary output wires and all output wires.
+        """
+        index = {w: i for i, w in enumerate(self._drivers)}
+
+        def wires(names) -> tuple[int, ...]:
+            return tuple(index[w] for w in names)
+
+        initial = [int(d.const or 0) for d in self.inputs]
+        initial += [0] * (len(index) - len(initial))
+        steps = []
+        for g in self._topo_order:
+            inst = self.gates[g]
+            steps.append((g, inst.gate.table, wires(inst.input_wires),
+                          wires(inst.output_wires)))
+        return (initial, wires(self.primary_input_wires()), tuple(steps),
+                wires(self.primary_output_wires()), wires(d.wire for d in self.outputs))
 
     def validate(self) -> None:
         """Check every structural invariant; raise :class:`MalformedNetlist`.
@@ -276,10 +296,15 @@ class Netlist:
         Rules: unique wire names per declaration site, exactly one driver
         and exactly one consumer per wire (fan-out is not allowed), no
         driven-but-unclassified wires, no cycles, and at least one primary
-        input and one primary output.
+        input and one primary output.  A netlist that passed is not checked
+        again; one that failed raises on every call.
         """
-        drivers = self._drivers()
-        self._topo_order()
+        self._valid
+
+    @cached_property
+    def _valid(self) -> bool:
+        """The checks of :meth:`validate`; cached only once they pass."""
+        self._topo_order
 
         consumed: dict[str, str] = {}
 
@@ -301,7 +326,7 @@ class Netlist:
             seen_outputs.add(decl.wire)
             consume(decl.wire, "circuit output")
 
-        dangling = [w for w in drivers if w not in consumed]
+        dangling = [w for w in self._drivers if w not in consumed]
         if dangling:
             raise MalformedNetlist(
                 f"wire(s) {sorted(dangling)} are driven but neither consumed by a "
@@ -311,60 +336,43 @@ class Netlist:
             raise MalformedNetlist("netlist declares no primary inputs")
         if not self.primary_output_wires():
             raise MalformedNetlist("netlist declares no primary outputs")
+        return True
 
     # ------------------------------------------------------------------
     # simulation
     # ------------------------------------------------------------------
 
-    def _initial_values(self, x: BitVector) -> dict[str, int]:
-        primaries = self.primary_input_wires()
+    def _values(self, pattern: int) -> list[int]:
+        """Every wire's value, by index, with ``pattern`` on the primary inputs.
+
+        Each wire has one driver, so its value is written once, before any
+        gate reads it, and never overwritten.
+        """
+        initial, primaries, steps, _, _ = self._plan
+        values = initial.copy()
+        for i, wire in enumerate(primaries):
+            values[wire] = (pattern >> i) & 1
+        for _, table, ins, outs in steps:
+            entry = 0
+            for i, wire in enumerate(ins):
+                entry |= values[wire] << i
+            result = table[entry]
+            for i, wire in enumerate(outs):
+                values[wire] = (result >> i) & 1
+        return values
+
+    def _checked_values(self, x: BitVector) -> tuple[list[int], BitVector, BitVector]:
+        """Validate, evaluate ``x``, and read ``(values, primary, full)``."""
+        self.validate()
+        _, primaries, _, primary_outputs, outputs = self._plan
         if x.width != len(primaries):
             raise WidthMismatch(
                 f"netlist {self.name!r} has {len(primaries)} primary inputs "
                 f"but the pattern has {x.width} bits"
             )
-        values: dict[str, int] = {}
-        next_bit = 0
-        for decl in self.inputs:
-            if decl.role == ROLE_PRIMARY_INPUT:
-                values[decl.wire] = x.bit(next_bit)
-                next_bit += 1
-            else:
-                values[decl.wire] = decl.const  # type: ignore[assignment]
-        return values
-
-    def _run(
-        self, values: dict[str, int], order: Sequence[int]
-    ) -> list[TraceStep]:
-        steps: list[TraceStep] = []
-        for g in order:
-            inst = self.gates[g]
-            pattern = 0
-            for i, wire in enumerate(inst.input_wires):
-                pattern |= values[wire] << i
-            result = inst.gate.table[pattern]
-            out_vals = []
-            for i, wire in enumerate(inst.output_wires):
-                bit = (result >> i) & 1
-                values[wire] = bit
-                out_vals.append((wire, bit))
-            steps.append(
-                TraceStep(
-                    index=g,
-                    gate_name=inst.gate.name,
-                    inputs=tuple(
-                        (w, (pattern >> i) & 1)
-                        for i, w in enumerate(inst.input_wires)
-                    ),
-                    outputs=tuple(out_vals),
-                )
-            )
-        return steps
-
-    def _collect(self, values: dict[str, int]) -> tuple[BitVector, BitVector]:
-        primary_bits = [values[w] for w in self.primary_output_wires()]
-        all_bits = [values[d.wire] for d in self.outputs]
-        return BitVector.from_bits(primary_bits), BitVector.from_bits(all_bits)
+        values = self._values(x.value)
+        primary = BitVector.from_bits([values[w] for w in primary_outputs])
+        return values, primary, BitVector.from_bits([values[w] for w in outputs])
 
     def simulate(self, x: BitVector) -> tuple[BitVector, BitVector]:
         """Evaluate the circuit on one primary input pattern.
@@ -374,22 +382,21 @@ class Netlist:
         order, and every declared output (primary and garbage) in
         declaration order.
         """
-        self.validate()
-        order = self._topo_order()
-        values = self._initial_values(x)
-        self._run(values, order)
-        return self._collect(values)
+        return self._checked_values(x)[1:]
 
     def simulate_trace(
         self, x: BitVector
     ) -> tuple[BitVector, BitVector, tuple[TraceStep, ...]]:
         """Like :meth:`simulate` but also report every gate evaluation."""
-        self.validate()
-        order = self._topo_order()
-        values = self._initial_values(x)
-        steps = self._run(values, order)
-        primary, full = self._collect(values)
-        return primary, full, tuple(steps)
+        values, primary, full = self._checked_values(x)
+        _, _, steps, _, _ = self._plan
+        trace = []
+        for g, _, ins, outs in steps:
+            inst = self.gates[g]
+            trace.append(TraceStep(
+                g, inst.gate.name, tuple(zip(inst.input_wires, [values[w] for w in ins])),
+                tuple(zip(inst.output_wires, [values[w] for w in outs]))))
+        return primary, full, tuple(trace)
 
     # ------------------------------------------------------------------
     # analysis
@@ -401,9 +408,8 @@ class Netlist:
         Circuit input wires sit at depth 0; a gate's output wires sit one
         past the deepest of its input wires.
         """
-        order = self._topo_order()
         depth: dict[str, int] = {d.wire: 0 for d in self.inputs}
-        for g in order:
+        for g in self._topo_order:
             inst = self.gates[g]
             level = 1 + max(depth[w] for w in inst.input_wires)
             for wire in inst.output_wires:
@@ -412,7 +418,7 @@ class Netlist:
 
     def cone_of(self, wire: str) -> frozenset[int]:
         """Indices of the gate instances that ``wire`` transitively depends on."""
-        drivers = self._drivers()
+        drivers = self._drivers
         if wire not in drivers:
             raise MalformedNetlist(f"wire {wire!r} is never driven")
         seen: set[int] = set()
@@ -427,20 +433,12 @@ class Netlist:
     def metrics(self) -> CostMetrics:
         """Gate count, garbage count, ancilla count and depth."""
         self.validate()
-        depths = self.wire_depths()
         return CostMetrics(
             gate_count=len(self.gates),
             garbage_count=len(self.garbage_wires()),
             ancilla_count=sum(1 for d in self.inputs if d.role == ROLE_ANCILLA),
-            depth=max(depths.values(), default=0),
+            depth=max(self.wire_depths().values(), default=0),
         )
-
-    def gate_inventory(self) -> dict[str, int]:
-        """How many instances of each gate type the netlist places."""
-        counts: dict[str, int] = {}
-        for inst in self.gates:
-            counts[inst.gate.name] = counts.get(inst.gate.name, 0) + 1
-        return counts
 
     def check_injective(self) -> tuple[BitVector, BitVector] | None:
         """Exhaustively test that distinct inputs produce distinct outputs.
@@ -453,22 +451,20 @@ class Netlist:
         in netlists that :meth:`validate` would reject, for example outputs
         that alias one wire while another wire is dropped.
         """
-        primaries = self.primary_input_wires()
-        if len(primaries) > _MAX_INJECTIVITY_INPUTS:
+        width = len(self.primary_input_wires())
+        if width > _MAX_INJECTIVITY_INPUTS:
             raise MalformedNetlist(
-                f"refusing to enumerate 2**{len(primaries)} input patterns "
+                f"refusing to enumerate 2**{width} input patterns "
                 f"(limit is 2**{_MAX_INJECTIVITY_INPUTS})"
             )
-        order = self._topo_order()
-        seen: dict[tuple[int, ...], BitVector] = {}
-        for pattern in range(1 << len(primaries)):
-            x = BitVector(max(len(primaries), 1), pattern)
-            values = self._initial_values(x)
-            self._run(values, order)
-            output = tuple(values[d.wire] for d in self.outputs)
+        *_, outputs = self._plan
+        seen: dict[tuple[int, ...], int] = {}
+        for pattern in range(1 << width):
+            values = self._values(pattern)
+            output = tuple([values[w] for w in outputs])
             if output in seen:
-                return seen[output], x
-            seen[output] = x
+                return BitVector(width, seen[output]), BitVector(width, pattern)
+            seen[output] = pattern
         return None
 
     # ------------------------------------------------------------------
@@ -563,7 +559,7 @@ class Netlist:
         each wire becomes one labelled edge from its driver to its consumer.
         """
         self.validate()
-        drivers = self._drivers()
+        drivers = self._drivers
 
         def driver_node(wire: str) -> str:
             kind, idx = drivers[wire]

@@ -1,4 +1,5 @@
-"""Input-boundary tests: CLI digits, bool operands, DOT quoting, netlist JSON."""
+"""Input-boundary tests: CLI digits, bool operands, gate names and widths,
+DOT quoting, netlist JSON."""
 
 from __future__ import annotations
 
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 
 from revdec.classical import BcdOperands, InvalidBcd, decimal_add
 from revdec.cli import main
-from revdec.gates import NotBijective, ParseError, builtin, make_gate
+from revdec.gates import (
+    NotBijective,
+    ParseError,
+    builtin,
+    format_gate,
+    make_gate,
+    parse_gate_defs,
+)
 from revdec.netlist import MalformedNetlist, Netlist, NetlistBuilder
 from revdec.reversible import build_carry_skip_reversible, build_conventional_reversible
 
@@ -55,6 +63,40 @@ class TestBoolOperands:
     def test_decimal_add_rejects_bool_carry_in(self, cin):
         with pytest.raises(ValueError, match="cin"):
             decimal_add([1], [2], cin=cin)
+
+
+class TestGateNamesAndWidths:
+    @pytest.mark.parametrize("width", [True, 1.0, "1"])
+    def test_width_must_be_an_int(self, width):
+        with pytest.raises(ValueError, match="width"):
+            make_gate("X", width, [1, 0])
+
+    @pytest.mark.parametrize("name", [7, None, b"X", "", "A B", "A\tB", "A\nB"])
+    def test_name_must_be_a_string_without_whitespace(self, name):
+        with pytest.raises(ValueError, match="name"):
+            make_gate(name, 1, [1, 0])
+
+    def test_accepted_names_read_back_from_the_catalog_format(self):
+        gate = make_gate('T"S3\\', 1, [1, 0])
+        assert parse_gate_defs(format_gate(gate)) == {gate.name: gate}
+
+    @pytest.mark.parametrize("name", [7, "A B", ""])
+    def test_bad_gate_def_name_in_json_is_a_parse_error(self, name):
+        doc = json.loads(build_conventional_reversible().netlist.to_json())
+        old = doc["gate_defs"][0]["name"]
+        doc["gate_defs"][0]["name"] = name
+        for entry in doc["gates"]:
+            if entry["gate_name"] == old:
+                entry["gate_name"] = name
+        with pytest.raises(ParseError, match="name"):
+            Netlist.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("width", [True, 1.5])
+    def test_non_int_width_in_json_is_a_parse_error(self, width):
+        doc = json.loads(build_conventional_reversible().netlist.to_json())
+        doc["gate_defs"][0]["width"] = width
+        with pytest.raises(ParseError, match="width"):
+            Netlist.from_json(json.dumps(doc))
 
 
 def _balanced(line: str) -> bool:

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import deque
+from functools import cached_property
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revdec.gates import BitVector, ParseError, builtin
 from revdec.netlist import (
@@ -19,11 +23,13 @@ from revdec.netlist import (
     Netlist,
     NetlistBuilder,
     OutputDecl,
+    TraceStep,
 )
 
 TS3 = builtin("TS3")
 TSG = builtin("TSG")
 NEW_GATE = builtin("NEW_GATE")
+GATE_POOL = [builtin(n) for n in ("FREDKIN", "TOFFOLI", "TS3", "NEW_GATE", "TSG")]
 
 
 def full_adder_net() -> Netlist:
@@ -37,6 +43,88 @@ def full_adder_net() -> Netlist:
     b.primary_output(s)
     b.primary_output(co)
     return b.build()
+
+
+def random_net(rng: random.Random, name: str, n_outputs: int = 1) -> Netlist:
+    """A builder-made netlist of 1-8 random gates over 2-6 primary inputs.
+
+    Each gate line takes a still-unconsumed wire (70%) or a fresh ancilla;
+    the last ``n_outputs`` free wires become primary outputs, the rest garbage.
+    """
+    b = NetlistBuilder(name)
+    available = [b.primary_input(f"i{k}") for k in range(rng.randint(2, 6))]
+    for g in range(rng.randint(1, 8)):
+        gate = rng.choice(GATE_POOL)
+        ins = []
+        for line in range(gate.width):
+            if available and rng.random() < 0.7:
+                ins.append(available.pop(rng.randrange(len(available))))
+            else:
+                ins.append(b.ancilla(rng.randint(0, 1)))
+        outs = b.gate(gate, ins, [f"w{g}_{i}" for i in range(gate.width)])
+        available.extend(outs)
+    for _ in range(n_outputs):
+        b.primary_output(available.pop())
+    return b.build()
+
+
+def reference_order(net: Netlist) -> list[int]:
+    """Gate indices in dependency order: a FIFO of ready gates, in index order."""
+    driver = {w: g for g, inst in enumerate(net.gates) for w in inst.output_wires}
+    missing = [sum(w in driver for w in inst.input_wires) for inst in net.gates]
+    ready = deque(g for g, n in enumerate(missing) if n == 0)
+    order = []
+    while ready:
+        g = ready.popleft()
+        order.append(g)
+        for h, inst in enumerate(net.gates):
+            for w in inst.input_wires:
+                if driver.get(w) == g:
+                    missing[h] -= 1
+                    if missing[h] == 0:
+                        ready.append(h)
+    return order
+
+
+def reference_simulate(net: Netlist, pattern: int):
+    """Scalar reference: wire values in a dict keyed by wire name.
+
+    Returns the primary output bits, every output's bit and the trace steps.
+    """
+    values, bit = {}, 0
+    for decl in net.inputs:
+        if decl.role == ROLE_PRIMARY_INPUT:
+            values[decl.wire] = (pattern >> bit) & 1
+            bit += 1
+        else:
+            values[decl.wire] = decl.const
+    steps = []
+    for g in reference_order(net):
+        inst = net.gates[g]
+        entry = sum(values[w] << i for i, w in enumerate(inst.input_wires))
+        result = inst.gate.table[entry]
+        for i, w in enumerate(inst.output_wires):
+            values[w] = (result >> i) & 1
+        steps.append(TraceStep(
+            g, inst.gate.name,
+            tuple((w, values[w]) for w in inst.input_wires),
+            tuple((w, values[w]) for w in inst.output_wires),
+        ))
+    primary = tuple(values[w] for w in net.primary_output_wires())
+    full = tuple(values[d.wire] for d in net.outputs)
+    return primary, full, tuple(steps)
+
+
+def reference_collision(net: Netlist):
+    """The first pair of primary patterns whose outputs collide, or None."""
+    width = len(net.primary_input_wires())
+    seen = {}
+    for pattern in range(1 << width):
+        full = reference_simulate(net, pattern)[1]
+        if full in seen:
+            return BitVector(width, seen[full]), BitVector(width, pattern)
+        seen[full] = pattern
+    return None
 
 
 class TestBuilder:
@@ -259,24 +347,108 @@ class TestCheckInjective:
             net.check_injective()
 
     def test_randomly_composed_netlists_are_injective(self):
-        gates = [builtin(n) for n in ("FREDKIN", "TOFFOLI", "TS3", "NEW_GATE", "TSG")]
         rng = random.Random(1207)
         for trial in range(20):
-            b = NetlistBuilder(f"random{trial}")
-            available = [b.primary_input(f"i{k}") for k in range(rng.randint(2, 6))]
-            for g in range(rng.randint(1, 8)):
-                gate = rng.choice(gates)
-                ins = []
-                for line in range(gate.width):
-                    if available and rng.random() < 0.7:
-                        ins.append(available.pop(rng.randrange(len(available))))
-                    else:
-                        ins.append(b.ancilla(rng.randint(0, 1)))
-                outs = b.gate(gate, ins, [f"t{trial}_{g}_{i}" for i in range(gate.width)])
-                available.extend(outs)
-            b.primary_output(available.pop())
-            net = b.build()
+            net = random_net(rng, f"random{trial}")
             assert net.check_injective() is None, net.name
+
+    def test_no_primary_inputs_means_no_collision(self):
+        # One pattern (the ancilla constants) cannot collide with another.
+        net = Netlist(
+            "constant",
+            tuple(InputDecl(w, ROLE_ANCILLA, 1) for w in ("z0", "z1", "z2")),
+            (OutputDecl("p", ROLE_PRIMARY_OUTPUT), OutputDecl("q", ROLE_GARBAGE),
+             OutputDecl("r", ROLE_GARBAGE)),
+            (GateInstance(TS3, ("z0", "z1", "z2"), ("p", "q", "r")),),
+        )
+        assert net.check_injective() is None
+
+
+class TestReferenceEvaluator:
+    """simulate, simulate_trace and check_injective against a dict-keyed reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3))
+    def test_random_netlists_match_the_reference(self, rng, n_outputs):
+        built = random_net(rng, "r", n_outputs)
+        # Shuffled placements and declarations: dependency order differs
+        # from placement order, and primary bits feed other wires.
+        gates, inputs = list(built.gates), list(built.inputs)
+        rng.shuffle(gates)
+        rng.shuffle(inputs)
+        net = Netlist("r", tuple(inputs), built.outputs, tuple(gates))
+        net.validate()
+        width = len(net.primary_input_wires())
+        for pattern in range(1 << width):
+            primary, full, steps = reference_simulate(net, pattern)
+            want = (BitVector.from_bits(primary), BitVector.from_bits(full))
+            x = BitVector(width, pattern)
+            assert net.simulate(x) == want
+            assert net.simulate_trace(x) == (*want, steps)
+        assert reference_collision(net) is None
+        assert net.check_injective() is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_lossy_netlists_report_the_reference_collision(self, rng):
+        # Aliasing one output onto another drops a wire: check_injective
+        # skips the consumption rules, so it still sweeps such a netlist.
+        net = random_net(rng, "r", rng.randint(1, 3))
+        outputs = list(net.outputs)
+        k = rng.randrange(len(outputs))
+        outputs[k] = OutputDecl(rng.choice(outputs).wire, outputs[k].role)
+        lossy = Netlist("lossy", net.inputs, tuple(outputs), net.gates)
+        assert lossy.check_injective() == reference_collision(lossy)
+
+
+class TestAnalysisCache:
+    def test_analysis_runs_once_per_netlist(self, monkeypatch):
+        calls = {}
+        for name in ("_drivers", "_topo_order"):
+            analysis = vars(Netlist)[name].func
+
+            def counted(net, analysis=analysis, name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return analysis(net)
+
+            prop = cached_property(counted)
+            prop.__set_name__(Netlist, name)
+            monkeypatch.setattr(Netlist, name, prop)
+        net = full_adder_net()
+        for pattern in range(200):
+            net.simulate(BitVector(3, pattern % 8))
+        net.check_injective()
+        net.metrics()
+        assert calls == {"_drivers": 1, "_topo_order": 1}
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            # the analysis fails: wire "b" is consumed but never driven
+            Netlist(
+                "undriven",
+                (InputDecl("a", ROLE_PRIMARY_INPUT), InputDecl("z", ROLE_ANCILLA, 0)),
+                (OutputDecl("p", ROLE_PRIMARY_OUTPUT), OutputDecl("q", ROLE_GARBAGE),
+                 OutputDecl("r", ROLE_GARBAGE)),
+                (GateInstance(TS3, ("a", "b", "z"), ("p", "q", "r")),),
+            ),
+            # the analysis passes but a consumption rule fails: "z" dangles
+            Netlist(
+                "dangling",
+                (InputDecl("a", ROLE_PRIMARY_INPUT), InputDecl("z", ROLE_ANCILLA, 0)),
+                (OutputDecl("a", ROLE_PRIMARY_OUTPUT),),
+                (),
+            ),
+        ],
+        ids=["undriven", "dangling"],
+    )
+    def test_malformed_netlist_raises_on_every_call(self, net):
+        for _ in range(2):
+            with pytest.raises(MalformedNetlist):
+                net.validate()
+        for _ in range(2):
+            with pytest.raises(MalformedNetlist):
+                net.simulate(BitVector(1, 0))
 
 
 class TestMetrics:

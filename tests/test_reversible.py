@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from revdec.classical import (
@@ -47,7 +49,8 @@ class TestConventionalBuild:
         )
 
     def test_gate_inventory(self):
-        assert CONVENTIONAL.netlist.gate_inventory() == {"TSG": 6, "NEW_GATE": 3}
+        net = CONVENTIONAL.netlist
+        assert Counter(i.gate.name for i in net.gates) == {"TSG": 6, "NEW_GATE": 3}
 
     def test_fidelity_is_declared(self):
         assert CONVENTIONAL.figure_fidelity == FIDELITY_RECONSTRUCTED
@@ -108,7 +111,8 @@ class TestCarrySkipBuild:
         )
 
     def test_gate_inventory(self):
-        assert CARRY_SKIP.netlist.gate_inventory() == {
+        net = CARRY_SKIP.netlist
+        assert Counter(i.gate.name for i in net.gates) == {
             "TSG": 6, "FREDKIN": 4, "TS3": 3, "TOFFOLI": 3, "NEW_GATE": 1,
         }
 
@@ -189,7 +193,7 @@ class TestSubcircuits:
         out = and4_subcircuit(b, wires)
         b.primary_output(out)
         net = b.build()
-        assert net.gate_inventory() == {"FREDKIN": 3}
+        assert Counter(i.gate.name for i in net.gates) == {"FREDKIN": 3}
         assert net.metrics().garbage_count == 6
         for pattern in range(16):
             primary, _ = net.simulate(BitVector(4, pattern))
@@ -209,7 +213,7 @@ class TestSubcircuits:
         out = skip_mux_subcircuit(b, select, when_set, when_clear)
         b.primary_output(out)
         net = b.build()
-        assert net.gate_inventory() == {"FREDKIN": 1}
+        assert Counter(i.gate.name for i in net.gates) == {"FREDKIN": 1}
         assert net.metrics().garbage_count == 2
         for s in (0, 1):
             for hi in (0, 1):
