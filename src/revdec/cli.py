@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from .classical import (
     DECIMAL_ARCHITECTURES,
@@ -22,13 +23,7 @@ from .classical import (
     LengthMismatch,
     decimal_add,
 )
-from .gates import NotBijective, ParseError, UnknownGate, catalog_from_env
-from .netlist import MalformedNetlist
-from .reversible import (
-    ReversibleAdderBuild,
-    decode_primary,
-    input_pattern,
-)
+from .gates import UnknownGate, catalog_from_env
 from .verification import (
     ARCHITECTURES,
     cla_agreement,
@@ -37,6 +32,9 @@ from .verification import (
     verify_architecture,
     xor_substitution_audit,
 )
+
+if TYPE_CHECKING:
+    from .reversible import ReversibleAdderBuild
 
 __all__ = ["main", "main_entry"]
 
@@ -56,6 +54,8 @@ def _parse_digit_pair(text: str) -> tuple[list[int], list[int]]:
 def _simulate_reversible(
     build: ReversibleAdderBuild, op: BcdOperands, trace: bool
 ) -> tuple[int, int]:
+    from .reversible import decode_primary, input_pattern
+
     if trace:
         primary, _, steps = build.netlist.simulate_trace(input_pattern(op))
         for step in steps:
@@ -311,10 +311,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InvalidBcd, LengthMismatch) as exc:
         print(f"error: invalid BCD digit ({exc})", file=sys.stderr)
         return 2
-    except (UnknownGate, ParseError, NotBijective, MalformedNetlist, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # every revdec error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

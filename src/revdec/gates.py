@@ -81,9 +81,9 @@ class BitVector:
     value: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.width, int) or self.width < 1:
+        if type(self.width) is not int or self.width < 1:
             raise ValueError(f"width must be a positive integer, got {self.width!r}")
-        if not isinstance(self.value, int) or not 0 <= self.value < (1 << self.width):
+        if type(self.value) is not int or not 0 <= self.value < (1 << self.width):
             raise ValueError(
                 f"value {self.value!r} does not fit in {self.width} bits"
             )
@@ -135,6 +135,10 @@ class GatePermutation:
                 "gate name must be a non-empty string without whitespace, "
                 f"got {self.name!r}"
             )
+        # The catalog reads names case-insensitively (parse_gate_defs,
+        # builtin and the CLI upper-case them), so only upper case round-trips.
+        if self.name != self.name.upper():
+            raise ValueError(f"gate name must be upper case, got {self.name!r}")
         if type(self.width) is not int or not 1 <= self.width <= MAX_WIDTH:
             raise ValueError(
                 f"gate width must be between 1 and {MAX_WIDTH}, got {self.width!r}"
@@ -174,8 +178,8 @@ def make_gate(name: str, width: int, table: Sequence[int]) -> GatePermutation:
 
     Raises :class:`NotBijective` when two inputs collide on one output, and
     ``ValueError`` for structural problems (a name that is not a non-empty
-    string without whitespace, a width that is not an ``int`` in range,
-    wrong table length, entries out of range).
+    upper-case string without whitespace, a width that is not an ``int`` in
+    range, wrong table length, entries out of range).
     """
     return GatePermutation(name, width, tuple(table))
 

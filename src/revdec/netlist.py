@@ -88,7 +88,7 @@ class InputDecl:
                 f"expected one of {_INPUT_ROLES}"
             )
         if self.role == ROLE_ANCILLA:
-            if self.const not in (0, 1):
+            if type(self.const) is not int or self.const not in (0, 1):
                 raise MalformedNetlist(
                     f"ancilla {self.wire!r} needs a constant of 0 or 1, "
                     f"got {self.const!r}"

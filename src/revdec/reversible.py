@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
-from .classical import Architecture, BcdOperands, BcdResult
+from .classical import BcdOperands, BcdResult
 from .gates import BitVector, GatePermutation, UnknownGate, builtin_catalog
 from .netlist import CostMetrics, Netlist, NetlistBuilder
 
@@ -32,7 +32,6 @@ __all__ = [
     "FIDELITY_EXACT",
     "FIDELITY_RECONSTRUCTED",
     "ReversibleAdderBuild",
-    "REVERSIBLE_ROWS",
     "and4_subcircuit",
     "skip_mux_subcircuit",
     "build_conventional_reversible",
@@ -319,9 +318,3 @@ def simulate_digit_add(build: ReversibleAdderBuild, op: BcdOperands) -> BcdResul
     """Run one digit addition through a built netlist."""
     primary, _ = build.netlist.simulate(input_pattern(op))
     return decode_primary(build, primary)
-
-
-REVERSIBLE_ROWS = (
-    Architecture("rev_conventional", build=build_conventional_reversible),
-    Architecture("rev_carry_skip", build=build_carry_skip_reversible),
-)

@@ -19,6 +19,7 @@ import json
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 from .classical import (
     CLA_VERBATIM,
@@ -34,9 +35,10 @@ from .classical import (
     oracle,
     valid_operands,
 )
-from .gates import GatePermutation
-from .netlist import CostMetrics
-from .reversible import REVERSIBLE_ROWS, simulate_digit_add
+
+if TYPE_CHECKING:
+    from .gates import GatePermutation
+    from .netlist import CostMetrics
 
 __all__ = [
     "ARCHITECTURES",
@@ -57,9 +59,29 @@ __all__ = [
     "table1_report",
 ]
 
+
+def _reversible_row(name: str, builder: str) -> Architecture:
+    """A netlist row whose first build imports :mod:`revdec.reversible`.
+
+    Commands that never build a netlist then never load the netlist layer.
+    """
+
+    def build(catalog: Mapping[str, GatePermutation] | None = None):
+        from . import reversible
+
+        return getattr(reversible, builder)(catalog)
+
+    return Architecture(name, build=build)
+
+
 # Every architecture by name, in the order sweeps and reports list them.
 ARCHITECTURES: dict[str, Architecture] = {
-    arch.name: arch for arch in (*CLASSICAL_ROWS, *REVERSIBLE_ROWS)
+    arch.name: arch
+    for arch in (
+        *CLASSICAL_ROWS,
+        _reversible_row("rev_conventional", "build_conventional_reversible"),
+        _reversible_row("rev_carry_skip", "build_carry_skip_reversible"),
+    )
 }
 
 # Gate and garbage counts of the fixed prior reversible design every cost
@@ -143,6 +165,8 @@ def verify_architecture(
     if arch.build is None:
         build, add = None, arch.add
     else:
+        from .reversible import simulate_digit_add
+
         build = arch.build(catalog)
         add = partial(simulate_digit_add, build)
     mismatches = []

@@ -1,0 +1,134 @@
+"""Import-boundary tests: ``import revdec`` loads no submodule, and only the
+commands that build a netlist load the netlist layer.
+
+Module loading is checked in a fresh interpreter, because this test session
+has already imported every module.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import revdec
+from revdec import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+NETLIST_LAYER = {"revdec.netlist", "revdec.reversible"}
+
+PUBLIC_NAMES = {
+    "__version__",
+    "BcdOperands", "BcdResult", "BitVector", "ClaSignals", "ConventionalTrace",
+    "CostMetrics", "GateInstance", "GatePermutation", "InputDecl", "InvalidBcd",
+    "LengthMismatch", "MalformedNetlist", "Netlist", "NetlistBuilder",
+    "NotBijective", "OutputDecl", "ParseError", "ReversibleAdderBuild",
+    "SkipSignals", "UnknownGate", "WidthMismatch", "builtin", "builtin_catalog",
+    "build_carry_skip_reversible", "build_conventional_reversible",
+    "carry_skip_add", "catalog_from_env", "cla_add", "cla_errata", "cla_signals",
+    "conventional_add", "decimal_add", "eval_gate", "make_gate", "oracle",
+    "simulate_digit_add", "table1_report", "tsg_full_adder_wiring",
+    "valid_operands", "verify_architecture", "xor_substitution_audit",
+}
+
+# The module-level names of revdec.cli that the benchmark's traced probe
+# replaces, each with a command that must call through it.
+PROBED = {
+    "verify_architecture": ["verify", "--arch", "conventional"],
+    "cla_agreement": ["errata"],
+    "cla_errata": ["errata"],
+    "xor_substitution_audit": ["errata"],
+    "table1_report": ["metrics", "--table1"],
+    "decimal_add": ["simulate", "--arch", "conventional", "--digits", "12,34"],
+    "catalog_from_env": ["verify", "--arch", "conventional"],
+}
+
+
+def loaded_after(code: str) -> set[str]:
+    """The ``revdec`` modules a fresh interpreter holds after running ``code``."""
+    script = (
+        f"{code}\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('revdec'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("REVDEC_GATE_DEFS", None)
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
+class TestModuleLoading:
+    def test_import_revdec_loads_no_submodule(self):
+        assert loaded_after("import revdec") == {"revdec"}
+
+    def test_verification_loads_only_the_classical_layer(self):
+        assert loaded_after("import revdec.verification") == {
+            "revdec", "revdec.classical", "revdec.sop", "revdec.verification",
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["errata"], ["simulate", "--arch", "cla_corrected", "--digits", "999,1"]],
+        ids=["errata", "simulate-digits"],
+    )
+    def test_classical_commands_skip_the_netlist_layer(self, argv):
+        loaded = loaded_after(
+            f"from revdec.cli import main\nassert main({argv!r}) == 0"
+        )
+        assert "revdec.cli" in loaded
+        assert not loaded & NETLIST_LAYER
+
+    def test_reversible_verify_loads_the_netlist_layer(self):
+        loaded = loaded_after(
+            "from revdec.cli import main\n"
+            "assert main(['verify', '--arch', 'rev_conventional']) == 0"
+        )
+        assert NETLIST_LAYER <= loaded
+
+
+class TestPublicNames:
+    def test_all_is_unchanged(self):
+        assert set(revdec.__all__) == PUBLIC_NAMES
+        assert len(revdec.__all__) == len(PUBLIC_NAMES)
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC_NAMES - {"__version__"}))
+    def test_name_is_the_object_its_home_module_defines(self, name):
+        obj = getattr(revdec, name)
+        home = sys.modules[obj.__module__]
+        assert home.__name__.startswith("revdec.")
+        assert getattr(home, name) is obj
+        assert name in home.__all__
+
+    def test_dir_lists_every_public_name(self):
+        assert set(revdec.__all__) <= set(dir(revdec))
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(revdec, "no_such_name")
+
+    def test_star_import_binds_every_public_name(self):
+        namespace: dict = {}
+        exec("from revdec import *", namespace)
+        assert PUBLIC_NAMES <= set(namespace)
+
+
+class TestCliCallsThroughModuleNames:
+    @pytest.mark.parametrize("name", sorted(PROBED))
+    def test_main_calls_the_module_level_name(self, monkeypatch, capsys, name):
+        original = getattr(cli, name)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+        assert cli.main(PROBED[name]) == 0
+        capsys.readouterr()
+        assert calls

@@ -1,5 +1,5 @@
-"""Input-boundary tests: CLI digits, bool operands, gate names and widths,
-DOT quoting, netlist JSON."""
+"""Input-boundary tests: CLI digits, bool operands and bit vectors, gate names
+and widths, ancilla constants, DOT quoting, netlist JSON."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from revdec.classical import BcdOperands, InvalidBcd, decimal_add
 from revdec.cli import main
 from revdec.gates import (
+    BitVector,
     NotBijective,
     ParseError,
     builtin,
@@ -19,7 +20,7 @@ from revdec.gates import (
     make_gate,
     parse_gate_defs,
 )
-from revdec.netlist import MalformedNetlist, Netlist, NetlistBuilder
+from revdec.netlist import InputDecl, MalformedNetlist, Netlist, NetlistBuilder
 from revdec.reversible import build_carry_skip_reversible, build_conventional_reversible
 
 
@@ -65,6 +66,29 @@ class TestBoolOperands:
             decimal_add([1], [2], cin=cin)
 
 
+class TestBitVectorTypes:
+    @pytest.mark.parametrize("width", [True, 2.0, "2"])
+    def test_width_must_be_an_int(self, width):
+        with pytest.raises(ValueError, match="width"):
+            BitVector(width, 1)
+
+    @pytest.mark.parametrize("value", [True, False, 1.0])
+    def test_value_must_be_an_int(self, value):
+        with pytest.raises(ValueError, match="fit"):
+            BitVector(2, value)
+
+
+class TestAncillaConstants:
+    @pytest.mark.parametrize("const", [True, 1.0])
+    def test_const_must_be_the_int_0_or_1(self, const):
+        with pytest.raises(MalformedNetlist, match="const"):
+            InputDecl("z", "ancilla", const)
+
+    @pytest.mark.parametrize("const", [0, 1])
+    def test_int_constants_are_accepted(self, const):
+        assert InputDecl("z", "ancilla", const).const == const
+
+
 class TestGateNamesAndWidths:
     @pytest.mark.parametrize("width", [True, 1.0, "1"])
     def test_width_must_be_an_int(self, width):
@@ -76,11 +100,16 @@ class TestGateNamesAndWidths:
         with pytest.raises(ValueError, match="name"):
             make_gate(name, 1, [1, 0])
 
+    @pytest.mark.parametrize("name", ["x", "Ts3", "new_gate"])
+    def test_name_must_be_upper_case(self, name):
+        with pytest.raises(ValueError, match="name"):
+            make_gate(name, 1, [1, 0])
+
     def test_accepted_names_read_back_from_the_catalog_format(self):
         gate = make_gate('T"S3\\', 1, [1, 0])
         assert parse_gate_defs(format_gate(gate)) == {gate.name: gate}
 
-    @pytest.mark.parametrize("name", [7, "A B", ""])
+    @pytest.mark.parametrize("name", [7, "A B", "", "ts3"])
     def test_bad_gate_def_name_in_json_is_a_parse_error(self, name):
         doc = json.loads(build_conventional_reversible().netlist.to_json())
         old = doc["gate_defs"][0]["name"]
