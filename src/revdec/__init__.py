@@ -28,8 +28,8 @@ _HOMES = {
     ),
     "gates": (
         "BitVector", "GatePermutation", "NotBijective", "ParseError",
-        "UnknownGate", "WidthMismatch", "builtin", "builtin_catalog",
-        "catalog_from_env", "eval_gate", "make_gate", "tsg_full_adder_wiring",
+        "UnknownGate", "WidthMismatch", "builtin_catalog", "catalog_from_env",
+        "make_gate",
     ),
     "netlist": (
         "CostMetrics", "GateInstance", "InputDecl", "MalformedNetlist",

@@ -143,9 +143,6 @@ class ConventionalTrace:
     k: int
     correct: int
 
-    def z_bits(self) -> tuple[int, int, int, int]:
-        return tuple((self.z >> i) & 1 for i in range(4))  # type: ignore[return-value]
-
 
 @dataclass(frozen=True)
 class SkipSignals:
@@ -453,11 +450,18 @@ CLASSICAL_ROWS = (
 _CHAINABLE = {arch.name: arch for arch in CLASSICAL_ROWS if arch.chainable}
 DECIMAL_ARCHITECTURES = tuple(_CHAINABLE)
 
+# Each architecture's (sum digit, carry) for every valid digit input, at
+# index a*20 + b*2 + cin, computed the first time that input is added.
+_DIGIT_TABLES: dict[str, list[tuple[int, int] | None]] = {
+    name: [None] * 200 for name in _CHAINABLE
+}
 
-@lru_cache(maxsize=None)
-def _digit_stage(a: int, b: int, cin: int, arch: str) -> tuple[int, int]:
+
+def _fill_digit(arch: str, a: int, b: int, cin: int) -> tuple[int, int]:
+    """Compute one entry of ``_DIGIT_TABLES[arch]`` and store it."""
     result = _CHAINABLE[arch].add(BcdOperands(a, b, cin))
-    return result.sum, result.cout
+    _DIGIT_TABLES[arch][a * 20 + b * 2 + cin] = stage = (result.sum, result.cout)
+    return stage
 
 
 def decimal_add(
@@ -484,9 +488,13 @@ def decimal_add(
         raise ValueError(
             f"unknown architecture {arch!r}; choose from {DECIMAL_ARCHITECTURES}"
         )
+    table = _DIGIT_TABLES[arch]
     carry = cin
     out: list[int] = []
     for x, y in zip(x_digits, y_digits):
-        digit, carry = _digit_stage(x, y, carry, arch)
+        # Checked on every digit: a table hit must not let True or 1.0 pass.
+        if not (type(x) is int and 0 <= x <= 9 and type(y) is int and 0 <= y <= 9):
+            BcdOperands(x, y, carry)  # raises the InvalidBcd naming the digit
+        digit, carry = table[x * 20 + y * 2 + carry] or _fill_digit(arch, x, y, carry)
         out.append(digit)
     return out, carry

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 __all__ = [
     "MAX_WIDTH",
     "ENV_GATE_DEFS",
-    "BUILTIN_NAMES",
     "NotBijective",
     "WidthMismatch",
     "UnknownGate",
@@ -33,11 +32,8 @@ __all__ = [
     "BitVector",
     "GatePermutation",
     "make_gate",
-    "eval_gate",
-    "builtin",
     "builtin_catalog",
     "catalog_from_env",
-    "tsg_full_adder_wiring",
     "format_gate",
     "parse_gate_defs",
     "load_gate_defs",
@@ -57,7 +53,7 @@ class NotBijective(ValueError):
 
 
 class WidthMismatch(ValueError):
-    """A bit pattern was applied to a gate of a different line count."""
+    """A bit pattern was applied to a circuit of a different line count."""
 
 
 class UnknownGate(ValueError):
@@ -107,10 +103,6 @@ class BitVector:
             raise IndexError(f"bit index {i} out of range for width {self.width}")
         return (self.value >> i) & 1
 
-    def bits(self) -> tuple[int, ...]:
-        """All bits from line 0 upward."""
-        return tuple((self.value >> i) & 1 for i in range(self.width))
-
     def __int__(self) -> int:
         return self.value
 
@@ -119,7 +111,8 @@ class BitVector:
 class GatePermutation:
     """A named reversible gate: a validated permutation of input patterns.
 
-    ``table[p]`` is the output pattern produced by input pattern ``p``.
+    ``table[p]`` is the output pattern produced by input pattern ``p``; that
+    lookup is how every caller evaluates a gate.
     Construction fails with :class:`NotBijective` if any output pattern
     repeats, so holding an instance is proof the gate loses no information.
     """
@@ -135,8 +128,8 @@ class GatePermutation:
                 "gate name must be a non-empty string without whitespace, "
                 f"got {self.name!r}"
             )
-        # The catalog reads names case-insensitively (parse_gate_defs,
-        # builtin and the CLI upper-case them), so only upper case round-trips.
+        # The catalog reads names case-insensitively (parse_gate_defs and
+        # the CLI upper-case them), so only upper case round-trips.
         if self.name != self.name.upper():
             raise ValueError(f"gate name must be upper case, got {self.name!r}")
         if type(self.width) is not int or not 1 <= self.width <= MAX_WIDTH:
@@ -164,14 +157,6 @@ class GatePermutation:
                 )
             seen[out] = pattern
 
-    def apply(self, pattern: int) -> int:
-        """Map an input pattern integer to its output pattern integer."""
-        if not 0 <= pattern < (1 << self.width):
-            raise ValueError(
-                f"pattern {pattern} out of range for width {self.width}"
-            )
-        return self.table[pattern]
-
 
 def make_gate(name: str, width: int, table: Sequence[int]) -> GatePermutation:
     """Validate and wrap a permutation table as a gate.
@@ -182,16 +167,6 @@ def make_gate(name: str, width: int, table: Sequence[int]) -> GatePermutation:
     range, wrong table length, entries out of range).
     """
     return GatePermutation(name, width, tuple(table))
-
-
-def eval_gate(gate: GatePermutation, pattern: BitVector) -> BitVector:
-    """Apply ``gate`` to ``pattern``; widths must agree."""
-    if pattern.width != gate.width:
-        raise WidthMismatch(
-            f"gate {gate.name!r} has {gate.width} lines but the pattern "
-            f"has {pattern.width}"
-        )
-    return BitVector(gate.width, gate.table[pattern.value])
 
 
 def _table_from_function(width, fn):
@@ -234,8 +209,8 @@ def _new_gate(a, b, c):
 
 def _tsg(a, b, c, d):
     # Four-line gate whose second output q feeds the remaining two outputs.
-    # Wired as (x, y, 0, carry_in) it behaves as a full adder (see
-    # tsg_full_adder_wiring).
+    # Wired as (x, y, 0, carry_in) it is a full adder: sum on line 2, carry
+    # on line 3, and lines 0 and 1 left over as garbage.
     q = ((a ^ 1) & (c ^ 1)) ^ (b ^ 1)
     return (a, q, q ^ d, (q & d) ^ ((a & b) ^ c))
 
@@ -251,38 +226,12 @@ _BUILTINS: dict[str, GatePermutation] = {
     )
 }
 
-BUILTIN_NAMES: tuple[str, ...] = tuple(_BUILTINS)
-
-
-def builtin(name: str) -> GatePermutation:
-    """Look up a built-in gate by name (case-insensitive)."""
-    gate = _BUILTINS.get(name.upper())
-    if gate is None:
-        raise UnknownGate(
-            f"unknown gate {name!r}; built-ins are {', '.join(BUILTIN_NAMES)}"
-        )
-    return gate
-
-
 def builtin_catalog() -> dict[str, GatePermutation]:
-    """A fresh name-to-gate mapping of the built-in gates."""
-    return dict(_BUILTINS)
+    """A fresh name-to-gate mapping of the built-in gates.
 
-
-def tsg_full_adder_wiring(x: int, y: int, cin: int) -> tuple[int, int, tuple[int, int]]:
-    """Evaluate one TSG wired as a full adder.
-
-    The operands ride lines 0 and 1, line 2 is held at constant 0 and the
-    incoming carry enters on line 3.  Returns ``(sum, carry_out, residue)``
-    where ``residue`` is the pair of values left on lines 0 and 1; those two
-    lines do not carry adder results and become garbage unless a later gate
-    reuses them.
+    One gate is read as ``builtin_catalog()[name]`` with an upper-case name.
     """
-    for label, bit in (("x", x), ("y", y), ("cin", cin)):
-        if bit not in (0, 1):
-            raise ValueError(f"{label} must be 0 or 1, got {bit!r}")
-    out = eval_gate(_BUILTINS["TSG"], BitVector.from_bits((x, y, 0, cin)))
-    return out.bit(2), out.bit(3), (out.bit(0), out.bit(1))
+    return dict(_BUILTINS)
 
 
 def format_gate(gate: GatePermutation) -> str:
@@ -294,8 +243,9 @@ def parse_gate_defs(text: str) -> dict[str, GatePermutation]:
     """Parse a gate-definition text block into a name-to-gate mapping.
 
     Each non-empty line defines one gate as ``NAME WIDTH P0 P1 ... P(2^W-1)``
-    with whitespace-separated integer entries.  Lines starting with ``#`` are
-    comments.  Raises :class:`ParseError` for malformed lines and
+    with whitespace-separated entries written in ASCII digits.  Lines
+    starting with ``#`` are comments.  Raises :class:`ParseError` for
+    malformed lines (the checks of :func:`make_gate` included) and
     :class:`NotBijective` for well-formed lines whose table repeats an
     output pattern.
     """
@@ -304,27 +254,21 @@ def parse_gate_defs(text: str) -> dict[str, GatePermutation]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
-        if len(fields) < 2:
+        name, *numbers = line.split()
+        if not numbers:
             raise ParseError(f"line {lineno}: expected 'NAME WIDTH P0 ...'")
-        name = fields[0].upper()
-        try:
-            width = int(fields[1])
-            table = [int(f) for f in fields[2:]]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-integer field ({exc})") from exc
-        if not 1 <= width <= MAX_WIDTH:
-            raise ParseError(
-                f"line {lineno}: width {width} out of range 1..{MAX_WIDTH}"
-            )
-        if len(table) != 1 << width:
-            raise ParseError(
-                f"line {lineno}: gate {name!r} of width {width} needs "
-                f"{1 << width} table entries, got {len(table)}"
-            )
+        for field in numbers:
+            # int() alone would also take '-1', '1_0' and non-ASCII digits.
+            if not (field.isascii() and field.isdigit()):
+                raise ParseError(
+                    f"line {lineno}: non-integer field {field!r} "
+                    "(expected ASCII digits 0-9)"
+                )
+        name = name.upper()
         if name in gates:
             raise ParseError(f"line {lineno}: gate {name!r} defined twice")
         try:
+            width, *table = map(int, numbers)
             gates[name] = make_gate(name, width, table)
         except NotBijective:
             raise

@@ -197,6 +197,8 @@ class Netlist:
     gates: tuple[GateInstance, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise MalformedNetlist(f"netlist name must be a string, got {self.name!r}")
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -539,6 +541,10 @@ class Netlist:
                 if gate_name not in defs:
                     raise ParseError(
                         f"gate {gate_name!r} is placed but not defined in gate_defs"
+                    )
+                if not (isinstance(e["in"], list) and isinstance(e["out"], list)):
+                    raise ParseError(
+                        f"gate {gate_name!r} needs 'in' and 'out' wire arrays"
                     )
                 gates.append(
                     GateInstance(defs[gate_name], tuple(e["in"]), tuple(e["out"]))

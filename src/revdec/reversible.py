@@ -29,7 +29,6 @@ from .gates import BitVector, GatePermutation, UnknownGate, builtin_catalog
 from .netlist import CostMetrics, Netlist, NetlistBuilder
 
 __all__ = [
-    "FIDELITY_EXACT",
     "FIDELITY_RECONSTRUCTED",
     "ReversibleAdderBuild",
     "and4_subcircuit",
@@ -41,7 +40,6 @@ __all__ = [
     "simulate_digit_add",
 ]
 
-FIDELITY_EXACT = "EXACT"
 FIDELITY_RECONSTRUCTED = "RECONSTRUCTED"
 
 PRIMARY_OUTPUT_ORDER = ("s0", "s1", "s2", "s3", "cout")

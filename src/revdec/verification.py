@@ -15,7 +15,6 @@ answers four questions:
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import partial
@@ -51,8 +50,6 @@ __all__ = [
     "Table1Row",
     "Table1Report",
     "verify_architecture",
-    "evaluate_printed_equation",
-    "expected_column",
     "cla_agreement",
     "cla_errata",
     "xor_substitution_audit",
@@ -204,22 +201,6 @@ class ErrataEntry:
 def _columns(result: BcdResult) -> tuple[int, ...]:
     """The five output bits of one result, in :data:`EQUATION_NAMES` order."""
     return (*result.sum_bits(), result.cout)
-
-
-def _column_index(name: str) -> int:
-    if name not in EQUATION_NAMES:
-        raise ValueError(f"unknown equation {name!r}; choose from {EQUATION_NAMES}")
-    return EQUATION_NAMES.index(name)
-
-
-def evaluate_printed_equation(name: str, op: BcdOperands) -> int:
-    """The bit the as-given equation set actually produces for one column."""
-    return _columns(cla_add(op, CLA_VERBATIM))[_column_index(name)]
-
-
-def expected_column(name: str, op: BcdOperands) -> int:
-    """The bit the decimal truth table requires for one column."""
-    return _columns(oracle(op))[_column_index(name)]
 
 
 def _equation_sweep() -> Iterator[tuple[BcdOperands, tuple[int, ...], tuple[int, ...]]]:
@@ -406,18 +387,6 @@ class Table1Row:
     delta_garbage: int | None = None
     fidelity: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "gates": self.gates,
-            "garbage": self.garbage,
-            "target_gates": self.target_gates,
-            "target_garbage": self.target_garbage,
-            "delta_gates": self.delta_gates,
-            "delta_garbage": self.delta_garbage,
-            "fidelity": self.fidelity,
-        }
-
 
 @dataclass(frozen=True)
 class Table1Report:
@@ -442,9 +411,6 @@ class Table1Report:
                 f"{target:>8} {delta:>8}  {row.fidelity or '-'}"
             )
         return "\n".join(lines)
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps({"rows": [r.to_json_dict() for r in self.rows]}, indent=indent)
 
 
 def table1_report(

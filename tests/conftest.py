@@ -2,8 +2,11 @@
 
 The acceptance tests record one verdict line per criterion; this plugin
 re-prints them in the terminal summary so the pass/fail lines stay visible
-even when stdout capture is active.
+even when stdout capture is active.  It also holds two small readers that
+several test modules share.
 """
+
+from revdec.verification import EQUATION_NAMES
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -18,3 +21,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def gate_outputs(gate, *bits: int) -> tuple[int, ...]:
+    """Evaluate ``gate`` as ``gate.table[p]``: line bits in, line bits out.
+
+    Line ``i`` is bit ``i`` of the pattern, on both sides.
+    """
+    pattern = sum(bit << i for i, bit in enumerate(bits))
+    out = gate.table[pattern]
+    return tuple((out >> i) & 1 for i in range(gate.width))
+
+
+def equation_bit(result, equation: str) -> int:
+    """The bit of ``result`` that one as-given equation (``S0_VERBATIM`` ..
+    ``COUT_VERBATIM``) computes: sum bits 0-3, then the carry."""
+    return (*result.sum_bits(), result.cout)[EQUATION_NAMES.index(equation)]

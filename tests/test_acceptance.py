@@ -13,14 +13,20 @@ import random
 import time
 from collections import Counter
 
-from conftest import record_criterion
+from conftest import equation_bit, gate_outputs, record_criterion
 
 from revdec import classical
-from revdec.classical import DECIMAL_ARCHITECTURES, decimal_add
-from revdec.gates import BUILTIN_NAMES, builtin, tsg_full_adder_wiring
+from revdec.classical import (
+    CLA_VERBATIM,
+    DECIMAL_ARCHITECTURES,
+    cla_add,
+    decimal_add,
+    oracle,
+)
+from revdec.gates import builtin_catalog
 from revdec.netlist import Netlist
 from revdec.reversible import (
-    FIDELITY_EXACT,
+    FIDELITY_RECONSTRUCTED,
     build_carry_skip_reversible,
     build_conventional_reversible,
 )
@@ -28,8 +34,6 @@ from revdec.verification import (
     EQUATION_NAMES,
     cla_agreement,
     cla_errata,
-    evaluate_printed_equation,
-    expected_column,
     table1_report,
     verify_architecture,
     xor_substitution_audit,
@@ -44,15 +48,15 @@ def _verdict(number: int, name: str, ok: bool, extra: str = "") -> None:
 
 def _gate_checks_ok() -> bool:
     ok = True
-    for name in BUILTIN_NAMES:
-        gate = builtin(name)
+    catalog = builtin_catalog()
+    for gate in catalog.values():
         ok &= sorted(gate.table) == list(range(1 << gate.width))
     for pattern in range(8):
         x, y, cin = pattern & 1, (pattern >> 1) & 1, (pattern >> 2) & 1
         total = x + y + cin
-        s, cout, _ = tsg_full_adder_wiring(x, y, cin)
+        _, _, s, cout = gate_outputs(catalog["TSG"], x, y, 0, cin)
         ok &= (s, cout) == (total & 1, total >> 1)
-    ts3 = builtin("TS3")
+    ts3 = catalog["TS3"]
     for pattern in range(8):
         bits = [(pattern >> i) & 1 for i in range(3)]
         ok &= (ts3.table[pattern] >> 2) & 1 == bits[0] ^ bits[1] ^ bits[2]
@@ -118,10 +122,9 @@ def test_criterion_4_cost_table():
     ok &= (carry_skip.target_gates, carry_skip.target_garbage) == (15, 27)
     ok &= conventional.gates < 23
     for row in (conventional, carry_skip):
-        if row.fidelity == FIDELITY_EXACT:
-            ok &= (row.gates, row.garbage) == (row.target_gates, row.target_garbage)
-        else:
-            ok &= row.delta_gates is not None and row.delta_garbage is not None
+        # Reconstructed wirings report their deltas instead of matching targets.
+        ok &= row.fidelity == FIDELITY_RECONSTRUCTED
+        ok &= row.delta_gates is not None and row.delta_garbage is not None
     _verdict(4, "cost table reproduction", ok)
     assert ok, rows
 
@@ -134,8 +137,9 @@ def test_criterion_5_printed_equation_audit():
     failing = {entry.equation for entry in entries}
     ok &= "S0_VERBATIM" not in failing and "COUT_VERBATIM" not in failing
     for entry in entries:
-        observed = evaluate_printed_equation(entry.equation, entry.first_failing_input)
-        expected = expected_column(entry.equation, entry.first_failing_input)
+        op = entry.first_failing_input
+        observed = equation_bit(cla_add(op, CLA_VERBATIM), entry.equation)
+        expected = equation_bit(oracle(op), entry.equation)
         ok &= observed == entry.observed
         ok &= expected == entry.expected
         ok &= observed != expected
@@ -167,7 +171,8 @@ def _as_digits(value: int, width: int) -> list[int]:
 
 
 def test_criterion_7_multi_digit_property():
-    classical._digit_stage.cache_clear()
+    for table in classical._DIGIT_TABLES.values():
+        table[:] = [None] * len(table)
     rng = random.Random(20260814)
     ok = True
     start = time.perf_counter()

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from revdec.cli import main
-from revdec.gates import builtin, format_gate
+from revdec.gates import builtin_catalog, format_gate
 from revdec.netlist import Netlist
 from revdec.reversible import build_conventional_reversible
 
@@ -220,7 +220,7 @@ class TestGateDefsOverride:
 
     def test_faithful_override_changes_nothing(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "defs.txt"
-        path.write_text(format_gate(builtin("TSG")) + "\n")
+        path.write_text(format_gate(builtin_catalog()["TSG"]) + "\n")
         monkeypatch.setenv("REVDEC_GATE_DEFS", str(path))
         code, out, _ = run(capsys, "verify", "--arch", "rev_conventional")
         assert code == 0

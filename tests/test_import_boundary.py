@@ -27,12 +27,12 @@ PUBLIC_NAMES = {
     "CostMetrics", "GateInstance", "GatePermutation", "InputDecl", "InvalidBcd",
     "LengthMismatch", "MalformedNetlist", "Netlist", "NetlistBuilder",
     "NotBijective", "OutputDecl", "ParseError", "ReversibleAdderBuild",
-    "SkipSignals", "UnknownGate", "WidthMismatch", "builtin", "builtin_catalog",
+    "SkipSignals", "UnknownGate", "WidthMismatch", "builtin_catalog",
     "build_carry_skip_reversible", "build_conventional_reversible",
     "carry_skip_add", "catalog_from_env", "cla_add", "cla_errata", "cla_signals",
-    "conventional_add", "decimal_add", "eval_gate", "make_gate", "oracle",
-    "simulate_digit_add", "table1_report", "tsg_full_adder_wiring",
-    "valid_operands", "verify_architecture", "xor_substitution_audit",
+    "conventional_add", "decimal_add", "make_gate", "oracle",
+    "simulate_digit_add", "table1_report", "valid_operands",
+    "verify_architecture", "xor_substitution_audit",
 }
 
 # The module-level names of revdec.cli that the benchmark's traced probe

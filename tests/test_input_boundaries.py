@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revdec import classical
 from revdec.classical import BcdOperands, InvalidBcd, decimal_add
 from revdec.cli import main
 from revdec.gates import (
     BitVector,
     NotBijective,
     ParseError,
-    builtin,
+    builtin_catalog,
     format_gate,
     make_gate,
     parse_gate_defs,
@@ -64,6 +65,32 @@ class TestBoolOperands:
     def test_decimal_add_rejects_bool_carry_in(self, cin):
         with pytest.raises(ValueError, match="cin"):
             decimal_add([1], [2], cin=cin)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize(
+        "x, y",
+        [([True], [2]), ([1.0], [2]), ([2], [True]), ([3, 1], [4, False])],
+        ids=["bool-x", "float-x", "bool-y", "bool-second-digit"],
+    )
+    def test_decimal_add_rejects_non_int_digits(self, warm, x, y):
+        for table in classical._DIGIT_TABLES.values():
+            table[:] = [None] * len(table)
+        if warm:  # the same digits as ints fill the entries the bad call reads
+            assert decimal_add([int(d) for d in x], [int(d) for d in y])
+        with pytest.raises(InvalidBcd):
+            decimal_add(x, y)
+
+
+class TestGateDefsFile:
+    @pytest.mark.parametrize("line", ["N 1 \u0661 0", "N 1 1 0_0", "N \u0661 1 0"])
+    def test_only_ascii_digits_are_accepted(self, capsys, tmp_path, monkeypatch, line):
+        path = tmp_path / "defs.txt"
+        path.write_text(line + "\n", encoding="utf-8")
+        monkeypatch.setenv("REVDEC_GATE_DEFS", str(path))
+        assert main(["truthtable", "--gate", "TS3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 1: non-integer field" in captured.err
 
 
 class TestBitVectorTypes:
@@ -143,7 +170,7 @@ def _balanced(line: str) -> bool:
 class TestDotQuoting:
     @staticmethod
     def awkward_net():
-        ts3 = builtin("TS3")
+        ts3 = builtin_catalog()["TS3"]
         quoted = make_gate('T"S3\\', ts3.width, ts3.table)
         b = NetlistBuilder('x"y')
         p = b.primary_input('p"q')
@@ -212,6 +239,27 @@ class TestNetlistJsonBoundary:
         doc["gate_defs"].append(dict(first, table=list(reversed(first["table"]))))
         with pytest.raises(ParseError, match=first["name"]):
             Netlist.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "side, wires",
+        [("in", "abc"), ("in", dict.fromkeys("abc", 0)),
+         ("out", "xyz"), ("out", dict.fromkeys("xyz", 0))],
+    )
+    def test_gate_wires_must_be_an_array(self, side, wires):
+        # Read as a sequence, each of these names the gate's three wires.
+        b = NetlistBuilder("one_gate")
+        ins = [b.primary_input(w) for w in "abc"]
+        for wire in b.gate(builtin_catalog()["TS3"], ins, ["x", "y", "z"]):
+            b.primary_output(wire)
+        doc = json.loads(b.build().to_json())
+        doc["gates"][0][side] = wires
+        with pytest.raises(ParseError, match="array"):
+            Netlist.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", [7, None, b"adder"])
+    def test_netlist_name_must_be_a_string(self, name):
+        with pytest.raises(MalformedNetlist, match="name"):
+            NetlistBuilder(name).build()
 
     def test_builtin_round_trip_text_is_unchanged(self):
         text = build_conventional_reversible().netlist.to_json()
