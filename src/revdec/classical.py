@@ -24,10 +24,10 @@ plain integer arithmetic and nothing from the circuit models.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Any
 
+from ._record import record
 from .sop import derive_sop, eval_sop
 
 __all__ = [
@@ -66,7 +66,7 @@ class LengthMismatch(ValueError):
     """Multi-digit operands have different digit counts."""
 
 
-@dataclass(frozen=True)
+@record
 class BcdOperands:
     """One digit-adder input: two decimal digits and a carry-in bit."""
 
@@ -87,7 +87,7 @@ class BcdOperands:
         return tuple((self.b >> i) & 1 for i in range(4))  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
+@record
 class BcdResult:
     """One digit-adder output: a four-bit sum value and a carry-out bit.
 
@@ -100,16 +100,16 @@ class BcdResult:
     cout: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.sum, int) or not 0 <= self.sum <= 15:
+        if type(self.sum) is not int or not 0 <= self.sum <= 15:
             raise ValueError(f"sum {self.sum!r} does not fit in four bits")
-        if self.cout not in (0, 1):
+        if type(self.cout) is not int or self.cout not in (0, 1):
             raise ValueError(f"cout must be 0 or 1, got {self.cout!r}")
 
     def sum_bits(self) -> tuple[int, int, int, int]:
         return tuple((self.sum >> i) & 1 for i in range(4))  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
+@record
 class ClaSignals:
     """The look-ahead signal layer for one digit addition.
 
@@ -130,7 +130,7 @@ class ClaSignals:
     c1: int
 
 
-@dataclass(frozen=True)
+@record
 class ConventionalTrace:
     """Intermediate signals of the conventional adder.
 
@@ -144,7 +144,7 @@ class ConventionalTrace:
     correct: int
 
 
-@dataclass(frozen=True)
+@record
 class SkipSignals:
     """Intermediate signals of the carry-skip adder.
 
@@ -389,7 +389,7 @@ def carry_skip_add(op: BcdOperands) -> tuple[BcdResult, SkipSignals]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Architecture:
     """One named digit-adder design: the single record every caller looks up.
 
@@ -415,7 +415,7 @@ class Architecture:
 
 def _render_signals(signals: object) -> str:
     """``name=value`` for every field of a signal record, in field order."""
-    return " ".join(f"{f.name}={getattr(signals, f.name)}" for f in fields(signals))
+    return " ".join(f"{n}={getattr(signals, n)}" for n in signals.__match_args__)
 
 
 CLASSICAL_ROWS = (

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+
+from ._record import record
 
 __all__ = [
     "MAX_WIDTH",
@@ -64,7 +65,7 @@ class ParseError(ValueError):
     """Malformed textual gate definitions or netlist serializations."""
 
 
-@dataclass(frozen=True)
+@record
 class BitVector:
     """A fixed-width bit pattern.
 
@@ -92,7 +93,7 @@ class BitVector:
             raise ValueError("at least one bit is required")
         value = 0
         for i, bit in enumerate(seq):
-            if bit not in (0, 1):
+            if type(bit) is not int or bit not in (0, 1):
                 raise ValueError(f"bit {i} is {bit!r}, expected 0 or 1")
             value |= bit << i
         return cls(len(seq), value)
@@ -107,7 +108,7 @@ class BitVector:
         return self.value
 
 
-@dataclass(frozen=True)
+@record
 class GatePermutation:
     """A named reversible gate: a validated permutation of input patterns.
 
@@ -145,7 +146,7 @@ class GatePermutation:
             )
         seen: dict[int, int] = {}
         for pattern, out in enumerate(self.table):
-            if not isinstance(out, int) or not 0 <= out < size:
+            if type(out) is not int or not 0 <= out < size:
                 raise ValueError(
                     f"gate {self.name!r} table entry {pattern} is {out!r}, "
                     f"expected an integer in [0, {size})"

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from .gates import (
     BitVector,
     GatePermutation,
@@ -65,14 +65,14 @@ class MalformedNetlist(ValueError):
 
 
 def _check_wire_name(wire: object) -> str:
-    if not isinstance(wire, str) or not wire or any(c.isspace() for c in wire):
+    if not isinstance(wire, str) or wire.split() != [wire]:
         raise MalformedNetlist(
             f"wire names must be non-empty strings without whitespace, got {wire!r}"
         )
     return wire
 
 
-@dataclass(frozen=True)
+@record
 class InputDecl:
     """One circuit input: a primary operand line or a constant ancilla line."""
 
@@ -99,7 +99,7 @@ class InputDecl:
             )
 
 
-@dataclass(frozen=True)
+@record
 class OutputDecl:
     """One circuit output: a primary result line or a garbage line."""
 
@@ -115,7 +115,7 @@ class OutputDecl:
             )
 
 
-@dataclass(frozen=True)
+@record
 class GateInstance:
     """One placed gate: which wires enter each line and which leave it.
 
@@ -150,7 +150,7 @@ class GateInstance:
             )
 
 
-@dataclass(frozen=True)
+@record
 class CostMetrics:
     """Standard reversible-circuit cost figures for one netlist."""
 
@@ -168,7 +168,7 @@ class CostMetrics:
         }
 
 
-@dataclass(frozen=True)
+@record
 class TraceStep:
     """One gate evaluation in a simulation trace."""
 
@@ -178,7 +178,7 @@ class TraceStep:
     outputs: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Netlist:
     """An immutable reversible circuit.
 

@@ -21,9 +21,9 @@ next to the design targets instead of being asserted equal to them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
+from ._record import record
 from .classical import BcdOperands, BcdResult
 from .gates import BitVector, GatePermutation, UnknownGate, builtin_catalog
 from .netlist import CostMetrics, Netlist, NetlistBuilder
@@ -45,7 +45,7 @@ FIDELITY_RECONSTRUCTED = "RECONSTRUCTED"
 PRIMARY_OUTPUT_ORDER = ("s0", "s1", "s2", "s3", "cout")
 
 
-@dataclass(frozen=True)
+@record
 class ReversibleAdderBuild:
     """A finished adder netlist plus its interface map and cost summary.
 

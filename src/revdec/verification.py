@@ -16,10 +16,10 @@ answers four questions:
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
+from ._record import record
 from .classical import (
     CLA_VERBATIM,
     CLASSICAL_ROWS,
@@ -94,7 +94,7 @@ EQUATION_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Mismatch:
     """One input where an implementation disagrees with the oracle."""
 
@@ -103,7 +103,7 @@ class Mismatch:
     actual: BcdResult
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     """Outcome of one exhaustive architecture sweep."""
 
@@ -188,7 +188,7 @@ def verify_architecture(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ErrataEntry:
     """The first input on which one as-given equation returns a wrong bit."""
 
@@ -250,7 +250,7 @@ def cla_errata() -> tuple[ErrataEntry, ...]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SubstitutionSite:
     """One combination point where OR might be replaced by XOR.
 
@@ -374,7 +374,7 @@ def xor_substitution_audit() -> tuple[SubstitutionSite, ...]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Table1Row:
     """One line of the cost comparison."""
 
@@ -388,7 +388,7 @@ class Table1Row:
     fidelity: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Table1Report:
     """Cost comparison of the builds against the fixed reference design."""
 

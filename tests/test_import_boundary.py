@@ -48,12 +48,9 @@ PROBED = {
 }
 
 
-def loaded_after(code: str) -> set[str]:
-    """The ``revdec`` modules a fresh interpreter holds after running ``code``."""
-    script = (
-        f"{code}\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('revdec'))))"
-    )
+def modules_after(code: str) -> set[str]:
+    """Every module a fresh interpreter holds after running ``code``."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("REVDEC_GATE_DEFS", None)
     run = subprocess.run(
@@ -63,14 +60,35 @@ def loaded_after(code: str) -> set[str]:
     return set(json.loads(run.stdout.splitlines()[-1]))
 
 
+def loaded_after(code: str) -> set[str]:
+    """The ``revdec`` modules a fresh interpreter holds after running ``code``."""
+    return {m for m in modules_after(code) if m.startswith("revdec")}
+
+
 class TestModuleLoading:
     def test_import_revdec_loads_no_submodule(self):
         assert loaded_after("import revdec") == {"revdec"}
 
     def test_verification_loads_only_the_classical_layer(self):
         assert loaded_after("import revdec.verification") == {
-            "revdec", "revdec.classical", "revdec.sop", "revdec.verification",
+            "revdec", "revdec._record", "revdec.classical", "revdec.sop",
+            "revdec.verification",
         }
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import revdec.cli",
+            "from revdec.cli import main\n"
+            "for argv in (['errata'], ['verify'], ['metrics', '--table1']):\n"
+            "    assert main(argv) == 0",
+        ],
+        ids=["import-cli", "errata-verify-table1"],
+    )
+    def test_records_do_not_load_dataclasses_or_inspect(self, code):
+        loaded = modules_after(code)
+        assert "revdec.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
 
     @pytest.mark.parametrize(
         "argv",

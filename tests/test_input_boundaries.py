@@ -1,5 +1,6 @@
-"""Input-boundary tests: CLI digits, bool operands and bit vectors, gate names
-and widths, ancilla constants, DOT quoting, netlist JSON."""
+"""Input-boundary tests: CLI digits, bool and float operands, bit vectors and
+digit results, gate names, widths and tables, ancilla constants, DOT quoting,
+wire names, netlist JSON."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revdec import classical
-from revdec.classical import BcdOperands, InvalidBcd, decimal_add
+from revdec.classical import BcdOperands, BcdResult, InvalidBcd, decimal_add
 from revdec.cli import main
 from revdec.gates import (
     BitVector,
@@ -21,7 +22,13 @@ from revdec.gates import (
     make_gate,
     parse_gate_defs,
 )
-from revdec.netlist import InputDecl, MalformedNetlist, Netlist, NetlistBuilder
+from revdec.netlist import (
+    InputDecl,
+    MalformedNetlist,
+    Netlist,
+    NetlistBuilder,
+    _check_wire_name,
+)
 from revdec.reversible import build_carry_skip_reversible, build_conventional_reversible
 
 
@@ -104,6 +111,18 @@ class TestBitVectorTypes:
         with pytest.raises(ValueError, match="fit"):
             BitVector(2, value)
 
+    @pytest.mark.parametrize("bits", [[1.0], [True, 0], [0, False]])
+    def test_from_bits_takes_only_the_ints_0_and_1(self, bits):
+        with pytest.raises(ValueError, match="expected 0 or 1"):
+            BitVector.from_bits(bits)
+
+
+class TestBcdResultTypes:
+    @pytest.mark.parametrize("total, cout", [(True, 0), (3, True), (3.0, 0), (3, 1.0)])
+    def test_sum_and_carry_must_be_ints(self, total, cout):
+        with pytest.raises(ValueError):
+            BcdResult(total, cout)
+
 
 class TestAncillaConstants:
     @pytest.mark.parametrize("const", [True, 1.0])
@@ -131,6 +150,19 @@ class TestGateNamesAndWidths:
     def test_name_must_be_upper_case(self, name):
         with pytest.raises(ValueError, match="name"):
             make_gate(name, 1, [1, 0])
+
+    @pytest.mark.parametrize("table", [[True, False], [1, False], [1.0, 0]])
+    def test_table_entries_must_be_ints(self, table):
+        with pytest.raises(ValueError, match="table entry"):
+            make_gate("X", 1, table)
+
+    @pytest.mark.parametrize("entry", [True, 1.0])
+    def test_non_int_table_entry_in_json_is_a_parse_error(self, entry):
+        doc = json.loads(build_conventional_reversible().netlist.to_json())
+        table = doc["gate_defs"][0]["table"]
+        table[table.index(1)] = entry
+        with pytest.raises(ParseError, match="table entry"):
+            Netlist.from_json(json.dumps(doc))
 
     def test_accepted_names_read_back_from_the_catalog_format(self):
         gate = make_gate('T"S3\\', 1, [1, 0])
@@ -264,6 +296,25 @@ class TestNetlistJsonBoundary:
     def test_builtin_round_trip_text_is_unchanged(self):
         text = build_conventional_reversible().netlist.to_json()
         assert Netlist.from_json(text).to_json() == text
+
+
+# Every whitespace character below U+3001 (there are none above), plus
+# format characters that are not whitespace to str.isspace.
+SPACES = "".join(chr(i) for i in range(0x3001) if chr(i).isspace())
+NEAR_SPACES = "\u180e\u200b\u2060\ufeff"
+
+
+class TestWireNames:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.sampled_from(SPACES + NEAR_SPACES) | st.characters(), max_size=6))
+    def test_accepts_exactly_the_names_without_a_space_character(self, wire):
+        try:
+            _check_wire_name(wire)
+        except MalformedNetlist:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (bool(wire) and not any(c.isspace() for c in wire))
 
 
 JSON_VALUES = st.recursive(

@@ -1,0 +1,206 @@
+"""Record-type tests: construction, value equality, hashing, immutability,
+copying and ``repr`` of every frozen record class in the package."""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from revdec import classical, gates, netlist, reversible, verification
+from revdec.classical import (
+    Architecture,
+    BcdOperands,
+    BcdResult,
+    ClaSignals,
+    ConventionalTrace,
+    SkipSignals,
+    conventional_add,
+)
+from revdec.gates import BitVector, GatePermutation, make_gate
+from revdec.netlist import (
+    CostMetrics,
+    GateInstance,
+    InputDecl,
+    Netlist,
+    OutputDecl,
+    TraceStep,
+)
+from revdec.reversible import ReversibleAdderBuild
+from revdec.verification import (
+    ErrataEntry,
+    Mismatch,
+    SubstitutionSite,
+    Table1Report,
+    Table1Row,
+    VerificationReport,
+)
+
+NOT = make_gate("NOT", 1, (1, 0))
+NET = Netlist(
+    "inverter",
+    (InputDecl("a", "primary_input"),),
+    (OutputDecl("b", "primary_output"),),
+    (GateInstance(NOT, ("a",), ("b",)),),
+)
+COSTS = CostMetrics(9, 13, 5, 4)
+
+# Each record class with the positional arguments of two instances that
+# differ in at least one field.
+SAMPLES = {
+    BcdOperands: ((2, 3, 1), (2, 3, 0)),
+    BcdResult: ((5, 1), (5, 0)),
+    ClaSignals: (
+        ((1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0), 0, 1, 1),
+        ((1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0), 1, 1, 1),
+    ),
+    ConventionalTrace: ((6, 0, 1), (6, 0, 0)),
+    SkipSignals: (((1, 1, 0, 0), 0, 0, 1), ((1, 1, 0, 0), 0, 1, 1)),
+    Architecture: (("x", conventional_add), ("y", conventional_add)),
+    BitVector: ((4, 5), (4, 6)),
+    GatePermutation: (("X", 1, (1, 0)), ("Y", 1, (1, 0))),
+    InputDecl: (("a", "primary_input"), ("z", "ancilla", 1)),
+    OutputDecl: (("s", "primary_output"), ("s", "garbage")),
+    GateInstance: ((NOT, ("a",), ("b",)), (NOT, ("a",), ("c",))),
+    CostMetrics: ((9, 13, 5, 4), (9, 13, 5, 5)),
+    TraceStep: (
+        (0, "NOT", (("a", 1),), (("b", 0),)),
+        (1, "NOT", (("a", 1),), (("b", 0),)),
+    ),
+    Netlist: (
+        ("inverter", NET.inputs, NET.outputs, NET.gates),
+        ("renamed", NET.inputs, NET.outputs, NET.gates),
+    ),
+    ReversibleAdderBuild: (
+        (NET, {"s0": 0}, COSTS, "RECONSTRUCTED", (11, 22)),
+        (NET, {"s0": 0}, COSTS, "RECONSTRUCTED", (11, 23)),
+    ),
+    Mismatch: (
+        (BcdOperands(1, 2, 0), BcdResult(3, 0), BcdResult(4, 0)),
+        (BcdOperands(1, 2, 0), BcdResult(3, 0), BcdResult(5, 0)),
+    ),
+    VerificationReport: (("conventional", 200, ()), ("conventional", 200, (), COSTS)),
+    ErrataEntry: (
+        ("S1_VERBATIM", BcdOperands(0, 1, 0), 1, 0),
+        ("S2_VERBATIM", BcdOperands(0, 1, 0), 1, 0),
+    ),
+    SubstitutionSite: (
+        ("cout", ("m", "n"), False, BcdOperands(5, 5, 0), 3, True, None),
+        ("cout", ("m", "n"), True, None, 0, False, None),
+    ),
+    Table1Row: (
+        ("baseline", 11, 22),
+        ("rev_conventional", 9, 13, 11, 22, -2, -9, "RECONSTRUCTED"),
+    ),
+    Table1Report: (((Table1Row("baseline", 11, 22),),), ((),)),
+}
+
+# Classes with defaulted fields: the required arguments, then every default.
+DEFAULTS = {
+    Architecture: (("x",), (None, None, None, True)),
+    InputDecl: (("a", "primary_input"), (None,)),
+    VerificationReport: (("conventional", 200, ()), (None, None)),
+    Table1Row: (("baseline", 11, 22), (None,) * 5),
+}
+
+CLASSES = pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+
+
+def field_values(record) -> tuple:
+    return tuple(getattr(record, name) for name in type(record).__match_args__)
+
+
+def test_every_record_class_is_sampled():
+    found = {
+        obj
+        for module in (classical, gates, netlist, reversible, verification)
+        for obj in vars(module).values()
+        if isinstance(obj, type)
+        and obj.__module__ == module.__name__
+        and "__match_args__" in vars(obj)
+    }
+    assert found == set(SAMPLES)
+    assert len(found) == 21
+
+
+class TestRecords:
+    @CLASSES
+    def test_positional_and_keyword_construction_agree(self, cls):
+        for args in SAMPLES[cls]:
+            record = cls(*args)
+            assert field_values(record)[: len(args)] == args
+            assert cls(**dict(zip(cls.__match_args__, args))) == record
+
+    @pytest.mark.parametrize("cls", list(DEFAULTS), ids=lambda c: c.__name__)
+    def test_omitted_fields_take_their_defaults(self, cls):
+        required, defaults = DEFAULTS[cls]
+        record = cls(*required)
+        assert record == cls(*required, *defaults)
+        assert field_values(record) == required + defaults
+
+    @CLASSES
+    def test_equality_and_hash_follow_the_field_values(self, cls):
+        args, other_args = SAMPLES[cls]
+        record, same, other = cls(*args), cls(*args), cls(*other_args)
+        assert record == same and not record != same
+        assert record != other and not record == other
+        try:
+            expected = hash(field_values(record))
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == hash(same) == expected
+            assert hash(other) != hash(record)
+
+    @CLASSES
+    def test_another_type_with_the_same_values_is_not_equal(self, cls):
+        args = SAMPLES[cls][0]
+        lookalike = type("Lookalike", (cls,), {})(*args)
+        record = cls(*args)
+        assert record != lookalike and lookalike != record
+        assert record != field_values(record)
+
+    @CLASSES
+    def test_fields_cannot_be_assigned_or_deleted(self, cls):
+        record = cls(*SAMPLES[cls][0])
+        name = cls.__match_args__[0]
+        value = getattr(record, name)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+        assert getattr(record, name) is value
+
+    @CLASSES
+    def test_copy_and_pickle_round_trip(self, cls):
+        record = cls(*SAMPLES[cls][0])
+        assert copy.copy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+class TestRepr:
+    def test_operands(self):
+        assert repr(BcdOperands(2, 3, 1)) == "BcdOperands(a=2, b=3, cin=1)"
+
+    def test_bit_vector(self):
+        assert repr(BitVector(4, 5)) == "BitVector(width=4, value=5)"
+
+    def test_cost_metrics(self):
+        assert repr(COSTS) == (
+            "CostMetrics(gate_count=9, garbage_count=13, ancilla_count=5, depth=4)"
+        )
+
+    def test_table1_row_with_defaults(self):
+        assert repr(Table1Row("baseline", 11, 22)) == (
+            "Table1Row(label='baseline', gates=11, garbage=22, target_gates=None, "
+            "target_garbage=None, delta_gates=None, delta_garbage=None, fidelity=None)"
+        )
+
+    def test_match_binds_fields_in_order(self):
+        match BcdOperands(2, 3, 1):
+            case BcdOperands(a, b, cin):
+                assert (a, b, cin) == (2, 3, 1)
+            case _:
+                pytest.fail("BcdOperands did not match its own class pattern")
