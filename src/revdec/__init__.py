@@ -29,7 +29,6 @@ _HOMES = {
     "gates": (
         "BitVector", "GatePermutation", "NotBijective", "ParseError",
         "UnknownGate", "WidthMismatch", "builtin_catalog", "catalog_from_env",
-        "make_gate",
     ),
     "netlist": (
         "CostMetrics", "GateInstance", "InputDecl", "MalformedNetlist",

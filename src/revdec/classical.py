@@ -86,6 +86,10 @@ class BcdOperands:
     def b_bits(self) -> tuple[int, int, int, int]:
         return tuple((self.b >> i) & 1 for i in range(4))  # type: ignore[return-value]
 
+    def code(self) -> int:
+        """The nine-bit input code: ``a`` on bits 0-3, ``b`` on 4-7, ``cin`` on 8."""
+        return self.a | (self.b << 4) | (self.cin << 8)
+
 
 @record
 class BcdResult:
@@ -107,6 +111,10 @@ class BcdResult:
 
     def sum_bits(self) -> tuple[int, int, int, int]:
         return tuple((self.sum >> i) & 1 for i in range(4))  # type: ignore[return-value]
+
+    def code(self) -> int:
+        """The five-bit output code: ``sum`` on bits 0-3, ``cout`` on bit 4."""
+        return self.sum | (self.cout << 4)
 
 
 @record
@@ -307,11 +315,6 @@ def _cla_verbatim_bits(op: BcdOperands) -> tuple[tuple[int, int, int, int], int]
     return (s0, s1, s2, s3), cout
 
 
-def _encode_operands(op: BcdOperands) -> int:
-    """Pack one input as nine bits: a in 0..3, b in 4..7, cin in bit 8."""
-    return op.a | (op.b << 4) | (op.cin << 8)
-
-
 @lru_cache(maxsize=1)
 def _corrected_covers() -> tuple[tuple[tuple[int, int], ...], ...]:
     """Derive exact sum-of-products covers for the five output columns.
@@ -320,19 +323,10 @@ def _corrected_covers() -> tuple[tuple[tuple[int, int], ...], ...]:
     inputs; the 312 unreachable operand encodings are don't-cares, which is
     the same freedom the faulty direct equations were designed under.
     """
-    care: set[int] = set()
-    on_sets: list[list[int]] = [[], [], [], [], []]
-    for op in valid_operands():
-        x = _encode_operands(op)
-        care.add(x)
-        result = oracle(op)
-        for i, bit in enumerate(result.sum_bits()):
-            if bit:
-                on_sets[i].append(x)
-        if result.cout:
-            on_sets[4].append(x)
+    rows = [(op.code(), oracle(op).code()) for op in valid_operands()]
+    care = {x for x, _ in rows}
     dc = [x for x in range(1 << 9) if x not in care]
-    return tuple(derive_sop(9, on, dc) for on in on_sets)
+    return tuple(derive_sop(9, [x for x, y in rows if (y >> i) & 1], dc) for i in range(5))
 
 
 def cla_add(op: BcdOperands, variant: str = CLA_CORRECTED) -> BcdResult:
@@ -347,10 +341,9 @@ def cla_add(op: BcdOperands, variant: str = CLA_CORRECTED) -> BcdResult:
         bits, cout = _cla_verbatim_bits(op)
         return BcdResult(sum=_pack(bits), cout=cout)
     if variant == CLA_CORRECTED:
-        covers = _corrected_covers()
-        x = _encode_operands(op)
-        bits = tuple(eval_sop(covers[i], x) for i in range(4))
-        return BcdResult(sum=_pack(bits), cout=eval_sop(covers[4], x))
+        x = op.code()
+        y = sum(eval_sop(cover, x) << i for i, cover in enumerate(_corrected_covers()))
+        return BcdResult(sum=y & 15, cout=y >> 4)
     raise ValueError(
         f"unknown variant {variant!r}; use {CLA_VERBATIM!r} or {CLA_CORRECTED!r}"
     )

@@ -71,6 +71,11 @@ def _simulate_reversible(
 def _cmd_simulate(args: argparse.Namespace) -> int:
     catalog = catalog_from_env()
     if args.digits is not None:
+        for flag, given in (("--a", args.a is not None), ("--b", args.b is not None),
+                            ("--trace", args.trace)):
+            if given:
+                print(f"error: --digits cannot be combined with {flag}", file=sys.stderr)
+                return 2
         if args.arch not in DECIMAL_ARCHITECTURES:
             print(
                 f"error: --digits requires one of {DECIMAL_ARCHITECTURES}",
@@ -212,9 +217,7 @@ def _cmd_errata(args: argparse.Namespace) -> int:
                 f"disagree, first a={cex.a} b={cex.b} cin={cex.cin}"
             )
         if site.diverges_off_domain:
-            detail = " ".join(
-                f"{k}={v}" for k, v in (site.off_domain_example or {}).items()
-            )
+            detail = " ".join(f"{k}={v}" for k, v in site.off_domain_example)
             status += f"; off-domain divergence at {detail}"
         else:
             status += "; structurally exclusive (no divergence anywhere)"

@@ -19,7 +19,7 @@ without touching code (see :func:`parse_gate_defs` and
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 
 from ._record import record
 
@@ -32,12 +32,10 @@ __all__ = [
     "ParseError",
     "BitVector",
     "GatePermutation",
-    "make_gate",
     "builtin_catalog",
     "catalog_from_env",
     "format_gate",
     "parse_gate_defs",
-    "load_gate_defs",
 ]
 
 # Permutation tables grow as 2**width; eight lines (256 entries) is far more
@@ -113,9 +111,13 @@ class GatePermutation:
     """A named reversible gate: a validated permutation of input patterns.
 
     ``table[p]`` is the output pattern produced by input pattern ``p``; that
-    lookup is how every caller evaluates a gate.
+    lookup is how every caller evaluates a gate.  Any sequence of ints is
+    accepted as the table and stored as a tuple.
     Construction fails with :class:`NotBijective` if any output pattern
-    repeats, so holding an instance is proof the gate loses no information.
+    repeats, so holding an instance is proof the gate loses no information;
+    other problems (a name that is not a non-empty upper-case string
+    without whitespace, a width that is not an ``int`` in range, a wrong
+    table length, entries out of range) raise ``ValueError``.
     """
 
     name: str
@@ -157,17 +159,6 @@ class GatePermutation:
                     f"{seen[out]} and {pattern} both map to output {out}"
                 )
             seen[out] = pattern
-
-
-def make_gate(name: str, width: int, table: Sequence[int]) -> GatePermutation:
-    """Validate and wrap a permutation table as a gate.
-
-    Raises :class:`NotBijective` when two inputs collide on one output, and
-    ``ValueError`` for structural problems (a name that is not a non-empty
-    upper-case string without whitespace, a width that is not an ``int`` in
-    range, wrong table length, entries out of range).
-    """
-    return GatePermutation(name, width, tuple(table))
 
 
 def _table_from_function(width, fn):
@@ -219,11 +210,11 @@ def _tsg(a, b, c, d):
 _BUILTINS: dict[str, GatePermutation] = {
     gate.name: gate
     for gate in (
-        make_gate("FREDKIN", 3, _table_from_function(3, _fredkin)),
-        make_gate("TOFFOLI", 3, _table_from_function(3, _toffoli)),
-        make_gate("TS3", 3, _table_from_function(3, _ts3)),
-        make_gate("NEW_GATE", 3, _table_from_function(3, _new_gate)),
-        make_gate("TSG", 4, _table_from_function(4, _tsg)),
+        GatePermutation("FREDKIN", 3, _table_from_function(3, _fredkin)),
+        GatePermutation("TOFFOLI", 3, _table_from_function(3, _toffoli)),
+        GatePermutation("TS3", 3, _table_from_function(3, _ts3)),
+        GatePermutation("NEW_GATE", 3, _table_from_function(3, _new_gate)),
+        GatePermutation("TSG", 4, _table_from_function(4, _tsg)),
     )
 }
 
@@ -246,7 +237,7 @@ def parse_gate_defs(text: str) -> dict[str, GatePermutation]:
     Each non-empty line defines one gate as ``NAME WIDTH P0 P1 ... P(2^W-1)``
     with whitespace-separated entries written in ASCII digits.  Lines
     starting with ``#`` are comments.  Raises :class:`ParseError` for
-    malformed lines (the checks of :func:`make_gate` included) and
+    malformed lines (the checks of :class:`GatePermutation` included) and
     :class:`NotBijective` for well-formed lines whose table repeats an
     output pattern.
     """
@@ -270,18 +261,12 @@ def parse_gate_defs(text: str) -> dict[str, GatePermutation]:
             raise ParseError(f"line {lineno}: gate {name!r} defined twice")
         try:
             width, *table = map(int, numbers)
-            gates[name] = make_gate(name, width, table)
+            gates[name] = GatePermutation(name, width, table)
         except NotBijective:
             raise
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
     return gates
-
-
-def load_gate_defs(path: str) -> dict[str, GatePermutation]:
-    """Read and parse a gate-definition file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_gate_defs(handle.read())
 
 
 def catalog_from_env(environ: Mapping[str, str] | None = None) -> dict[str, GatePermutation]:
@@ -296,5 +281,6 @@ def catalog_from_env(environ: Mapping[str, str] | None = None) -> dict[str, Gate
     gates = builtin_catalog()
     path = env.get(ENV_GATE_DEFS)
     if path:
-        gates.update(load_gate_defs(path))
+        with open(path, encoding="utf-8") as handle:
+            gates.update(parse_gate_defs(handle.read()))
     return gates

@@ -29,7 +29,6 @@ from .gates import (
     NotBijective,
     ParseError,
     WidthMismatch,
-    make_gate,
 )
 
 __all__ = [
@@ -473,7 +472,7 @@ class Netlist:
     # serialization
     # ------------------------------------------------------------------
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """Serialize to the interchange JSON schema (self-contained)."""
         self.validate()
         gate_defs: dict[str, GatePermutation] = {}
@@ -501,7 +500,7 @@ class Netlist:
                 for g in sorted(gate_defs.values(), key=lambda g: g.name)
             ],
         }
-        return json.dumps(doc, indent=indent)
+        return json.dumps(doc, indent=2)
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "Netlist":
@@ -524,7 +523,7 @@ class Netlist:
                 raise ParseError(f"netlist name must be a string, got {doc['name']!r}")
             defs: dict[str, GatePermutation] = {}
             for entry in doc["gate_defs"]:
-                gate = make_gate(entry["name"], entry["width"], entry["table"])
+                gate = GatePermutation(entry["name"], entry["width"], entry["table"])
                 if gate.name in defs:
                     raise ParseError(f"gate {gate.name!r} is defined twice")
                 defs[gate.name] = gate

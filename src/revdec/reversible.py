@@ -22,6 +22,7 @@ next to the design targets instead of being asserted equal to them.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from functools import cached_property
 
 from ._record import record
 from .classical import BcdOperands, BcdResult
@@ -47,21 +48,20 @@ PRIMARY_OUTPUT_ORDER = ("s0", "s1", "s2", "s3", "cout")
 
 @record
 class ReversibleAdderBuild:
-    """A finished adder netlist plus its interface map and cost summary.
-
-    ``primary_output_map`` maps each logical result name (``s0`` .. ``s3``,
-    ``cout``) to its bit position in the netlist's primary output vector.
-    ``figure_fidelity`` records whether the wiring is an exact transcription
-    of the reference schematic or a behavioral reconstruction, and
-    ``target`` is the design's (gates, garbage) goal its measured costs are
-    compared against.
+    """A finished adder netlist and the (gates, garbage) ``target`` its
+    measured costs are compared against.  Its primary output vector is the
+    :meth:`BcdResult.code` of the result.  Every build is a behavioral
+    reconstruction of its reference schematic, as ``figure_fidelity`` says.
     """
 
     netlist: Netlist
-    primary_output_map: Mapping[str, int]
-    metrics: CostMetrics
-    figure_fidelity: str
     target: tuple[int, int]
+
+    figure_fidelity = FIDELITY_RECONSTRUCTED
+
+    @cached_property
+    def metrics(self) -> CostMetrics:
+        return self.netlist.metrics()
 
 
 def _required(catalog: Mapping[str, GatePermutation], name: str) -> GatePermutation:
@@ -74,8 +74,7 @@ def _required(catalog: Mapping[str, GatePermutation], name: str) -> GatePermutat
 def and4_subcircuit(
     builder: NetlistBuilder,
     wires: Sequence[str],
-    catalog: Mapping[str, GatePermutation] | None = None,
-    prefix: str = "and4",
+    catalog: Mapping[str, GatePermutation],
 ) -> str:
     """Conjoin four wires with a chain of exactly three controlled swaps.
 
@@ -87,14 +86,14 @@ def and4_subcircuit(
     """
     if len(wires) != 4:
         raise ValueError(f"expected four wires, got {len(wires)}")
-    fredkin = _required(catalog or builtin_catalog(), "FREDKIN")
+    fredkin = _required(catalog, "FREDKIN")
     acc = wires[0]
     for i, operand in enumerate(wires[1:], start=1):
         zero = builder.ancilla(0)
         _, _, acc = builder.gate(
             fredkin,
             (acc, operand, zero),
-            (f"{prefix}_thru{i}", f"{prefix}_skip{i}", f"{prefix}_acc{i}"),
+            (f"and4_thru{i}", f"and4_skip{i}", f"and4_acc{i}"),
         )
     return acc
 
@@ -104,8 +103,7 @@ def skip_mux_subcircuit(
     select: str,
     when_set: str,
     when_clear: str,
-    catalog: Mapping[str, GatePermutation] | None = None,
-    prefix: str = "skip",
+    catalog: Mapping[str, GatePermutation],
 ) -> str:
     """Select between two carries with a single controlled swap.
 
@@ -113,11 +111,11 @@ def skip_mux_subcircuit(
     ``when_clear`` otherwise.  The select pass-through and the rejected
     carry are left for garbage classification.
     """
-    fredkin = _required(catalog or builtin_catalog(), "FREDKIN")
+    fredkin = _required(catalog, "FREDKIN")
     _, _, out = builder.gate(
         fredkin,
         (select, when_set, when_clear),
-        (f"{prefix}_sel", f"{prefix}_rej", f"{prefix}_out"),
+        ("skip_sel", "skip_rej", "skip_out"),
     )
     return out
 
@@ -129,19 +127,10 @@ def _declare_operands(builder: NetlistBuilder) -> tuple[list[str], list[str], st
     return a, b, cin
 
 
-def _finish(
-    builder: NetlistBuilder, fidelity: str, target: tuple[int, int]
-) -> ReversibleAdderBuild:
+def _finish(builder: NetlistBuilder, target: tuple[int, int]) -> ReversibleAdderBuild:
     for wire in PRIMARY_OUTPUT_ORDER:
         builder.primary_output(wire)
-    net = builder.build()
-    return ReversibleAdderBuild(
-        netlist=net,
-        primary_output_map={name: i for i, name in enumerate(PRIMARY_OUTPUT_ORDER)},
-        metrics=net.metrics(),
-        figure_fidelity=fidelity,
-        target=target,
-    )
+    return ReversibleAdderBuild(builder.build(), target)
 
 
 def build_conventional_reversible(
@@ -206,7 +195,7 @@ def build_conventional_reversible(
         new_gate, (corr_c3, raw3_b, builder.ancilla(0)),
         ("corr_end", "mix3", "s3"),
     )
-    return _finish(builder, FIDELITY_RECONSTRUCTED, (11, 22))
+    return _finish(builder, (11, 22))
 
 
 def build_carry_skip_reversible(
@@ -297,19 +286,17 @@ def build_carry_skip_reversible(
         ("cout", "mix2", "s2", "corr_c3"),
     )
     builder.gate(ts3, (raw3_c, corr_c3, builder.ancilla(0)), ("raw3_t", "corr_t", "s3"))
-    return _finish(builder, FIDELITY_RECONSTRUCTED, (15, 27))
+    return _finish(builder, (15, 27))
 
 
 def input_pattern(op: BcdOperands) -> BitVector:
-    """Encode operands for the adder netlists: a, then b, then carry-in."""
-    return BitVector(9, op.a | (op.b << 4) | (op.cin << 8))
+    """Encode operands for the adder netlists: :meth:`BcdOperands.code`."""
+    return BitVector(9, op.code())
 
 
 def decode_primary(build: ReversibleAdderBuild, primary: BitVector) -> BcdResult:
-    """Interpret a netlist's primary output vector as a digit-adder result."""
-    pos = build.primary_output_map
-    total = sum(primary.bit(pos[f"s{i}"]) << i for i in range(4))
-    return BcdResult(sum=total, cout=primary.bit(pos["cout"]))
+    """Read a build's primary output vector back as :meth:`BcdResult.code`."""
+    return BcdResult(primary.value & 15, primary.value >> 4)
 
 
 def simulate_digit_add(build: ReversibleAdderBuild, op: BcdOperands) -> BcdResult:

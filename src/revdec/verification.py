@@ -198,30 +198,24 @@ class ErrataEntry:
     expected: int
 
 
-def _columns(result: BcdResult) -> tuple[int, ...]:
-    """The five output bits of one result, in :data:`EQUATION_NAMES` order."""
-    return (*result.sum_bits(), result.cout)
+def _equation_sweep() -> Iterator[tuple[BcdOperands, int, int]]:
+    """Each valid input with the observed and the required output code.
 
-
-def _equation_sweep() -> Iterator[tuple[BcdOperands, tuple[int, ...], tuple[int, ...]]]:
-    """Each valid input with its five observed and five required bits.
-
-    The as-given equations and the oracle run once per input; both audits
-    below read every column from this one sweep.
+    Bit ``i`` of each :meth:`BcdResult.code` is the column of
+    ``EQUATION_NAMES[i]``.  The as-given equations and the oracle run once
+    per input; both audits below read every column from this one sweep.
     """
     for op in valid_operands():
-        yield op, _columns(cla_add(op, CLA_VERBATIM)), _columns(oracle(op))
+        yield op, cla_add(op, CLA_VERBATIM).code(), oracle(op).code()
 
 
 def cla_agreement() -> dict[str, tuple[int, int]]:
     """Per-equation ``(matching inputs, total inputs)`` over the valid sweep."""
-    counts = [0] * len(EQUATION_NAMES)
-    total = 0
-    for _, observed, expected in _equation_sweep():
-        total += 1
-        for i, (bit, want) in enumerate(zip(observed, expected)):
-            counts[i] += bit == want
-    return {name: (count, total) for name, count in zip(EQUATION_NAMES, counts)}
+    diffs = [observed ^ expected for _, observed, expected in _equation_sweep()]
+    return {
+        name: (sum(not (diff >> i) & 1 for diff in diffs), len(diffs))
+        for i, name in enumerate(EQUATION_NAMES)
+    }
 
 
 def cla_errata() -> tuple[ErrataEntry, ...]:
@@ -234,13 +228,11 @@ def cla_errata() -> tuple[ErrataEntry, ...]:
     """
     first: dict[int, ErrataEntry] = {}
     for op, observed, expected in _equation_sweep():
+        diff = observed ^ expected
         for i, name in enumerate(EQUATION_NAMES):
-            if i not in first and observed[i] != expected[i]:
+            if i not in first and (diff >> i) & 1:
                 first[i] = ErrataEntry(
-                    equation=name,
-                    first_failing_input=op,
-                    observed=observed[i],
-                    expected=expected[i],
+                    name, op, (observed >> i) & 1, (expected >> i) & 1
                 )
     return tuple(first[i] for i in sorted(first))
 
@@ -271,7 +263,7 @@ class SubstitutionSite:
     first_valid_counterexample: BcdOperands | None
     valid_counterexample_count: int
     diverges_off_domain: bool
-    off_domain_example: dict[str, int] | None
+    off_domain_example: tuple[tuple[str, int], ...] | None
 
     def to_json_dict(self) -> dict:
         cex = self.first_valid_counterexample
@@ -284,7 +276,9 @@ class SubstitutionSite:
             ),
             "valid_counterexample_count": self.valid_counterexample_count,
             "diverges_off_domain": self.diverges_off_domain,
-            "off_domain_example": self.off_domain_example,
+            "off_domain_example": (
+                dict(self.off_domain_example) if self.off_domain_example else None
+            ),
         }
 
 
@@ -299,7 +293,7 @@ def _audit_terms(
     site: str,
     term_names: tuple[str, ...],
     valid_terms: Callable[[BcdOperands], tuple[int, ...]],
-    valuations: Iterable[tuple[dict[str, int], tuple[int, ...]]],
+    valuations: Iterable[tuple[tuple[tuple[str, int], ...], tuple[int, ...]]],
 ) -> SubstitutionSite:
     counterexamples = [
         op for op in valid_operands() if _or_differs_from_xor(valid_terms(op))
@@ -330,7 +324,9 @@ def _detection_site(
         _, trace = conventional_add(op)
         return terms(trace.k, trace.z)
 
-    valuations = (({"k": k, "z": z}, terms(k, z)) for k in (0, 1) for z in range(16))
+    valuations = (
+        ((("k", k), ("z", z)), terms(k, z)) for k in (0, 1) for z in range(16)
+    )
     return _audit_terms(site, term_names, valid_terms, valuations)
 
 
@@ -353,7 +349,7 @@ def xor_substitution_audit() -> tuple[SubstitutionSite, ...]:
         )
 
     mux_all = (
-        ({"big_p": bp, "cin": cin, "c4": c4}, (bp & cin, (bp ^ 1) & c4))
+        ((("big_p", bp), ("cin", cin), ("c4", c4)), (bp & cin, (bp ^ 1) & c4))
         for bp in (0, 1)
         for cin in (0, 1)
         for c4 in (0, 1)
@@ -376,15 +372,12 @@ def xor_substitution_audit() -> tuple[SubstitutionSite, ...]:
 
 @record
 class Table1Row:
-    """One line of the cost comparison."""
+    """One line of the cost comparison; ``target`` is (gates, garbage)."""
 
     label: str
     gates: int
     garbage: int
-    target_gates: int | None = None
-    target_garbage: int | None = None
-    delta_gates: int | None = None
-    delta_garbage: int | None = None
+    target: tuple[int, int] | None = None
     fidelity: str | None = None
 
 
@@ -401,11 +394,12 @@ class Table1Report:
         )
         lines = [header, "-" * len(header)]
         for row in self.rows:
-            if row.target_gates is None:
+            if row.target is None:
                 target = delta = "-"
             else:
-                target = f"{row.target_gates}/{row.target_garbage}"
-                delta = f"{row.delta_gates:+d}/{row.delta_garbage:+d}"
+                target_gates, target_garbage = row.target
+                target = f"{target_gates}/{target_garbage}"
+                delta = f"{row.gates - target_gates:+d}/{row.garbage - target_garbage:+d}"
             lines.append(
                 f"{row.label:<18} {row.gates:>5} {row.garbage:>7} "
                 f"{target:>8} {delta:>8}  {row.fidelity or '-'}"
@@ -419,30 +413,17 @@ def table1_report(
     """Measure both builds and set them beside the quoted reference costs.
 
     The baseline row repeats the fixed reference constants verbatim; the
-    build rows carry measured counts.  Because the wirings are behavioral
-    reconstructions, measured-minus-target deltas are always included
-    rather than asserting equality with the targets.
+    build rows carry measured counts and their targets.  Because the
+    wirings are behavioral reconstructions, the rendered table shows
+    measured-minus-target deltas rather than asserting equality.
     """
-    rows = [
-        Table1Row(label="baseline", gates=BASELINE_COSTS[0], garbage=BASELINE_COSTS[1])
-    ]
+    rows = [Table1Row("baseline", *BASELINE_COSTS)]
     for arch in ARCHITECTURES.values():
         if arch.build is None:
             continue
         build = arch.build(catalog)
-        gates_measured = build.metrics.gate_count
-        garbage_measured = build.metrics.garbage_count
-        target_gates, target_garbage = build.target
-        rows.append(
-            Table1Row(
-                label=arch.name,
-                gates=gates_measured,
-                garbage=garbage_measured,
-                target_gates=target_gates,
-                target_garbage=target_garbage,
-                delta_gates=gates_measured - target_gates,
-                delta_garbage=garbage_measured - target_garbage,
-                fidelity=build.figure_fidelity,
-            )
-        )
+        m = build.metrics
+        rows.append(Table1Row(
+            arch.name, m.gate_count, m.garbage_count, build.target, build.figure_fidelity
+        ))
     return Table1Report(rows=tuple(rows))

@@ -75,6 +75,17 @@ class TestSimulate:
         assert code == 2
         assert "--digits" in err
 
+    @pytest.mark.parametrize(
+        "extra", [["--a", "0"], ["--b", "0"], ["--trace"]], ids=["a", "b", "trace"]
+    )
+    def test_digits_rejects_single_digit_flags(self, capsys, extra):
+        code, out, err = run(
+            capsys, "simulate", "--arch", "conventional", "--digits", "12,3", *extra
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --digits cannot be combined with {extra[0]}\n"
+
     def test_malformed_digits(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--arch", "conventional", "--digits", "9x,1"

@@ -6,14 +6,14 @@ import pytest
 from conftest import gate_outputs
 
 from revdec.gates import (
+    ENV_GATE_DEFS,
     BitVector,
+    GatePermutation,
     NotBijective,
     ParseError,
     builtin_catalog,
     catalog_from_env,
     format_gate,
-    load_gate_defs,
-    make_gate,
     parse_gate_defs,
 )
 
@@ -59,26 +59,28 @@ class TestBitVector:
 
 
 class TestMakeGate:
+    """Constructing a :class:`GatePermutation` validates its table."""
+
     def test_valid_gate(self):
-        gate = make_gate("SWAP", 2, [0, 2, 1, 3])
+        gate = GatePermutation("SWAP", 2, [0, 2, 1, 3])
         assert gate.table[1] == 2 and gate.table[2] == 1
 
     def test_not_bijective_names_the_collision(self):
         with pytest.raises(NotBijective, match="0 and 1"):
-            make_gate("BAD", 1, [0, 0])
+            GatePermutation("BAD", 1, [0, 0])
 
     def test_wrong_table_length(self):
         with pytest.raises(ValueError, match="8 entries"):
-            make_gate("SHORT", 3, [0, 1, 2])
+            GatePermutation("SHORT", 3, [0, 1, 2])
 
     def test_entry_out_of_range(self):
         with pytest.raises(ValueError, match="entry"):
-            make_gate("BIG", 1, [0, 2])
+            GatePermutation("BIG", 1, [0, 2])
 
     @pytest.mark.parametrize("width", [0, 9, -1])
     def test_width_bounds(self, width):
         with pytest.raises(ValueError):
-            make_gate("W", width, [0])
+            GatePermutation("W", width, [0])
 
 
 class TestBuiltins:
@@ -201,8 +203,9 @@ class TestTextFormat:
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "defs.txt"
-        path.write_text(format_gate(BUILTINS["TSG"]) + "\n")
-        assert load_gate_defs(str(path)) == {"TSG": BUILTINS["TSG"]}
+        swap = GatePermutation("SWAP", 2, (0, 2, 1, 3))
+        path.write_text(format_gate(swap) + "\n")
+        assert catalog_from_env({ENV_GATE_DEFS: str(path)}) == {**BUILTINS, "SWAP": swap}
 
 
 class TestCatalogFromEnv:

@@ -17,9 +17,9 @@ from revdec.gates import (
     BitVector,
     NotBijective,
     ParseError,
+    GatePermutation,
     builtin_catalog,
     format_gate,
-    make_gate,
     parse_gate_defs,
 )
 from revdec.netlist import (
@@ -139,22 +139,22 @@ class TestGateNamesAndWidths:
     @pytest.mark.parametrize("width", [True, 1.0, "1"])
     def test_width_must_be_an_int(self, width):
         with pytest.raises(ValueError, match="width"):
-            make_gate("X", width, [1, 0])
+            GatePermutation("X", width, [1, 0])
 
     @pytest.mark.parametrize("name", [7, None, b"X", "", "A B", "A\tB", "A\nB"])
     def test_name_must_be_a_string_without_whitespace(self, name):
         with pytest.raises(ValueError, match="name"):
-            make_gate(name, 1, [1, 0])
+            GatePermutation(name, 1, [1, 0])
 
     @pytest.mark.parametrize("name", ["x", "Ts3", "new_gate"])
     def test_name_must_be_upper_case(self, name):
         with pytest.raises(ValueError, match="name"):
-            make_gate(name, 1, [1, 0])
+            GatePermutation(name, 1, [1, 0])
 
     @pytest.mark.parametrize("table", [[True, False], [1, False], [1.0, 0]])
     def test_table_entries_must_be_ints(self, table):
         with pytest.raises(ValueError, match="table entry"):
-            make_gate("X", 1, table)
+            GatePermutation("X", 1, table)
 
     @pytest.mark.parametrize("entry", [True, 1.0])
     def test_non_int_table_entry_in_json_is_a_parse_error(self, entry):
@@ -165,7 +165,7 @@ class TestGateNamesAndWidths:
             Netlist.from_json(json.dumps(doc))
 
     def test_accepted_names_read_back_from_the_catalog_format(self):
-        gate = make_gate('T"S3\\', 1, [1, 0])
+        gate = GatePermutation('T"S3\\', 1, [1, 0])
         assert parse_gate_defs(format_gate(gate)) == {gate.name: gate}
 
     @pytest.mark.parametrize("name", [7, "A B", "", "ts3"])
@@ -203,7 +203,7 @@ class TestDotQuoting:
     @staticmethod
     def awkward_net():
         ts3 = builtin_catalog()["TS3"]
-        quoted = make_gate('T"S3\\', ts3.width, ts3.table)
+        quoted = GatePermutation('T"S3\\', ts3.width, ts3.table)
         b = NetlistBuilder('x"y')
         p = b.primary_input('p"q')
         r = b.primary_input("r\\")

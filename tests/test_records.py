@@ -18,7 +18,7 @@ from revdec.classical import (
     SkipSignals,
     conventional_add,
 )
-from revdec.gates import BitVector, GatePermutation, make_gate
+from revdec.gates import BitVector, GatePermutation
 from revdec.netlist import (
     CostMetrics,
     GateInstance,
@@ -37,7 +37,7 @@ from revdec.verification import (
     VerificationReport,
 )
 
-NOT = make_gate("NOT", 1, (1, 0))
+NOT = GatePermutation("NOT", 1, (1, 0))
 NET = Netlist(
     "inverter",
     (InputDecl("a", "primary_input"),),
@@ -72,10 +72,7 @@ SAMPLES = {
         ("inverter", NET.inputs, NET.outputs, NET.gates),
         ("renamed", NET.inputs, NET.outputs, NET.gates),
     ),
-    ReversibleAdderBuild: (
-        (NET, {"s0": 0}, COSTS, "RECONSTRUCTED", (11, 22)),
-        (NET, {"s0": 0}, COSTS, "RECONSTRUCTED", (11, 23)),
-    ),
+    ReversibleAdderBuild: ((NET, (11, 22)), (NET, (11, 23))),
     Mismatch: (
         (BcdOperands(1, 2, 0), BcdResult(3, 0), BcdResult(4, 0)),
         (BcdOperands(1, 2, 0), BcdResult(3, 0), BcdResult(5, 0)),
@@ -86,12 +83,12 @@ SAMPLES = {
         ("S2_VERBATIM", BcdOperands(0, 1, 0), 1, 0),
     ),
     SubstitutionSite: (
-        ("cout", ("m", "n"), False, BcdOperands(5, 5, 0), 3, True, None),
+        ("cout", ("m", "n"), False, BcdOperands(5, 5, 0), 3, True, (("k", 1), ("z", 10))),
         ("cout", ("m", "n"), True, None, 0, False, None),
     ),
     Table1Row: (
         ("baseline", 11, 22),
-        ("rev_conventional", 9, 13, 11, 22, -2, -9, "RECONSTRUCTED"),
+        ("rev_conventional", 9, 13, (11, 22), "RECONSTRUCTED"),
     ),
     Table1Report: (((Table1Row("baseline", 11, 22),),), ((),)),
 }
@@ -101,7 +98,7 @@ DEFAULTS = {
     Architecture: (("x",), (None, None, None, True)),
     InputDecl: (("a", "primary_input"), (None,)),
     VerificationReport: (("conventional", 200, ()), (None, None)),
-    Table1Row: (("baseline", 11, 22), (None,) * 5),
+    Table1Row: (("baseline", 11, 22), (None, None)),
 }
 
 CLASSES = pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
@@ -145,14 +142,8 @@ class TestRecords:
         record, same, other = cls(*args), cls(*args), cls(*other_args)
         assert record == same and not record != same
         assert record != other and not record == other
-        try:
-            expected = hash(field_values(record))
-        except TypeError:
-            with pytest.raises(TypeError):
-                hash(record)
-        else:
-            assert hash(record) == hash(same) == expected
-            assert hash(other) != hash(record)
+        assert hash(record) == hash(same) == hash(field_values(record))
+        assert hash(other) != hash(record)
 
     @CLASSES
     def test_another_type_with_the_same_values_is_not_equal(self, cls):
@@ -194,8 +185,7 @@ class TestRepr:
 
     def test_table1_row_with_defaults(self):
         assert repr(Table1Row("baseline", 11, 22)) == (
-            "Table1Row(label='baseline', gates=11, garbage=22, target_gates=None, "
-            "target_garbage=None, delta_gates=None, delta_garbage=None, fidelity=None)"
+            "Table1Row(label='baseline', gates=11, garbage=22, target=None, fidelity=None)"
         )
 
     def test_match_binds_fields_in_order(self):

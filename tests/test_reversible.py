@@ -8,18 +8,21 @@ import pytest
 
 from revdec.classical import (
     BcdOperands,
+    BcdResult,
     carry_skip_add,
     conventional_add,
     oracle,
     valid_operands,
 )
-from revdec.gates import BitVector, UnknownGate, builtin_catalog, make_gate
-from revdec.netlist import ROLE_ANCILLA, CostMetrics, NetlistBuilder
+from revdec.gates import BitVector, GatePermutation, UnknownGate, builtin_catalog
+from revdec.netlist import ROLE_ANCILLA, CostMetrics, Netlist, NetlistBuilder
 from revdec.reversible import (
     FIDELITY_RECONSTRUCTED,
+    ReversibleAdderBuild,
     and4_subcircuit,
     build_carry_skip_reversible,
     build_conventional_reversible,
+    decode_primary,
     input_pattern,
     simulate_digit_add,
     skip_mux_subcircuit,
@@ -59,14 +62,14 @@ class TestConventionalBuild:
         assert CONVENTIONAL.netlist.check_injective() is None
 
     def test_primary_interface(self):
-        net = CONVENTIONAL.netlist
-        assert net.primary_input_wires() == (
-            "a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3", "cin",
-        )
-        assert net.primary_output_wires() == ("s0", "s1", "s2", "s3", "cout")
-        assert CONVENTIONAL.primary_output_map == {
-            "s0": 0, "s1": 1, "s2": 2, "s3": 3, "cout": 4,
-        }
+        # input_pattern and decode_primary read the primary lines as
+        # BcdOperands.code() and BcdResult.code(), which holds only while
+        # both builds declare them in this order.
+        for build in (CONVENTIONAL, CARRY_SKIP):
+            assert build.netlist.primary_input_wires() == (
+                "a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3", "cin",
+            )
+            assert build.netlist.primary_output_wires() == ("s0", "s1", "s2", "s3", "cout")
 
     def test_four_full_adders_wired_with_constant_zero(self):
         # The binary stage: one four-line adder gate per bit position, each
@@ -190,7 +193,7 @@ class TestSubcircuits:
     def test_and4_is_a_four_way_and(self):
         b = NetlistBuilder("and4_harness")
         wires = [b.primary_input(f"i{k}") for k in range(4)]
-        out = and4_subcircuit(b, wires)
+        out = and4_subcircuit(b, wires, builtin_catalog())
         b.primary_output(out)
         net = b.build()
         assert Counter(i.gate.name for i in net.gates) == {"FREDKIN": 3}
@@ -203,14 +206,14 @@ class TestSubcircuits:
         b = NetlistBuilder("short")
         wires = [b.primary_input(f"i{k}") for k in range(3)]
         with pytest.raises(ValueError):
-            and4_subcircuit(b, wires)
+            and4_subcircuit(b, wires, builtin_catalog())
 
     def test_skip_mux_selects_between_carries(self):
         b = NetlistBuilder("mux_harness")
         select = b.primary_input("select")
         when_set = b.primary_input("when_set")
         when_clear = b.primary_input("when_clear")
-        out = skip_mux_subcircuit(b, select, when_set, when_clear)
+        out = skip_mux_subcircuit(b, select, when_set, when_clear, builtin_catalog())
         b.primary_output(out)
         net = b.build()
         assert Counter(i.gate.name for i in net.gates) == {"FREDKIN": 1}
@@ -227,6 +230,37 @@ class TestEncodingAndCatalog:
         x = input_pattern(BcdOperands(9, 6, 1))
         assert x.value == 9 | (6 << 4) | (1 << 8)
 
+    def test_input_pattern_is_the_operand_code(self):
+        for op in ALL_OPS:
+            assert input_pattern(op).value == op.code()
+
+    def test_result_code_decodes_back(self):
+        for total in range(16):
+            for cout in (0, 1):
+                code = BcdResult(total, cout).code()
+                assert decode_primary(CONVENTIONAL, BitVector(5, code)) == (
+                    BcdResult(total, cout)
+                )
+
+    def test_metrics_are_computed_once_on_first_read(self, monkeypatch):
+        calls = []
+        real_metrics = Netlist.metrics
+
+        def counted(net):
+            calls.append(net.name)
+            return real_metrics(net)
+
+        monkeypatch.setattr(Netlist, "metrics", counted)
+        build = build_conventional_reversible()
+        assert calls == []
+        assert build.metrics == build.metrics == real_metrics(build.netlist)
+        assert calls == [build.netlist.name]
+
+    def test_build_record_holds_netlist_and_target(self):
+        assert ReversibleAdderBuild.__match_args__ == ("netlist", "target")
+        assert CONVENTIONAL == ReversibleAdderBuild(CONVENTIONAL.netlist, (11, 22))
+        assert hash(CONVENTIONAL) == hash((CONVENTIONAL.netlist, (11, 22)))
+
     def test_missing_gate_in_catalog(self):
         catalog = builtin_catalog()
         del catalog["TSG"]
@@ -237,7 +271,7 @@ class TestEncodingAndCatalog:
         # Swapping in a wrong (but reversible) adder gate must change the
         # computed results; the wiring itself has no arithmetic hidden in it.
         catalog = builtin_catalog()
-        catalog["TSG"] = make_gate("TSG", 4, list(range(16)))
+        catalog["TSG"] = GatePermutation("TSG", 4, list(range(16)))
         broken = build_conventional_reversible(catalog)
         disagreements = sum(
             simulate_digit_add(broken, op) != oracle(op) for op in ALL_OPS

@@ -141,7 +141,7 @@ class TestSubstitutionAudit:
         assert site.valid_counterexample_count == 0
         # Exclusivity relies on unreachable states: force them and it breaks.
         assert site.diverges_off_domain
-        assert site.off_domain_example == {"k": 1, "z": 10}
+        assert site.off_domain_example == (("k", 1), ("z", 10))
 
     def test_naive_terms_fail_on_valid_inputs(self):
         site = self.sites["naive_detection"]
@@ -150,17 +150,20 @@ class TestSubstitutionAudit:
         assert cex == BcdOperands(4, 9, 1)
         assert cex.a + cex.b + cex.cin == 14
         assert site.valid_counterexample_count == 20
-        assert site.off_domain_example == {"k": 0, "z": 14}
+        assert site.off_domain_example == (("k", 0), ("z", 14))
 
     def test_mux_legs_are_structurally_exclusive(self):
         site = self.sites["skip_mux_select"]
         assert site.or_equals_xor_on_valid
         assert not site.diverges_off_domain
         assert site.off_domain_example is None
+        assert site.to_json_dict()["off_domain_example"] is None
 
     def test_sites_serialize(self):
         for site in self.sites.values():
             json.dumps(site.to_json_dict())
+        doc = self.sites["naive_detection"].to_json_dict()
+        assert doc["off_domain_example"] == {"k": 0, "z": 14}
 
 
 class TestTable1:
@@ -169,19 +172,22 @@ class TestTable1:
         baseline = report.rows[0]
         assert baseline.label == "baseline"
         assert (baseline.gates, baseline.garbage) == BASELINE_COSTS == (23, 22)
-        assert baseline.target_gates is None and baseline.delta_gates is None
+        assert baseline.target is None
 
     def test_measured_rows_and_deltas(self):
         rows = {r.label: r for r in table1_report().rows}
         conventional = rows["rev_conventional"]
         assert (conventional.gates, conventional.garbage) == (9, 13)
-        assert (conventional.target_gates, conventional.target_garbage) == (11, 22)
-        assert (conventional.delta_gates, conventional.delta_garbage) == (-2, -9)
+        assert conventional.target == (11, 22)
         assert conventional.fidelity == "RECONSTRUCTED"
         skip = rows["rev_carry_skip"]
         assert (skip.gates, skip.garbage) == (17, 21)
-        assert (skip.target_gates, skip.target_garbage) == (15, 27)
-        assert (skip.delta_gates, skip.delta_garbage) == (+2, -6)
+        assert skip.target == (15, 27)
+        lines = table1_report().render().splitlines()[2:]
+        deltas = {line.split()[0]: line.split()[4] for line in lines}
+        assert deltas == {
+            "baseline": "-", "rev_conventional": "-2/-9", "rev_carry_skip": "+2/-6",
+        }
 
     def test_conventional_build_beats_the_baseline_gate_count(self):
         rows = {r.label: r for r in table1_report().rows}
