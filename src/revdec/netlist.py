@@ -14,22 +14,23 @@ tracks consumption as gates are added and classifies leftover wires as
 garbage automatically.  :class:`Netlist` itself is an immutable value with
 simulation, cost metrics, an exhaustive injectivity check, and JSON / DOT
 serialization.
+
+Evaluation is lane-parallel: bit ``p`` of a wire's *lane* int is its value
+under primary input pattern ``p``.  Each distinct gate table compiles once
+per process to a function over lanes built from each output column's
+:func:`~revdec.sop.derive_sop` cover.  One pass computes every wire's lane
+over the whole input domain; simulation reads single bits of it.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import cached_property
 
 from ._record import record
-from .gates import (
-    BitVector,
-    GatePermutation,
-    NotBijective,
-    ParseError,
-    WidthMismatch,
-)
+from .gates import BitVector, GatePermutation, NotBijective, ParseError, WidthMismatch
+from .sop import derive_sop
 
 __all__ = [
     "ROLE_PRIMARY_INPUT",
@@ -54,20 +55,48 @@ ROLE_GARBAGE = "garbage"
 _INPUT_ROLES = (ROLE_PRIMARY_INPUT, ROLE_ANCILLA)
 _OUTPUT_ROLES = (ROLE_PRIMARY_OUTPUT, ROLE_GARBAGE)
 
-# check_injective enumerates every primary input pattern; cap the sweep so a
-# mistyped netlist cannot demand 2**50 simulations.
+# Up to this many primary inputs, a netlist is evaluated over all 2**n patterns
+# at once and can be swept for injectivity; a wider one runs one pattern a pass.
 _MAX_INJECTIVITY_INPUTS = 20
+
+# Each distinct gate table's lane function, keyed by (width, table).
+_LANE_FUNCTIONS: dict[tuple[int, tuple[int, ...]], Callable[..., tuple]] = {}
 
 
 class MalformedNetlist(ValueError):
     """The netlist breaks a structural rule (drivers, consumers, cycles)."""
 
 
+def _lane_source(name: str, width: int, table: Sequence[int]) -> str:
+    """Source of ``name(ones, x0, ..)``: every output line's lane, from input
+    line ``i``'s lane ``x{i}`` and ``ones``, which has every lane bit set."""
+    xs = [f"x{i}" for i in range(width)]
+    columns = []
+    for j in range(width):
+        terms = []
+        for mask, value in derive_sop(width, [p for p, out in enumerate(table) if out >> j & 1]):
+            literals = [xs[i] for i in range(width) if (mask & value) >> i & 1] or ["ones"]
+            literals += [f"~{xs[i]}" for i in range(width) if (mask & ~value) >> i & 1]
+            terms.append(" & ".join(literals))
+        columns.append(" | ".join(terms) or "0")
+    return f"def {name}(ones, {', '.join(xs)}):\n    return {', '.join(columns)},\n"
+
+
+def _lane_functions(gates: Sequence[GatePermutation]) -> list[Callable[..., tuple]]:
+    """Each gate's lane function; tables not seen before compile in one ``exec``."""
+    keys = [(g.width, g.table) for g in gates]
+    new = [key for key in dict.fromkeys(keys) if key not in _LANE_FUNCTIONS]
+    if new:
+        namespace: dict = {}
+        exec("".join(_lane_source(f"f{k}", *key) for k, key in enumerate(new)), namespace)
+        _LANE_FUNCTIONS.update((key, namespace[f"f{k}"]) for k, key in enumerate(new))
+    return [_LANE_FUNCTIONS[key] for key in keys]
+
+
 def _check_wire_name(wire: object) -> str:
     if not isinstance(wire, str) or wire.split() != [wire]:
         raise MalformedNetlist(
-            f"wire names must be non-empty strings without whitespace, got {wire!r}"
-        )
+            f"wire names must be non-empty strings without whitespace, got {wire!r}")
     return wire
 
 
@@ -82,20 +111,14 @@ class InputDecl:
     def __post_init__(self) -> None:
         _check_wire_name(self.wire)
         if self.role not in _INPUT_ROLES:
-            raise MalformedNetlist(
-                f"input {self.wire!r} has role {self.role!r}, "
-                f"expected one of {_INPUT_ROLES}"
-            )
+            raise MalformedNetlist(f"input {self.wire!r} has role {self.role!r}, "
+                                   f"expected one of {_INPUT_ROLES}")
         if self.role == ROLE_ANCILLA:
             if type(self.const) is not int or self.const not in (0, 1):
-                raise MalformedNetlist(
-                    f"ancilla {self.wire!r} needs a constant of 0 or 1, "
-                    f"got {self.const!r}"
-                )
+                raise MalformedNetlist(f"ancilla {self.wire!r} needs a constant of 0 or 1, "
+                                       f"got {self.const!r}")
         elif self.const is not None:
-            raise MalformedNetlist(
-                f"primary input {self.wire!r} must not carry a constant"
-            )
+            raise MalformedNetlist(f"primary input {self.wire!r} must not carry a constant")
 
 
 @record
@@ -108,10 +131,8 @@ class OutputDecl:
     def __post_init__(self) -> None:
         _check_wire_name(self.wire)
         if self.role not in _OUTPUT_ROLES:
-            raise MalformedNetlist(
-                f"output {self.wire!r} has role {self.role!r}, "
-                f"expected one of {_OUTPUT_ROLES}"
-            )
+            raise MalformedNetlist(f"output {self.wire!r} has role {self.role!r}, "
+                                   f"expected one of {_OUTPUT_ROLES}")
 
 
 @record
@@ -135,18 +156,15 @@ class GateInstance:
             if len(wires) != self.gate.width:
                 raise MalformedNetlist(
                     f"gate {self.gate.name!r} has {self.gate.width} lines but "
-                    f"{len(wires)} {side} wires were given"
-                )
+                    f"{len(wires)} {side} wires were given")
             if len(set(wires)) != len(wires):
                 raise MalformedNetlist(
-                    f"gate {self.gate.name!r} lists a duplicate {side} wire"
-                )
+                    f"gate {self.gate.name!r} lists a duplicate {side} wire")
         overlap = set(self.input_wires) & set(self.output_wires)
         if overlap:
             raise MalformedNetlist(
                 f"gate {self.gate.name!r} would drive its own input wire(s) "
-                f"{sorted(overlap)}; give outputs fresh names"
-            )
+                f"{sorted(overlap)}; give outputs fresh names")
 
 
 @record
@@ -159,12 +177,8 @@ class CostMetrics:
     depth: int
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "gates": self.gate_count,
-            "garbage": self.garbage_count,
-            "ancilla": self.ancilla_count,
-            "depth": self.depth,
-        }
+        return {"gates": self.gate_count, "garbage": self.garbage_count,
+                "ancilla": self.ancilla_count, "depth": self.depth}
 
 
 @record
@@ -269,26 +283,26 @@ class Netlist:
 
     @cached_property
     def _plan(self):
-        """The circuit lowered to wire indices for :meth:`_values`.
+        """The circuit lowered to wire indices for :meth:`_lanes`.
 
         Wire ``i`` is key ``i`` of :attr:`_drivers`.  Holds every wire's
-        starting value (ancilla constant, else 0), the primary input wires,
-        ``(gate index, table, input wires, output wires)`` per gate in
+        constant (the ancilla's, else 0), the primary input wires, ``(gate
+        index, lane function, input wires, output wires)`` per gate in
         dependency order, the primary output wires and all output wires.
         """
-        index = {w: i for i, w in enumerate(self._drivers)}
+        index = {w: i for i, w in enumerate(self._drivers)}.__getitem__
 
         def wires(names) -> tuple[int, ...]:
-            return tuple(index[w] for w in names)
+            return tuple(map(index, names))
 
-        initial = [int(d.const or 0) for d in self.inputs]
-        initial += [0] * (len(index) - len(initial))
+        consts = [d.const or 0 for d in self.inputs]
+        consts += [0] * (len(self._drivers) - len(consts))
+        functions = _lane_functions([inst.gate for inst in self.gates])
         steps = []
         for g in self._topo_order:
             inst = self.gates[g]
-            steps.append((g, inst.gate.table, wires(inst.input_wires),
-                          wires(inst.output_wires)))
-        return (initial, wires(self.primary_input_wires()), tuple(steps),
+            steps.append((g, functions[g], wires(inst.input_wires), wires(inst.output_wires)))
+        return (consts, wires(self.primary_input_wires()), tuple(steps),
                 wires(self.primary_output_wires()), wires(d.wire for d in self.outputs))
 
     def validate(self) -> None:
@@ -306,15 +320,13 @@ class Netlist:
     def _valid(self) -> bool:
         """The checks of :meth:`validate`; cached only once they pass."""
         self._topo_order
-
         consumed: dict[str, str] = {}
 
         def consume(wire: str, where: str) -> None:
             if wire in consumed:
                 raise MalformedNetlist(
                     f"wire {wire!r} is consumed twice ({consumed[wire]} and {where}); "
-                    f"fan-out requires an explicit copy gate"
-                )
+                    f"fan-out requires an explicit copy gate")
             consumed[wire] = where
 
         for g, inst in enumerate(self.gates):
@@ -326,13 +338,11 @@ class Netlist:
                 raise MalformedNetlist(f"output {decl.wire!r} is declared twice")
             seen_outputs.add(decl.wire)
             consume(decl.wire, "circuit output")
-
         dangling = [w for w in self._drivers if w not in consumed]
         if dangling:
             raise MalformedNetlist(
                 f"wire(s) {sorted(dangling)} are driven but neither consumed by a "
-                f"gate nor declared as outputs; classify them as garbage"
-            )
+                f"gate nor declared as outputs; classify them as garbage")
         if not self.primary_input_wires():
             raise MalformedNetlist("netlist declares no primary inputs")
         if not self.primary_output_wires():
@@ -343,61 +353,80 @@ class Netlist:
     # simulation
     # ------------------------------------------------------------------
 
-    def _values(self, pattern: int) -> list[int]:
-        """Every wire's value, by index, with ``pattern`` on the primary inputs.
+    def _lanes(self, columns: Sequence[int], ones: int = 1) -> list[int]:
+        """Every wire's lane, by index, with ``columns`` on the primary inputs.
 
-        Each wire has one driver, so its value is written once, before any
-        gate reads it, and never overwritten.
+        ``ones`` has a 1 in every lane bit in use.  Each wire has one driver,
+        so its lane is written once, before any gate reads it.
         """
-        initial, primaries, steps, _, _ = self._plan
-        values = initial.copy()
-        for i, wire in enumerate(primaries):
-            values[wire] = (pattern >> i) & 1
-        for _, table, ins, outs in steps:
-            entry = 0
-            for i, wire in enumerate(ins):
-                entry |= values[wire] << i
-            result = table[entry]
-            for i, wire in enumerate(outs):
-                values[wire] = (result >> i) & 1
-        return values
+        consts, primaries, steps, _, _ = self._plan
+        lanes = [ones * c for c in consts]
+        for wire, column in zip(primaries, columns):
+            lanes[wire] = column
+        for _, lane_function, ins, outs in steps:
+            for wire, lane in zip(outs, lane_function(ones, *[lanes[w] for w in ins])):
+                lanes[wire] = lane
+        return lanes
 
-    def _checked_values(self, x: BitVector) -> tuple[list[int], BitVector, BitVector]:
-        """Validate, evaluate ``x``, and read ``(values, primary, full)``."""
+    @cached_property
+    def _columns(self) -> list[int]:
+        """Every wire's lane over all ``2**n`` primary patterns, by wire index.
+
+        Input ``i``'s column doubles a period of ``2**i`` zeros, ``2**i`` ones.
+        """
+        width = len(self._plan[1])
+        if width > _MAX_INJECTIVITY_INPUTS:
+            raise MalformedNetlist(f"refusing to enumerate 2**{width} input patterns "
+                                   f"(limit is 2**{_MAX_INJECTIVITY_INPUTS})")
+        columns = []
+        for i in range(width):
+            column = ((1 << (1 << i)) - 1) << (1 << i)
+            for k in range(i + 1, width):
+                column |= column << (1 << k)
+            columns.append(column)
+        return self._lanes(columns, (1 << (1 << width)) - 1)
+
+    def _lanes_at(self, x: BitVector) -> tuple[list[int], int]:
+        """Validate; every wire's lane and the bit for ``x`` (one lane if too wide)."""
         self.validate()
-        _, primaries, _, primary_outputs, outputs = self._plan
-        if x.width != len(primaries):
-            raise WidthMismatch(
-                f"netlist {self.name!r} has {len(primaries)} primary inputs "
-                f"but the pattern has {x.width} bits"
-            )
-        values = self._values(x.value)
-        primary = BitVector.from_bits([values[w] for w in primary_outputs])
-        return values, primary, BitVector.from_bits([values[w] for w in outputs])
+        width = len(self._plan[1])
+        if x.width != width:
+            raise WidthMismatch(f"netlist {self.name!r} has {width} primary inputs "
+                                f"but the pattern has {x.width} bits")
+        if width > _MAX_INJECTIVITY_INPUTS:
+            return self._lanes([(x.value >> i) & 1 for i in range(width)]), 0
+        return self._columns, x.value
 
     def simulate(self, x: BitVector) -> tuple[BitVector, BitVector]:
         """Evaluate the circuit on one primary input pattern.
 
-        Bit ``i`` of ``x`` feeds the ``i``-th declared primary input.
-        Returns ``(primary, full)``: the primary output bits in declaration
-        order, and every declared output (primary and garbage) in
-        declaration order.
+        Bit ``i`` of ``x`` feeds the ``i``-th declared primary input.  Returns
+        ``(primary, full)``: the primary output bits, then every declared
+        output (primary and garbage), each in declaration order.
         """
-        return self._checked_values(x)[1:]
+        lanes, p = self._lanes_at(x)
+        vectors = []
+        for wires in self._plan[3:]:
+            value = 0
+            for i, wire in enumerate(wires):
+                value |= (lanes[wire] >> p & 1) << i
+            vectors.append(BitVector(len(wires), value))
+        return tuple(vectors)
 
-    def simulate_trace(
-        self, x: BitVector
-    ) -> tuple[BitVector, BitVector, tuple[TraceStep, ...]]:
+    def simulate_trace(self, x: BitVector) -> tuple[BitVector, BitVector, tuple[TraceStep, ...]]:
         """Like :meth:`simulate` but also report every gate evaluation."""
-        values, primary, full = self._checked_values(x)
-        _, _, steps, _, _ = self._plan
-        trace = []
-        for g, _, ins, outs in steps:
-            inst = self.gates[g]
-            trace.append(TraceStep(
-                g, inst.gate.name, tuple(zip(inst.input_wires, [values[w] for w in ins])),
-                tuple(zip(inst.output_wires, [values[w] for w in outs]))))
-        return primary, full, tuple(trace)
+        lanes, p = self._lanes_at(x)
+        trace = tuple(
+            TraceStep(g, self.gates[g].gate.name,
+                      tuple(zip(self.gates[g].input_wires, [lanes[w] >> p & 1 for w in ins])),
+                      tuple(zip(self.gates[g].output_wires, [lanes[w] >> p & 1 for w in outs])))
+            for g, _, ins, outs in self._plan[2])
+        return (*self.simulate(x), trace)
+
+    def columns(self) -> dict[str, int]:
+        """Map each wire to its lane over all ``2**n`` primary patterns (n <= 20)."""
+        self.validate()
+        return dict(zip(self._drivers, self._columns))
 
     # ------------------------------------------------------------------
     # analysis
@@ -452,20 +481,17 @@ class Netlist:
         in netlists that :meth:`validate` would reject, for example outputs
         that alias one wire while another wire is dropped.
         """
-        width = len(self.primary_input_wires())
-        if width > _MAX_INJECTIVITY_INPUTS:
-            raise MalformedNetlist(
-                f"refusing to enumerate 2**{width} input patterns "
-                f"(limit is 2**{_MAX_INJECTIVITY_INPUTS})"
-            )
-        *_, outputs = self._plan
-        seen: dict[tuple[int, ...], int] = {}
-        for pattern in range(1 << width):
-            values = self._values(pattern)
-            output = tuple([values[w] for w in outputs])
-            if output in seen:
-                return BitVector(width, seen[output]), BitVector(width, pattern)
-            seen[output] = pattern
+        lanes = self._columns
+        _, primaries, _, _, outputs = self._plan
+        size = 1 << len(primaries)
+        # Character p of each reversed binary string is that output's bit p,
+        # so zipping them yields every pattern's output tuple in order.
+        bits = [format(lanes[w], f"0{size}b")[::-1] for w in outputs]
+        seen: dict[tuple[str, ...], int] = {}
+        for pattern, output in enumerate(zip(*bits) if bits else [()] * size):
+            first = seen.setdefault(output, pattern)
+            if first != pattern:
+                return BitVector(len(primaries), first), BitVector(len(primaries), pattern)
         return None
 
     # ------------------------------------------------------------------
@@ -480,25 +506,14 @@ class Netlist:
             gate_defs.setdefault(inst.gate.name, inst.gate)
         doc = {
             "name": self.name,
-            "inputs": [
-                {"wire": d.wire, "role": d.role, "const": d.const}
-                if d.role == ROLE_ANCILLA
-                else {"wire": d.wire, "role": d.role}
-                for d in self.inputs
-            ],
+            "inputs": [{"wire": d.wire, "role": d.role, "const": d.const}
+                       if d.role == ROLE_ANCILLA else {"wire": d.wire, "role": d.role}
+                       for d in self.inputs],
             "outputs": [{"wire": d.wire, "role": d.role} for d in self.outputs],
-            "gates": [
-                {
-                    "gate_name": inst.gate.name,
-                    "in": list(inst.input_wires),
-                    "out": list(inst.output_wires),
-                }
-                for inst in self.gates
-            ],
-            "gate_defs": [
-                {"name": g.name, "width": g.width, "table": list(g.table)}
-                for g in sorted(gate_defs.values(), key=lambda g: g.name)
-            ],
+            "gates": [{"gate_name": inst.gate.name, "in": list(inst.input_wires),
+                       "out": list(inst.output_wires)} for inst in self.gates],
+            "gate_defs": [{"name": g.name, "width": g.width, "table": list(g.table)}
+                          for g in sorted(gate_defs.values(), key=lambda g: g.name)],
         }
         return json.dumps(doc, indent=2)
 
@@ -539,15 +554,10 @@ class Netlist:
                 gate_name = e["gate_name"]
                 if gate_name not in defs:
                     raise ParseError(
-                        f"gate {gate_name!r} is placed but not defined in gate_defs"
-                    )
+                        f"gate {gate_name!r} is placed but not defined in gate_defs")
                 if not (isinstance(e["in"], list) and isinstance(e["out"], list)):
-                    raise ParseError(
-                        f"gate {gate_name!r} needs 'in' and 'out' wire arrays"
-                    )
-                gates.append(
-                    GateInstance(defs[gate_name], tuple(e["in"]), tuple(e["out"]))
-                )
+                    raise ParseError(f"gate {gate_name!r} needs 'in' and 'out' wire arrays")
+                gates.append(GateInstance(defs[gate_name], tuple(e["in"]), tuple(e["out"])))
             net = cls(doc["name"], tuple(inputs), tuple(outputs), tuple(gates))
         except (ParseError, MalformedNetlist, NotBijective):
             raise
@@ -572,11 +582,8 @@ class Netlist:
 
         lines = [f"digraph {_dot_quote(self.name)} {{", "  rankdir=LR;"]
         for decl in self.inputs:
-            label = (
-                f"{decl.wire} = {decl.const} [{decl.role}]"
-                if decl.role == ROLE_ANCILLA
-                else f"{decl.wire} [{decl.role}]"
-            )
+            label = (f"{decl.wire} = {decl.const} [{decl.role}]" if decl.role == ROLE_ANCILLA
+                     else f"{decl.wire} [{decl.role}]")
             node = _dot_quote(f"in:{decl.wire}")
             lines.append(f"  {node} [shape=ellipse, label={_dot_quote(label)}];")
         for g, inst in enumerate(self.gates):
@@ -644,12 +651,8 @@ class NetlistBuilder:
         self._inputs.append(InputDecl(wire, ROLE_ANCILLA, const))
         return wire
 
-    def gate(
-        self,
-        gate: GatePermutation,
-        inputs: Sequence[str],
-        outputs: Sequence[str],
-    ) -> tuple[str, ...]:
+    def gate(self, gate: GatePermutation, inputs: Sequence[str],
+             outputs: Sequence[str]) -> tuple[str, ...]:
         """Place a gate, consuming ``inputs`` and driving fresh ``outputs``."""
         for wire in inputs:
             if wire not in self._wires:
@@ -657,8 +660,7 @@ class NetlistBuilder:
             if wire in self._consumed:
                 raise MalformedNetlist(
                     f"wire {wire!r} was already consumed; reversible wires "
-                    f"cannot fan out"
-                )
+                    f"cannot fan out")
         inst = GateInstance(gate, tuple(inputs), tuple(outputs))
         for wire in inst.output_wires:
             self._new_wire(wire)
@@ -682,8 +684,6 @@ class NetlistBuilder:
         for wire in self._wires:
             if wire not in self._consumed and wire not in self._primary_outputs:
                 outputs.append(OutputDecl(wire, ROLE_GARBAGE))
-        net = Netlist(
-            self.name, tuple(self._inputs), tuple(outputs), tuple(self._gates)
-        )
+        net = Netlist(self.name, tuple(self._inputs), tuple(outputs), tuple(self._gates))
         net.validate()
         return net

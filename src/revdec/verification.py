@@ -16,7 +16,6 @@ answers four questions:
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from functools import partial
 from typing import TYPE_CHECKING
 
 from ._record import record
@@ -152,8 +151,9 @@ def verify_architecture(
     """Sweep all 200 valid inputs and report every oracle disagreement.
 
     Reversible architectures are built once (optionally from a replacement
-    gate catalog) and simulated per input; their reports carry the measured
-    cost metrics and the design targets.
+    gate catalog) and evaluated over all their inputs in one lane pass; each
+    result is read from the build's primary-output columns.  Their reports
+    carry the measured cost metrics and the design targets.
     """
     arch = ARCHITECTURES.get(architecture)
     if arch is None:
@@ -162,10 +162,19 @@ def verify_architecture(
     if arch.build is None:
         build, add = None, arch.add
     else:
-        from .reversible import simulate_digit_add
+        from .gates import BitVector
+        from .reversible import decode_primary
 
         build = arch.build(catalog)
-        add = partial(simulate_digit_add, build)
+        columns = build.netlist.columns()
+        primary = [columns[w] for w in build.netlist.primary_output_wires()]
+        # Decode each possible primary output vector once.
+        decoded = [decode_primary(build, BitVector(len(primary), code))
+                   for code in range(1 << len(primary))]
+
+        def add(op: BcdOperands) -> BcdResult:
+            p = op.code()
+            return decoded[sum((lane >> p & 1) << i for i, lane in enumerate(primary))]
     mismatches = []
     total = 0
     for op in valid_operands():

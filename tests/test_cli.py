@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from revdec import cli
 from revdec.cli import main
 from revdec.gates import builtin_catalog, format_gate
 from revdec.netlist import Netlist
@@ -239,9 +240,35 @@ class TestGateDefsOverride:
 
     def test_missing_defs_file(self, capsys, monkeypatch):
         monkeypatch.setenv("REVDEC_GATE_DEFS", "/nonexistent/defs.txt")
-        code, _, err = run(capsys, "verify", "--arch", "conventional")
+        code, out, err = run(capsys, "verify", "--arch", "rev_conventional")
         assert code == 2
         assert "error:" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["errata"],
+            ["verify", "--arch", "conventional"],
+            ["simulate", "--arch", "conventional", "--a", "1", "--b", "2"],
+            ["simulate", "--arch", "cla_corrected", "--digits", "12,34"],
+        ],
+        ids=["errata", "verify", "simulate", "simulate_digits"],
+    )
+    def test_gate_free_commands_ignore_the_defs_file(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("REVDEC_GATE_DEFS", "/nonexistent/defs.txt")
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert err == ""
+
+    def test_defs_file_is_read_once_per_command(self, capsys, monkeypatch):
+        calls = []
+        original = cli.catalog_from_env
+        monkeypatch.setattr(cli, "catalog_from_env", lambda *a: calls.append(a) or original(*a))
+        assert run(capsys, "verify")[0] == 0
+        assert len(calls) == 1
+        assert run(capsys, "verify", "--arch", "carry_skip")[0] == 0
+        assert len(calls) == 1
 
 
 class TestErrata:

@@ -44,7 +44,7 @@ PROBED = {
     "xor_substitution_audit": ["errata"],
     "table1_report": ["metrics", "--table1"],
     "decimal_add": ["simulate", "--arch", "conventional", "--digits", "12,34"],
-    "catalog_from_env": ["verify", "--arch", "conventional"],
+    "catalog_from_env": ["verify", "--arch", "rev_conventional"],
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 from functools import cached_property
 
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revdec.gates import BitVector, ParseError, builtin_catalog
+from revdec.gates import BitVector, GatePermutation, ParseError, builtin_catalog
 from revdec.netlist import (
+    _MAX_INJECTIVITY_INPUTS,
     ROLE_ANCILLA,
     ROLE_GARBAGE,
     ROLE_PRIMARY_INPUT,
@@ -24,6 +26,8 @@ from revdec.netlist import (
     NetlistBuilder,
     OutputDecl,
     TraceStep,
+    _lane_functions,
+    _lane_source,
 )
 
 BUILTINS = builtin_catalog()
@@ -46,15 +50,17 @@ def full_adder_net() -> Netlist:
     return b.build()
 
 
-def random_net(rng: random.Random, name: str, n_outputs: int = 1) -> Netlist:
+def random_net(rng: random.Random, name: str, n_outputs: int = 1,
+               n_inputs: tuple[int, int] = (2, 6), n_gates: tuple[int, int] = (1, 8)) -> Netlist:
     """A builder-made netlist of 1-8 random gates over 2-6 primary inputs.
 
     Each gate line takes a still-unconsumed wire (70%) or a fresh ancilla;
     the last ``n_outputs`` free wires become primary outputs, the rest garbage.
+    ``n_inputs`` and ``n_gates`` widen either range.
     """
     b = NetlistBuilder(name)
-    available = [b.primary_input(f"i{k}") for k in range(rng.randint(2, 6))]
-    for g in range(rng.randint(1, 8)):
+    available = [b.primary_input(f"i{k}") for k in range(rng.randint(*n_inputs))]
+    for g in range(rng.randint(*n_gates)):
         gate = rng.choice(GATE_POOL)
         ins = []
         for line in range(gate.width):
@@ -87,10 +93,10 @@ def reference_order(net: Netlist) -> list[int]:
     return order
 
 
-def reference_simulate(net: Netlist, pattern: int):
-    """Scalar reference: wire values in a dict keyed by wire name.
+def reference_values(net: Netlist, pattern: int):
+    """Scalar reference: every wire's value in a dict keyed by wire name.
 
-    Returns the primary output bits, every output's bit and the trace steps.
+    Returns that dict and the trace steps.
     """
     values, bit = {}, 0
     for decl in net.inputs:
@@ -111,9 +117,28 @@ def reference_simulate(net: Netlist, pattern: int):
             tuple((w, values[w]) for w in inst.input_wires),
             tuple((w, values[w]) for w in inst.output_wires),
         ))
+    return values, tuple(steps)
+
+
+def reference_simulate(net: Netlist, pattern: int):
+    """The primary output bits, every output's bit and the trace steps."""
+    values, steps = reference_values(net, pattern)
     primary = tuple(values[w] for w in net.primary_output_wires())
     full = tuple(values[d.wire] for d in net.outputs)
-    return primary, full, tuple(steps)
+    return primary, full, steps
+
+
+def assert_columns_match_the_reference(net: Netlist) -> None:
+    """Bit ``p`` of every wire's column is the reference value under pattern ``p``."""
+    columns = dict(zip(net._drivers, net._columns))
+    for pattern in range(1 << len(net.primary_input_wires())):
+        values, _ = reference_values(net, pattern)
+        assert {w: (lane >> pattern) & 1 for w, lane in columns.items()} == values
+
+
+def wide_net(n_inputs: int = _MAX_INJECTIVITY_INPUTS + 2) -> Netlist:
+    """A random netlist with more primary inputs than a domain sweep allows."""
+    return random_net(random.Random(n_inputs), "wide", 3, (n_inputs, n_inputs), (12, 12))
 
 
 def reference_collision(net: Netlist):
@@ -347,6 +372,23 @@ class TestCheckInjective:
         with pytest.raises(MalformedNetlist, match="2\\*\\*"):
             net.check_injective()
 
+    def test_wide_netlist_is_refused_but_still_simulates(self):
+        net = wide_net()
+        width = len(net.primary_input_wires())
+        assert width > _MAX_INJECTIVITY_INPUTS
+        with pytest.raises(MalformedNetlist, match="2\\*\\*"):
+            net.check_injective()
+        with pytest.raises(MalformedNetlist, match="2\\*\\*"):
+            net.columns()
+        rng = random.Random(7)
+        for pattern in [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(40)]:
+            primary, full, steps = reference_simulate(net, pattern)
+            want = (BitVector.from_bits(primary), BitVector.from_bits(full))
+            x = BitVector(width, pattern)
+            assert net.simulate(x) == want
+            assert net.simulate_trace(x) == (*want, steps)
+        assert "_columns" not in vars(net)
+
     def test_randomly_composed_netlists_are_injective(self):
         rng = random.Random(1207)
         for trial in range(20):
@@ -388,6 +430,8 @@ class TestReferenceEvaluator:
             assert net.simulate_trace(x) == (*want, steps)
         assert reference_collision(net) is None
         assert net.check_injective() is None
+        assert_columns_match_the_reference(net)
+        assert net.columns() == dict(zip(net._drivers, net._columns))
 
     @settings(max_examples=150, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -400,12 +444,40 @@ class TestReferenceEvaluator:
         outputs[k] = OutputDecl(rng.choice(outputs).wire, outputs[k].role)
         lossy = Netlist("lossy", net.inputs, tuple(outputs), net.gates)
         assert lossy.check_injective() == reference_collision(lossy)
+        assert_columns_match_the_reference(lossy)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda width: st.permutations(range(1 << width)).map(lambda t: (width, tuple(t)))))
+    def test_lane_functions_equal_the_gate_tables(self, width_table):
+        width, table = width_table
+        gate = GatePermutation("RANDOM", width, table)
+        (lane_function,) = _lane_functions([gate])
+        size = 1 << width
+        ins = [sum(1 << p for p in range(size) if (p >> i) & 1) for i in range(width)]
+        outs = lane_function((1 << size) - 1, *ins)
+        for p in range(size):
+            assert sum(((lane >> p) & 1) << j for j, lane in enumerate(outs)) == table[p]
+        # The generated source names only the engine's own identifiers.
+        names = set(re.findall(r"[A-Za-z_]\w*", _lane_source("f0", width, table)))
+        assert names <= {"def", "return", "f0", "ones"} | {f"x{i}" for i in range(width)}
+
+
+def undriven_net() -> Netlist:
+    """A netlist whose analysis fails: wire "b" is consumed but never driven."""
+    return Netlist(
+        "undriven",
+        (InputDecl("a", ROLE_PRIMARY_INPUT), InputDecl("z", ROLE_ANCILLA, 0)),
+        (OutputDecl("p", ROLE_PRIMARY_OUTPUT), OutputDecl("q", ROLE_GARBAGE),
+         OutputDecl("r", ROLE_GARBAGE)),
+        (GateInstance(TS3, ("a", "b", "z"), ("p", "q", "r")),),
+    )
 
 
 class TestAnalysisCache:
     def test_analysis_runs_once_per_netlist(self, monkeypatch):
         calls = {}
-        for name in ("_drivers", "_topo_order"):
+        for name in ("_drivers", "_topo_order", "_plan", "_columns"):
             analysis = vars(Netlist)[name].func
 
             def counted(net, analysis=analysis, name=name):
@@ -418,21 +490,16 @@ class TestAnalysisCache:
         net = full_adder_net()
         for pattern in range(200):
             net.simulate(BitVector(3, pattern % 8))
+            net.simulate_trace(BitVector(3, pattern % 8))
         net.check_injective()
+        net.columns()
         net.metrics()
-        assert calls == {"_drivers": 1, "_topo_order": 1}
+        assert calls == {"_drivers": 1, "_topo_order": 1, "_plan": 1, "_columns": 1}
 
     @pytest.mark.parametrize(
         "net",
         [
-            # the analysis fails: wire "b" is consumed but never driven
-            Netlist(
-                "undriven",
-                (InputDecl("a", ROLE_PRIMARY_INPUT), InputDecl("z", ROLE_ANCILLA, 0)),
-                (OutputDecl("p", ROLE_PRIMARY_OUTPUT), OutputDecl("q", ROLE_GARBAGE),
-                 OutputDecl("r", ROLE_GARBAGE)),
-                (GateInstance(TS3, ("a", "b", "z"), ("p", "q", "r")),),
-            ),
+            undriven_net(),
             # the analysis passes but a consumption rule fails: "z" dangles
             Netlist(
                 "dangling",
@@ -447,9 +514,21 @@ class TestAnalysisCache:
         for _ in range(2):
             with pytest.raises(MalformedNetlist):
                 net.validate()
+        for call in (net.simulate, net.simulate_trace):
+            for _ in range(2):
+                with pytest.raises(MalformedNetlist):
+                    call(BitVector(1, 0))
         for _ in range(2):
             with pytest.raises(MalformedNetlist):
-                net.simulate(BitVector(1, 0))
+                net.columns()
+        assert "_valid" not in vars(net)
+
+    def test_unevaluable_netlist_caches_no_columns(self):
+        net = undriven_net()
+        for _ in range(2):
+            with pytest.raises(MalformedNetlist, match="never driven"):
+                net.check_injective()
+        assert not {"_topo_order", "_plan", "_columns"} & set(vars(net))
 
 
 class TestMetrics:

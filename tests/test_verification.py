@@ -8,10 +8,14 @@ import pytest
 from conftest import equation_bit
 
 from revdec.classical import CLA_VERBATIM, BcdOperands, cla_add, oracle, valid_operands
+from revdec.gates import GatePermutation, builtin_catalog
+from revdec.reversible import simulate_digit_add
 from revdec.verification import (
     ARCHITECTURES,
     BASELINE_COSTS,
     EQUATION_NAMES,
+    Mismatch,
+    VerificationReport,
     cla_agreement,
     cla_errata,
     table1_report,
@@ -62,6 +66,25 @@ class TestVerifyArchitecture:
         assert doc["metrics"] == {"gates": 17, "garbage": 21, "ancilla": 17, "depth": 13}
         assert doc["targets"] == {"gates": 15, "garbage": 27}
         json.dumps(doc)  # must be serializable as-is
+
+    @pytest.mark.parametrize("arch", ["rev_conventional", "rev_carry_skip"])
+    @pytest.mark.parametrize("override", [None, "identity_new_gate"])
+    def test_one_lane_pass_equals_per_input_simulation(self, arch, override):
+        # The sweep reads every result from the primary-output columns; it
+        # must report exactly what 200 separate digit simulations report.
+        catalog = None
+        if override:
+            catalog = {**builtin_catalog(), "NEW_GATE": GatePermutation("NEW_GATE", 3, range(8))}
+        build = ARCHITECTURES[arch].build(catalog)
+        mismatches = []
+        for op in valid_operands():
+            actual = simulate_digit_add(build, op)
+            if actual != oracle(op):
+                mismatches.append(Mismatch(op, oracle(op), actual))
+        report = verify_architecture(arch, catalog)
+        assert report == VerificationReport(
+            arch, 200, tuple(mismatches), build.metrics, build.target)
+        assert report.passed == (override is None)
 
     def test_architecture_list_is_complete(self):
         assert set(ARCHITECTURES) == {
