@@ -63,6 +63,12 @@ class ReversibleAdderBuild:
     def metrics(self) -> CostMetrics:
         return self.netlist.metrics()
 
+    @cached_property
+    def _digit_table(self) -> list[BcdResult | None]:
+        """Each digit result :func:`simulate_digit_add` has computed, at
+        ``a*20 + b*2 + cin`` as in :mod:`revdec.classical`'s digit tables."""
+        return [None] * 200
+
 
 def _required(catalog: Mapping[str, GatePermutation], name: str) -> GatePermutation:
     gate = catalog.get(name)
@@ -300,6 +306,15 @@ def decode_primary(build: ReversibleAdderBuild, primary: BitVector) -> BcdResult
 
 
 def simulate_digit_add(build: ReversibleAdderBuild, op: BcdOperands) -> BcdResult:
-    """Run one digit addition through a built netlist."""
-    primary, _ = build.netlist.simulate(input_pattern(op))
-    return decode_primary(build, primary)
+    """Run one digit addition through a built netlist.
+
+    The first call per operand simulates the netlist; the build keeps the
+    result, so later calls with the same operand return it directly.
+    """
+    table = build._digit_table
+    slot = op.a * 20 + op.b * 2 + op.cin
+    result = table[slot]
+    if result is None:
+        primary, _ = build.netlist.simulate(input_pattern(op))
+        table[slot] = result = decode_primary(build, primary)
+    return result

@@ -144,6 +144,18 @@ class VerificationReport:
         }
 
 
+# Every valid input with its oracle result, computed by the first
+# verify_architecture call and shared by all later ones in the process.
+_ORACLE_SWEEP: tuple[tuple[BcdOperands, BcdResult], ...] | None = None
+
+
+def _oracle_sweep() -> tuple[tuple[BcdOperands, BcdResult], ...]:
+    global _ORACLE_SWEEP
+    if _ORACLE_SWEEP is None:
+        _ORACLE_SWEEP = tuple((op, oracle(op)) for op in valid_operands())
+    return _ORACLE_SWEEP
+
+
 def verify_architecture(
     architecture: str,
     catalog: Mapping[str, GatePermutation] | None = None,
@@ -153,7 +165,8 @@ def verify_architecture(
     Reversible architectures are built once (optionally from a replacement
     gate catalog) and evaluated over all their inputs in one lane pass; each
     result is read from the build's primary-output columns.  Their reports
-    carry the measured cost metrics and the design targets.
+    carry the measured cost metrics and the design targets.  The oracle's
+    results are computed once per process and shared by every call.
     """
     arch = ARCHITECTURES.get(architecture)
     if arch is None:
@@ -175,17 +188,15 @@ def verify_architecture(
         def add(op: BcdOperands) -> BcdResult:
             p = op.code()
             return decoded[sum((lane >> p & 1) << i for i, lane in enumerate(primary))]
+    sweep = _oracle_sweep()
     mismatches = []
-    total = 0
-    for op in valid_operands():
-        total += 1
-        expected = oracle(op)
+    for op, expected in sweep:
         actual = add(op)
         if actual != expected:
             mismatches.append(Mismatch(op, expected, actual))
     return VerificationReport(
         architecture=architecture,
-        total=total,
+        total=len(sweep),
         mismatches=tuple(mismatches),
         metrics=build.metrics if build else None,
         targets=build.target if build else None,

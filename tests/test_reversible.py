@@ -14,7 +14,13 @@ from revdec.classical import (
     oracle,
     valid_operands,
 )
-from revdec.gates import BitVector, GatePermutation, UnknownGate, builtin_catalog
+from revdec.gates import (
+    BitVector,
+    GatePermutation,
+    UnknownGate,
+    WidthMismatch,
+    builtin_catalog,
+)
 from revdec.netlist import ROLE_ANCILLA, CostMetrics, Netlist, NetlistBuilder
 from revdec.reversible import (
     FIDELITY_RECONSTRUCTED,
@@ -35,6 +41,17 @@ CARRY_SKIP = build_carry_skip_reversible()
 
 def ancilla_wires(net) -> set[str]:
     return {d.wire for d in net.inputs if d.role == ROLE_ANCILLA}
+
+
+def identity_tsg_catalog() -> dict[str, GatePermutation]:
+    """The built-in gates with ``TSG`` replaced by the identity table."""
+    return {**builtin_catalog(), "TSG": GatePermutation("TSG", 4, list(range(16)))}
+
+
+def simulated(build: ReversibleAdderBuild, op: BcdOperands) -> BcdResult:
+    """One digit read straight from the netlist, bypassing the build's table."""
+    primary, _ = build.netlist.simulate(input_pattern(op))
+    return decode_primary(build, primary)
 
 
 class TestConventionalBuild:
@@ -270,9 +287,7 @@ class TestEncodingAndCatalog:
     def test_replacement_tables_drive_behavior(self):
         # Swapping in a wrong (but reversible) adder gate must change the
         # computed results; the wiring itself has no arithmetic hidden in it.
-        catalog = builtin_catalog()
-        catalog["TSG"] = GatePermutation("TSG", 4, list(range(16)))
-        broken = build_conventional_reversible(catalog)
+        broken = build_conventional_reversible(identity_tsg_catalog())
         disagreements = sum(
             simulate_digit_add(broken, op) != oracle(op) for op in ALL_OPS
         )
@@ -282,3 +297,59 @@ class TestEncodingAndCatalog:
         again = build_conventional_reversible()
         assert again.netlist == CONVENTIONAL.netlist
         assert build_carry_skip_reversible().netlist == CARRY_SKIP.netlist
+
+
+class TestDigitTable:
+    @pytest.mark.parametrize(
+        "make", [build_conventional_reversible, build_carry_skip_reversible]
+    )
+    def test_first_call_per_operand_simulates_once(self, monkeypatch, make):
+        calls = []
+        real_simulate = Netlist.simulate
+
+        def counted(net, x):
+            calls.append(x.value)
+            return real_simulate(net, x)
+
+        monkeypatch.setattr(Netlist, "simulate", counted)
+        build = make()
+        for op in ALL_OPS:
+            first = simulate_digit_add(build, op)
+            assert calls == [op.code()]
+            assert simulate_digit_add(build, op) == first == oracle(op)
+            assert calls == [op.code()]
+            calls.clear()
+
+    @pytest.mark.parametrize("identity_first", [False, True])
+    def test_tables_do_not_leak_between_builds(self, identity_first):
+        builds = [build_conventional_reversible(),
+                  build_conventional_reversible(identity_tsg_catalog())]
+        if identity_first:
+            builds.reverse()
+        expected = [[simulated(build, op) for op in ALL_OPS] for build in builds]
+        got = [[simulate_digit_add(build, op) for op in ALL_OPS] for build in builds]
+        assert got == expected
+        assert got[0] != got[1]
+
+    def test_filled_table_keeps_equality_and_hash(self):
+        build = build_carry_skip_reversible()
+        before = hash(build)
+        for op in ALL_OPS:
+            simulate_digit_add(build, op)
+        fresh = build_carry_skip_reversible()
+        assert build == fresh
+        assert hash(build) == hash(fresh) == before
+
+    def test_width_mismatch_raises_on_every_call_and_caches_nothing(self):
+        b = NetlistBuilder("narrow")
+        wires = [b.primary_input(f"i{k}") for k in range(4)]
+        b.primary_output(and4_subcircuit(b, wires, builtin_catalog()))
+        build = ReversibleAdderBuild(b.build(), (0, 0))
+        op = BcdOperands(9, 6, 1)
+        with pytest.raises(WidthMismatch) as direct:
+            build.netlist.simulate(input_pattern(op))
+        for _ in range(3):
+            with pytest.raises(WidthMismatch) as info:
+                simulate_digit_add(build, op)
+            assert str(info.value) == str(direct.value)
+        assert not any(vars(build).get("_digit_table", ()))

@@ -7,6 +7,7 @@ import json
 import pytest
 from conftest import equation_bit
 
+from revdec import verification
 from revdec.classical import CLA_VERBATIM, BcdOperands, cla_add, oracle, valid_operands
 from revdec.gates import GatePermutation, builtin_catalog
 from revdec.reversible import simulate_digit_add
@@ -85,6 +86,33 @@ class TestVerifyArchitecture:
         assert report == VerificationReport(
             arch, 200, tuple(mismatches), build.metrics, build.target)
         assert report.passed == (override is None)
+
+    def test_oracle_sweep_is_computed_once_per_process(self, monkeypatch):
+        # Each report is rebuilt the way a per-call sweep would make it: the
+        # oracle and the row's own adder (digit simulation for netlist rows).
+        expected = {}
+        for name, arch in ARCHITECTURES.items():
+            build = arch.build() if arch.build else None
+            mismatches = []
+            for op in valid_operands():
+                actual = arch.add(op) if build is None else simulate_digit_add(build, op)
+                if actual != oracle(op):
+                    mismatches.append(Mismatch(op, oracle(op), actual))
+            expected[name] = VerificationReport(
+                name, 200, tuple(mismatches),
+                build.metrics if build else None, build.target if build else None)
+        calls = []
+        real_oracle = verification.oracle
+
+        def counting_oracle(op):
+            calls.append(op)
+            return real_oracle(op)
+
+        monkeypatch.setattr(verification, "_ORACLE_SWEEP", None)
+        monkeypatch.setattr(verification, "oracle", counting_oracle)
+        reports = {name: verify_architecture(name) for name in ARCHITECTURES}
+        assert len(calls) == 200
+        assert reports == expected
 
     def test_architecture_list_is_complete(self):
         assert set(ARCHITECTURES) == {
