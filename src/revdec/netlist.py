@@ -617,73 +617,76 @@ class NetlistBuilder:
     gate outputs, and each may be consumed at most once.  Calling
     :meth:`build` declares every marked result wire as a primary output,
     classifies every other unconsumed wire as garbage (in creation order)
-    and validates the finished netlist.
+    and validates the finished netlist.  Bookkeeping is a constant-time
+    lookup per wire, and each name is checked by the record that declares
+    it; a rejected call registers nothing.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._inputs: list[InputDecl] = []
         self._gates: list[GateInstance] = []
-        self._wires: list[str] = []
+        self._wires: dict[str, None] = {}  # in creation order
         self._consumed: set[str] = set()
-        self._primary_outputs: list[str] = []
+        self._primary_outputs: dict[str, None] = {}
         self._ancilla_serial = 0
 
-    def _new_wire(self, wire: str) -> str:
-        _check_wire_name(wire)
-        if wire in self._wires:
-            raise MalformedNetlist(f"wire {wire!r} already exists")
-        self._wires.append(wire)
-        return wire
+    def _fresh(self, wires: Sequence[str]) -> None:
+        for wire in wires:
+            if wire in self._wires:
+                raise MalformedNetlist(f"wire {wire!r} already exists")
+
+    def _declare(self, decl: InputDecl) -> str:
+        self._fresh((decl.wire,))
+        self._wires[decl.wire] = None
+        self._inputs.append(decl)
+        return decl.wire
 
     def primary_input(self, wire: str) -> str:
         """Declare a primary input line and return its wire name."""
-        self._new_wire(wire)
-        self._inputs.append(InputDecl(wire, ROLE_PRIMARY_INPUT))
-        return wire
+        return self._declare(InputDecl(wire, ROLE_PRIMARY_INPUT))
 
     def ancilla(self, const: int, wire: str | None = None) -> str:
         """Declare a constant input line (0 or 1) and return its wire name."""
-        if wire is None:
-            wire = f"{'one' if const else 'zero'}{self._ancilla_serial}"
-            self._ancilla_serial += 1
-        self._new_wire(wire)
-        self._inputs.append(InputDecl(wire, ROLE_ANCILLA, const))
-        return wire
+        if wire is not None:
+            return self._declare(InputDecl(wire, ROLE_ANCILLA, const))
+        decl = InputDecl(f"{'one' if const else 'zero'}{self._ancilla_serial}",
+                         ROLE_ANCILLA, const)
+        self._ancilla_serial += 1
+        return self._declare(decl)
 
     def gate(self, gate: GatePermutation, inputs: Sequence[str],
              outputs: Sequence[str]) -> tuple[str, ...]:
         """Place a gate, consuming ``inputs`` and driving fresh ``outputs``."""
-        for wire in inputs:
+        inst = GateInstance(gate, tuple(inputs), tuple(outputs))
+        for wire in inst.input_wires:
             if wire not in self._wires:
                 raise MalformedNetlist(f"wire {wire!r} does not exist yet")
             if wire in self._consumed:
                 raise MalformedNetlist(
                     f"wire {wire!r} was already consumed; reversible wires "
                     f"cannot fan out")
-        inst = GateInstance(gate, tuple(inputs), tuple(outputs))
-        for wire in inst.output_wires:
-            self._new_wire(wire)
+        self._fresh(inst.output_wires)
+        self._wires.update(dict.fromkeys(inst.output_wires))
         self._consumed.update(inst.input_wires)
         self._gates.append(inst)
         return inst.output_wires
 
     def primary_output(self, wire: str) -> None:
         """Mark a wire as carrying a circuit result."""
-        if wire not in self._wires:
+        if _check_wire_name(wire) not in self._wires:
             raise MalformedNetlist(f"wire {wire!r} does not exist")
         if wire in self._consumed:
             raise MalformedNetlist(f"wire {wire!r} was already consumed")
         if wire in self._primary_outputs:
             raise MalformedNetlist(f"wire {wire!r} is already a primary output")
-        self._primary_outputs.append(wire)
+        self._primary_outputs[wire] = None
 
     def build(self) -> Netlist:
         """Finish and validate: leftovers become garbage in creation order."""
         outputs = [OutputDecl(w, ROLE_PRIMARY_OUTPUT) for w in self._primary_outputs]
-        for wire in self._wires:
-            if wire not in self._consumed and wire not in self._primary_outputs:
-                outputs.append(OutputDecl(wire, ROLE_GARBAGE))
+        outputs += [OutputDecl(w, ROLE_GARBAGE) for w in self._wires
+                    if w not in self._consumed and w not in self._primary_outputs]
         net = Netlist(self.name, tuple(self._inputs), tuple(outputs), tuple(self._gates))
         net.validate()
         return net

@@ -144,15 +144,25 @@ class VerificationReport:
         }
 
 
-# Every valid input with its oracle result, computed by the first
+# Every valid input with its oracle result, the oracle's five output columns
+# and the mask of the valid input codes, computed by the first
 # verify_architecture call and shared by all later ones in the process.
-_ORACLE_SWEEP: tuple[tuple[BcdOperands, BcdResult], ...] | None = None
+_ORACLE_SWEEP: tuple[tuple[tuple[BcdOperands, BcdResult], ...], list[int], int] | None = None
 
 
-def _oracle_sweep() -> tuple[tuple[BcdOperands, BcdResult], ...]:
+def _output_columns(results: Iterable[tuple[BcdOperands, BcdResult]]) -> list[int]:
+    """Bit ``op.code()`` of column ``i`` is bit ``i`` of ``result.code()``."""
+    by_code = [0] * 32
+    for op, result in results:
+        by_code[result.code()] |= 1 << op.code()
+    return [sum(ops for code, ops in enumerate(by_code) if code >> i & 1) for i in range(5)]
+
+
+def _oracle_sweep():
     global _ORACLE_SWEEP
     if _ORACLE_SWEEP is None:
-        _ORACLE_SWEEP = tuple((op, oracle(op)) for op in valid_operands())
+        pairs = tuple((op, oracle(op)) for op in valid_operands())
+        _ORACLE_SWEEP = pairs, _output_columns(pairs), sum(1 << op.code() for op, _ in pairs)
     return _ORACLE_SWEEP
 
 
@@ -162,45 +172,35 @@ def verify_architecture(
 ) -> VerificationReport:
     """Sweep all 200 valid inputs and report every oracle disagreement.
 
-    Reversible architectures are built once (optionally from a replacement
-    gate catalog) and evaluated over all their inputs in one lane pass; each
-    result is read from the build's primary-output columns.  Their reports
-    carry the measured cost metrics and the design targets.  The oracle's
-    results are computed once per process and shared by every call.
+    Every row yields its five output columns: a classical row from its
+    ``add``, a reversible row (built from an optional replacement gate
+    catalog) from its primary-output lanes.  One XOR per column against the
+    oracle's columns decides the sweep, and only failing inputs are decoded.
+    Reversible reports carry the measured costs and the design targets.
     """
     arch = ARCHITECTURES.get(architecture)
     if arch is None:
         choices = tuple(ARCHITECTURES)
         raise ValueError(f"unknown architecture {architecture!r}; choose from {choices}")
-    if arch.build is None:
-        build, add = None, arch.add
+    sweep, expected, valid = _oracle_sweep()
+    build = arch.build(catalog) if arch.build else None
+    if build is None:
+        columns = _output_columns((op, arch.add(op)) for op, _ in sweep)
     else:
-        from .gates import BitVector
-        from .reversible import decode_primary
-
-        build = arch.build(catalog)
-        columns = build.netlist.columns()
-        primary = [columns[w] for w in build.netlist.primary_output_wires()]
-        # Decode each possible primary output vector once.
-        decoded = [decode_primary(build, BitVector(len(primary), code))
-                   for code in range(1 << len(primary))]
-
-        def add(op: BcdOperands) -> BcdResult:
-            p = op.code()
-            return decoded[sum((lane >> p & 1) << i for i, lane in enumerate(primary))]
-    sweep = _oracle_sweep()
+        lanes = build.netlist.columns()
+        columns = [lanes[w] for w in build.netlist.primary_output_wires()]
+    diff = 0
+    for column, want in zip(columns, expected):
+        diff |= column ^ want
     mismatches = []
-    for op, expected in sweep:
-        actual = add(op)
-        if actual != expected:
-            mismatches.append(Mismatch(op, expected, actual))
-    return VerificationReport(
-        architecture=architecture,
-        total=len(sweep),
-        mismatches=tuple(mismatches),
-        metrics=build.metrics if build else None,
-        targets=build.target if build else None,
-    )
+    if diff & valid:  # decode only the failing inputs, in canonical order
+        for op, want in sweep:
+            p = op.code()
+            if diff >> p & 1:
+                code = sum((column >> p & 1) << i for i, column in enumerate(columns))
+                mismatches.append(Mismatch(op, want, BcdResult(code & 15, code >> 4)))
+    return VerificationReport(architecture, len(sweep), tuple(mismatches),
+                              build.metrics if build else None, build.target if build else None)
 
 
 # ----------------------------------------------------------------------

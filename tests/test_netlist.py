@@ -198,6 +198,63 @@ class TestBuilder:
             b.primary_input("")
 
 
+def started_builder() -> NetlistBuilder:
+    """Inputs x, y, w and ancilla zero0; one gate consumed x, y and zero0."""
+    b = NetlistBuilder("boundary")
+    x, y = b.primary_input("x"), b.primary_input("y")
+    b.primary_input("w")
+    b.gate(TS3, (x, y, b.ancilla(0)), ("p", "q", "r"))
+    return b
+
+
+def finished(b: NetlistBuilder) -> Netlist:
+    """Add one auto-named ancilla and one gate, mark ``s`` and build."""
+    b.gate(TS3, ("p", "q", b.ancilla(1)), ("s", "t", "u"))
+    b.primary_output("s")
+    return b.build()
+
+
+# Taken names: "w" and "p" exist unconsumed, "x" and "zero0" were consumed.
+BAD_WIRES = ["w", "x", "zero0", "has space", "", "tab\t", 7, None, ["v"]]
+
+REJECTED_CALLS = {
+    **{f"primary_input-{w!r}": lambda b, w=w: b.primary_input(w) for w in BAD_WIRES},
+    # ancilla(0, None) names the wire itself.
+    **{f"ancilla-{w!r}": lambda b, w=w: b.ancilla(0, w) for w in BAD_WIRES if w is not None},
+    **{f"gate_output-{w!r}": lambda b, w=w: b.gate(TS3, ("p", "q", "r"), ("s", "t", w))
+       for w in [*BAD_WIRES, "p"]},
+    **{f"gate_input-{w!r}": lambda b, w=w: b.gate(TS3, (w, "q", "r"), ("s", "t", "u"))
+       for w in ["x", "zero0", "missing", "has space", 7, ["v"]]},
+    **{f"primary_output-{w!r}": lambda b, w=w: b.primary_output(w)
+       for w in ["x", "missing", "has space", 7, ["v"]]},
+    "ancilla-const-2": lambda b: b.ancilla(2),
+}
+
+
+class TestBuilderBoundaries:
+    """Every rejected builder call raises and leaves the builder as it was.
+
+    Byte-identical ``to_json()`` of both built-in adder builds, which pins
+    the builder's wire and garbage order, is covered by the export cases in
+    ``tests/cli_fixtures.json``.
+    """
+
+    @pytest.mark.parametrize("call", REJECTED_CALLS.values(), ids=REJECTED_CALLS.keys())
+    def test_rejected_call_raises_and_registers_nothing(self, call):
+        b = started_builder()
+        with pytest.raises(MalformedNetlist):
+            call(b)
+        net = finished(b)
+        reference = finished(started_builder())
+        assert net == reference
+        assert net.to_json() == reference.to_json()
+
+    def test_reference_netlist(self):
+        net = finished(started_builder())
+        assert [d.wire for d in net.inputs] == ["x", "y", "w", "zero0", "one1"]
+        assert net.garbage_wires() == ("w", "r", "t", "u")
+
+
 class TestSimulate:
     def test_full_adder_truth_table(self):
         net = full_adder_net()

@@ -6,9 +6,19 @@ import json
 
 import pytest
 from conftest import equation_bit
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from revdec import verification
-from revdec.classical import CLA_VERBATIM, BcdOperands, cla_add, oracle, valid_operands
+from revdec.classical import (
+    CLA_VERBATIM,
+    Architecture,
+    BcdOperands,
+    BcdResult,
+    cla_add,
+    oracle,
+    valid_operands,
+)
 from revdec.gates import GatePermutation, builtin_catalog
 from revdec.reversible import simulate_digit_add
 from revdec.verification import (
@@ -23,6 +33,17 @@ from revdec.verification import (
     verify_architecture,
     xor_substitution_audit,
 )
+
+
+def per_input_report(arch: str, catalog=None) -> VerificationReport:
+    """The report of ``arch`` rebuilt from 200 separate digit simulations."""
+    build = ARCHITECTURES[arch].build(catalog)
+    mismatches = []
+    for op in valid_operands():
+        actual = simulate_digit_add(build, op)
+        if actual != oracle(op):
+            mismatches.append(Mismatch(op, oracle(op), actual))
+    return VerificationReport(arch, 200, tuple(mismatches), build.metrics, build.target)
 
 
 class TestVerifyArchitecture:
@@ -76,16 +97,38 @@ class TestVerifyArchitecture:
         catalog = None
         if override:
             catalog = {**builtin_catalog(), "NEW_GATE": GatePermutation("NEW_GATE", 3, range(8))}
-        build = ARCHITECTURES[arch].build(catalog)
-        mismatches = []
-        for op in valid_operands():
-            actual = simulate_digit_add(build, op)
-            if actual != oracle(op):
-                mismatches.append(Mismatch(op, oracle(op), actual))
         report = verify_architecture(arch, catalog)
-        assert report == VerificationReport(
-            arch, 200, tuple(mismatches), build.metrics, build.target)
+        assert report == per_input_report(arch, catalog)
         assert report.passed == (override is None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(arch=st.sampled_from(["rev_conventional", "rev_carry_skip"]),
+           gate=st.sampled_from(["NEW_GATE", "TS3"]),
+           table=st.permutations(range(8)))
+    # This catalog makes rev_carry_skip fail 144 inputs, 87 with a sum above 9.
+    @example(arch="rev_carry_skip", gate="TS3", table=[3, 6, 1, 5, 7, 0, 4, 2])
+    def test_column_comparison_equals_per_input_simulation(self, arch, gate, table):
+        # Any replacement three-line gate: the five-column XOR must find the
+        # same mismatches, in the same order and with the same decoded
+        # results, as 200 separate digit simulations.
+        catalog = {**builtin_catalog(), gate: GatePermutation(gate, 3, table)}
+        assert verify_architecture(arch, catalog) == per_input_report(arch, catalog)
+
+    def test_classical_mismatches_come_back_in_sweep_order(self, monkeypatch):
+        # A binary adder without the decimal correction: totals 10..15 come
+        # back as sums 10..15 with no carry, totals 16..19 as sums 0..3.
+        def binary_add(op):
+            total = op.a + op.b + op.cin
+            return BcdResult(total & 15, total >> 4)
+
+        monkeypatch.setitem(ARCHITECTURES, "conventional",
+                            Architecture("conventional", add=binary_add))
+        report = verify_architecture("conventional")
+        expected = [Mismatch(op, oracle(op), binary_add(op))
+                    for op in valid_operands() if op.a + op.b + op.cin >= 10]
+        assert list(report.mismatches) == expected
+        assert {m.actual.sum for m in report.mismatches} == {*range(10, 16), *range(4)}
+        assert report.metrics is None and report.targets is None
 
     def test_oracle_sweep_is_computed_once_per_process(self, monkeypatch):
         # Each report is rebuilt the way a per-call sweep would make it: the
