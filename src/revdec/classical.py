@@ -18,17 +18,22 @@ in how they obtain the binary stage result and the decimal-carry decision:
   whenever every bit position propagates, shortening the critical path.
 
 :func:`oracle` is the ground truth all of them are judged against; it uses
-plain integer arithmetic and nothing from the circuit models.
+plain integer arithmetic and nothing from the circuit models.  This module
+owns the :data:`ARCHITECTURES` registry of every design, classical and
+reversible, and :func:`oracle_sweep`, the process's one oracle truth table.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ._record import record
 from .sop import derive_sop, eval_sop
+
+if TYPE_CHECKING:
+    from .gates import GatePermutation
 
 __all__ = [
     "InvalidBcd",
@@ -41,10 +46,12 @@ __all__ = [
     "Architecture",
     "CLA_VERBATIM",
     "CLA_CORRECTED",
-    "CLASSICAL_ROWS",
+    "ARCHITECTURES",
     "DECIMAL_ARCHITECTURES",
     "valid_operands",
     "oracle",
+    "oracle_sweep",
+    "output_columns",
     "conventional_add",
     "detection_terms",
     "naive_detection_terms",
@@ -115,6 +122,13 @@ class BcdResult:
     def code(self) -> int:
         """The five-bit output code: ``sum`` on bits 0-3, ``cout`` on bit 4."""
         return self.sum | (self.cout << 4)
+
+    @classmethod
+    def from_code(cls, code: int) -> BcdResult:
+        """The result whose :meth:`code` is ``code``, which must be 0..31."""
+        if type(code) is not int or not 0 <= code < 32:
+            raise ValueError(f"output code {code!r} does not fit in five bits")
+        return cls(code & 15, code >> 4)
 
 
 @record
@@ -192,6 +206,24 @@ def oracle(op: BcdOperands) -> BcdResult:
     """Reference decimal addition: plain integer arithmetic, no circuitry."""
     total = op.a + op.b + op.cin
     return BcdResult(sum=total % 10, cout=total // 10)
+
+
+def output_columns(results: Iterable[tuple[BcdOperands, BcdResult]]) -> list[int]:
+    """The five output columns of a sweep: bit ``op.code()`` of column ``i``
+    is bit ``i`` of ``result.code()``."""
+    by_code = [0] * 32
+    for op, result in results:
+        by_code[result.code()] |= 1 << op.code()
+    return [sum(ops for code, ops in enumerate(by_code) if code >> i & 1) for i in range(5)]
+
+
+@lru_cache(maxsize=1)
+def oracle_sweep() -> tuple[tuple[tuple[BcdOperands, BcdResult], ...], tuple[int, ...], int]:
+    """Every valid input with its oracle result in canonical order, the
+    oracle's five :func:`output_columns` and the mask of the valid input
+    codes; computed once per process."""
+    pairs = tuple((op, oracle(op)) for op in valid_operands())
+    return pairs, tuple(output_columns(pairs)), sum(1 << op.code() for op, _ in pairs)
 
 
 # ----------------------------------------------------------------------
@@ -319,14 +351,13 @@ def _cla_verbatim_bits(op: BcdOperands) -> tuple[tuple[int, int, int, int], int]
 def _corrected_covers() -> tuple[tuple[tuple[int, int], ...], ...]:
     """Derive exact sum-of-products covers for the five output columns.
 
-    The on-sets come from the decimal truth table over the 200 valid
-    inputs; the 312 unreachable operand encodings are don't-cares, which is
-    the same freedom the faulty direct equations were designed under.
+    The on-sets are the oracle's output columns over the 200 valid inputs;
+    the 312 unreachable operand encodings are don't-cares, which is the
+    same freedom the faulty direct equations were designed under.
     """
-    rows = [(op.code(), oracle(op).code()) for op in valid_operands()]
-    care = {x for x, _ in rows}
-    dc = [x for x in range(1 << 9) if x not in care]
-    return tuple(derive_sop(9, [x for x, y in rows if (y >> i) & 1], dc) for i in range(5))
+    _, columns, valid = oracle_sweep()
+    dc = [x for x in range(1 << 9) if not valid >> x & 1]
+    return tuple(derive_sop(9, [x for x in range(1 << 9) if c >> x & 1], dc) for c in columns)
 
 
 def cla_add(op: BcdOperands, variant: str = CLA_CORRECTED) -> BcdResult:
@@ -343,7 +374,7 @@ def cla_add(op: BcdOperands, variant: str = CLA_CORRECTED) -> BcdResult:
     if variant == CLA_CORRECTED:
         x = op.code()
         y = sum(eval_sop(cover, x) << i for i, cover in enumerate(_corrected_covers()))
-        return BcdResult(sum=y & 15, cout=y >> 4)
+        return BcdResult.from_code(y)
     raise ValueError(
         f"unknown variant {variant!r}; use {CLA_VERBATIM!r} or {CLA_CORRECTED!r}"
     )
@@ -400,59 +431,74 @@ class Architecture:
     build: Callable[..., Any] | None = None
     exact: bool = True
 
-    @property
-    def chainable(self) -> bool:
-        """Whether :func:`decimal_add` may ripple this design across digits."""
-        return self.exact and self.add is not None
-
 
 def _render_signals(signals: object) -> str:
     """``name=value`` for every field of a signal record, in field order."""
     return " ".join(f"{n}={getattr(signals, n)}" for n in signals.__match_args__)
 
 
-CLASSICAL_ROWS = (
-    Architecture(
-        "conventional",
-        add=lambda op: conventional_add(op)[0],
-        trace=lambda op: _render_signals(conventional_add(op)[1]),
-    ),
-    Architecture(
-        "cla_verbatim",
-        add=lambda op: cla_add(op, CLA_VERBATIM),
-        trace=lambda op: _render_signals(cla_signals(op)),
-        exact=False,
-    ),
-    Architecture(
-        "cla_corrected",
-        add=lambda op: cla_add(op, CLA_CORRECTED),
-        trace=lambda op: _render_signals(cla_signals(op)),
-    ),
-    Architecture(
-        "carry_skip",
-        add=lambda op: carry_skip_add(op)[0],
-        trace=lambda op: _render_signals(carry_skip_add(op)[1]),
-    ),
-)
+def _reversible_row(name: str, builder: str) -> Architecture:
+    """A netlist row whose first build imports :mod:`revdec.reversible`.
+
+    Commands that never build a netlist then never load the netlist layer.
+    """
+
+    def build(catalog: Mapping[str, GatePermutation] | None = None):
+        from . import reversible
+
+        return getattr(reversible, builder)(catalog)
+
+    return Architecture(name, build=build)
+
+
+# Every architecture by name, in the order sweeps and reports list them.
+ARCHITECTURES: dict[str, Architecture] = {
+    arch.name: arch
+    for arch in (
+        Architecture(
+            "conventional",
+            add=lambda op: conventional_add(op)[0],
+            trace=lambda op: _render_signals(conventional_add(op)[1]),
+        ),
+        Architecture(
+            "cla_verbatim",
+            add=lambda op: cla_add(op, CLA_VERBATIM),
+            trace=lambda op: _render_signals(cla_signals(op)),
+            exact=False,
+        ),
+        Architecture(
+            "cla_corrected",
+            add=lambda op: cla_add(op, CLA_CORRECTED),
+            trace=lambda op: _render_signals(cla_signals(op)),
+        ),
+        Architecture(
+            "carry_skip",
+            add=lambda op: carry_skip_add(op)[0],
+            trace=lambda op: _render_signals(carry_skip_add(op)[1]),
+        ),
+        _reversible_row("rev_conventional", "build_conventional_reversible"),
+        _reversible_row("rev_carry_skip", "build_carry_skip_reversible"),
+    )
+}
 
 
 # ----------------------------------------------------------------------
 # multi-digit addition
 # ----------------------------------------------------------------------
 
-_CHAINABLE = {arch.name: arch for arch in CLASSICAL_ROWS if arch.chainable}
-DECIMAL_ARCHITECTURES = tuple(_CHAINABLE)
+# The exact rows with an ``add``: the ones decimal_add may ripple across digits.
+DECIMAL_ARCHITECTURES = tuple(n for n, arch in ARCHITECTURES.items() if arch.exact and arch.add)
 
 # Each architecture's (sum digit, carry) for every valid digit input, at
 # index a*20 + b*2 + cin, computed the first time that input is added.
 _DIGIT_TABLES: dict[str, list[tuple[int, int] | None]] = {
-    name: [None] * 200 for name in _CHAINABLE
+    name: [None] * 200 for name in DECIMAL_ARCHITECTURES
 }
 
 
 def _fill_digit(arch: str, a: int, b: int, cin: int) -> tuple[int, int]:
     """Compute one entry of ``_DIGIT_TABLES[arch]`` and store it."""
-    result = _CHAINABLE[arch].add(BcdOperands(a, b, cin))
+    result = ARCHITECTURES[arch].add(BcdOperands(a, b, cin))
     _DIGIT_TABLES[arch][a * 20 + b * 2 + cin] = stage = (result.sum, result.cout)
     return stage
 

@@ -17,15 +17,16 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from .classical import (
+    ARCHITECTURES,
     DECIMAL_ARCHITECTURES,
     BcdOperands,
+    BcdResult,
     InvalidBcd,
     LengthMismatch,
     decimal_add,
 )
 from .gates import UnknownGate, catalog_from_env
 from .verification import (
-    ARCHITECTURES,
     cla_agreement,
     cla_errata,
     table1_report,
@@ -53,19 +54,16 @@ def _parse_digit_pair(text: str) -> tuple[list[int], list[int]]:
 
 def _simulate_reversible(
     build: ReversibleAdderBuild, op: BcdOperands, trace: bool
-) -> tuple[int, int]:
-    from .reversible import decode_primary, input_pattern
+) -> BcdResult:
+    from .reversible import input_pattern, simulate_digit_add
 
     if trace:
-        primary, _, steps = build.netlist.simulate_trace(input_pattern(op))
+        _, _, steps = build.netlist.simulate_trace(input_pattern(op))
         for step in steps:
             ins = " ".join(f"{w}={v}" for w, v in step.inputs)
             outs = " ".join(f"{w}={v}" for w, v in step.outputs)
             print(f"g{step.index} {step.gate_name}: {ins} -> {outs}")
-    else:
-        primary, _ = build.netlist.simulate(input_pattern(op))
-    result = decode_primary(build, primary)
-    return result.sum, result.cout
+    return simulate_digit_add(build, op)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -92,13 +90,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     op = BcdOperands(args.a, args.b, args.cin)
     arch = ARCHITECTURES[args.arch]
     if arch.build is not None:
-        total, cout = _simulate_reversible(arch.build(catalog_from_env()), op, args.trace)
+        result = _simulate_reversible(arch.build(catalog_from_env()), op, args.trace)
     else:
         if args.trace:
             print(arch.trace(op))
         result = arch.add(op)
-        total, cout = result.sum, result.cout
-    print(f"sum={total} cout={cout}")
+    print(f"sum={result.sum} cout={result.cout}")
     return 0
 
 

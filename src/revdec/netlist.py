@@ -59,8 +59,10 @@ _OUTPUT_ROLES = (ROLE_PRIMARY_OUTPUT, ROLE_GARBAGE)
 # at once and can be swept for injectivity; a wider one runs one pattern a pass.
 _MAX_INJECTIVITY_INPUTS = 20
 
-# Each distinct gate table's lane function, keyed by (width, table).
+# Each distinct gate table's lane function, keyed by (width, table); emptied
+# before it would grow past _MAX_LANE_FUNCTIONS entries.
 _LANE_FUNCTIONS: dict[tuple[int, tuple[int, ...]], Callable[..., tuple]] = {}
+_MAX_LANE_FUNCTIONS = 256
 
 
 class MalformedNetlist(ValueError):
@@ -85,7 +87,11 @@ def _lane_source(name: str, width: int, table: Sequence[int]) -> str:
 def _lane_functions(gates: Sequence[GatePermutation]) -> list[Callable[..., tuple]]:
     """Each gate's lane function; tables not seen before compile in one ``exec``."""
     keys = [(g.width, g.table) for g in gates]
-    new = [key for key in dict.fromkeys(keys) if key not in _LANE_FUNCTIONS]
+    distinct = list(dict.fromkeys(keys))
+    new = [key for key in distinct if key not in _LANE_FUNCTIONS]
+    if len(_LANE_FUNCTIONS) + len(new) > _MAX_LANE_FUNCTIONS:
+        _LANE_FUNCTIONS.clear()
+        new = distinct
     if new:
         namespace: dict = {}
         exec("".join(_lane_source(f"f{k}", *key) for k, key in enumerate(new)), namespace)

@@ -154,7 +154,7 @@ def build_conventional_reversible(
     copy gate is spent on it; the last pass-through delivers the trigger as
     the decimal carry-out.
     """
-    gates = catalog or builtin_catalog()
+    gates = builtin_catalog() if catalog is None else catalog
     tsg = _required(gates, "TSG")
     new_gate = _required(gates, "NEW_GATE")
 
@@ -220,7 +220,7 @@ def build_carry_skip_reversible(
     merges all three exclusive conditions into the trigger, which then
     drives the same correction layer as the conventional build.
     """
-    gates = catalog or builtin_catalog()
+    gates = builtin_catalog() if catalog is None else catalog
     tsg = _required(gates, "TSG")
     ts3 = _required(gates, "TS3")
     toffoli = _required(gates, "TOFFOLI")
@@ -302,7 +302,7 @@ def input_pattern(op: BcdOperands) -> BitVector:
 
 def decode_primary(build: ReversibleAdderBuild, primary: BitVector) -> BcdResult:
     """Read a build's primary output vector back as :meth:`BcdResult.code`."""
-    return BcdResult(primary.value & 15, primary.value >> 4)
+    return BcdResult.from_code(primary.value)
 
 
 def simulate_digit_add(build: ReversibleAdderBuild, op: BcdOperands) -> BcdResult:

@@ -11,26 +11,29 @@ answers four questions:
   does the same substitution break (:func:`xor_substitution_audit`),
 * how do the reversible builds' costs compare against the fixed reference
   design and the per-architecture design targets (:func:`table1_report`).
+
+:func:`verify_architecture` is the only place a design meets the oracle.
+The equation audits read its ``cla_verbatim`` report per column: bit ``i``
+of a mismatch's ``actual.code() ^ expected.code()`` is a failure of
+equation ``i``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from typing import TYPE_CHECKING
 
 from ._record import record
 from .classical import (
-    CLA_VERBATIM,
-    CLASSICAL_ROWS,
-    Architecture,
+    ARCHITECTURES,
     BcdOperands,
     BcdResult,
     carry_skip_add,
-    cla_add,
     conventional_add,
     detection_terms,
     naive_detection_terms,
-    oracle,
+    oracle_sweep,
+    output_columns,
     valid_operands,
 )
 
@@ -39,7 +42,6 @@ if TYPE_CHECKING:
     from .netlist import CostMetrics
 
 __all__ = [
-    "ARCHITECTURES",
     "BASELINE_COSTS",
     "EQUATION_NAMES",
     "Mismatch",
@@ -55,30 +57,6 @@ __all__ = [
     "table1_report",
 ]
 
-
-def _reversible_row(name: str, builder: str) -> Architecture:
-    """A netlist row whose first build imports :mod:`revdec.reversible`.
-
-    Commands that never build a netlist then never load the netlist layer.
-    """
-
-    def build(catalog: Mapping[str, GatePermutation] | None = None):
-        from . import reversible
-
-        return getattr(reversible, builder)(catalog)
-
-    return Architecture(name, build=build)
-
-
-# Every architecture by name, in the order sweeps and reports list them.
-ARCHITECTURES: dict[str, Architecture] = {
-    arch.name: arch
-    for arch in (
-        *CLASSICAL_ROWS,
-        _reversible_row("rev_conventional", "build_conventional_reversible"),
-        _reversible_row("rev_carry_skip", "build_carry_skip_reversible"),
-    )
-}
 
 # Gate and garbage counts of the fixed prior reversible design every cost
 # comparison is anchored to.  These are quoted constants, not measurements.
@@ -144,28 +122,6 @@ class VerificationReport:
         }
 
 
-# Every valid input with its oracle result, the oracle's five output columns
-# and the mask of the valid input codes, computed by the first
-# verify_architecture call and shared by all later ones in the process.
-_ORACLE_SWEEP: tuple[tuple[tuple[BcdOperands, BcdResult], ...], list[int], int] | None = None
-
-
-def _output_columns(results: Iterable[tuple[BcdOperands, BcdResult]]) -> list[int]:
-    """Bit ``op.code()`` of column ``i`` is bit ``i`` of ``result.code()``."""
-    by_code = [0] * 32
-    for op, result in results:
-        by_code[result.code()] |= 1 << op.code()
-    return [sum(ops for code, ops in enumerate(by_code) if code >> i & 1) for i in range(5)]
-
-
-def _oracle_sweep():
-    global _ORACLE_SWEEP
-    if _ORACLE_SWEEP is None:
-        pairs = tuple((op, oracle(op)) for op in valid_operands())
-        _ORACLE_SWEEP = pairs, _output_columns(pairs), sum(1 << op.code() for op, _ in pairs)
-    return _ORACLE_SWEEP
-
-
 def verify_architecture(
     architecture: str,
     catalog: Mapping[str, GatePermutation] | None = None,
@@ -182,10 +138,10 @@ def verify_architecture(
     if arch is None:
         choices = tuple(ARCHITECTURES)
         raise ValueError(f"unknown architecture {architecture!r}; choose from {choices}")
-    sweep, expected, valid = _oracle_sweep()
+    sweep, expected, valid = oracle_sweep()
     build = arch.build(catalog) if arch.build else None
     if build is None:
-        columns = _output_columns((op, arch.add(op)) for op, _ in sweep)
+        columns = output_columns((op, arch.add(op)) for op, _ in sweep)
     else:
         lanes = build.netlist.columns()
         columns = [lanes[w] for w in build.netlist.primary_output_wires()]
@@ -198,7 +154,7 @@ def verify_architecture(
             p = op.code()
             if diff >> p & 1:
                 code = sum((column >> p & 1) << i for i, column in enumerate(columns))
-                mismatches.append(Mismatch(op, want, BcdResult(code & 15, code >> 4)))
+                mismatches.append(Mismatch(op, want, BcdResult.from_code(code)))
     return VerificationReport(architecture, len(sweep), tuple(mismatches),
                               build.metrics if build else None, build.target if build else None)
 
@@ -218,22 +174,12 @@ class ErrataEntry:
     expected: int
 
 
-def _equation_sweep() -> Iterator[tuple[BcdOperands, int, int]]:
-    """Each valid input with the observed and the required output code.
-
-    Bit ``i`` of each :meth:`BcdResult.code` is the column of
-    ``EQUATION_NAMES[i]``.  The as-given equations and the oracle run once
-    per input; both audits below read every column from this one sweep.
-    """
-    for op in valid_operands():
-        yield op, cla_add(op, CLA_VERBATIM).code(), oracle(op).code()
-
-
 def cla_agreement() -> dict[str, tuple[int, int]]:
     """Per-equation ``(matching inputs, total inputs)`` over the valid sweep."""
-    diffs = [observed ^ expected for _, observed, expected in _equation_sweep()]
+    report = verify_architecture("cla_verbatim")
+    diffs = [m.actual.code() ^ m.expected.code() for m in report.mismatches]
     return {
-        name: (sum(not (diff >> i) & 1 for diff in diffs), len(diffs))
+        name: (report.total - sum(diff >> i & 1 for diff in diffs), report.total)
         for i, name in enumerate(EQUATION_NAMES)
     }
 
@@ -246,15 +192,15 @@ def cla_errata() -> tuple[ErrataEntry, ...]:
     with both bits.  Equations that agree everywhere produce no entry, so
     an empty result would mean the printed equations are fully correct.
     """
-    first: dict[int, ErrataEntry] = {}
-    for op, observed, expected in _equation_sweep():
-        diff = observed ^ expected
-        for i, name in enumerate(EQUATION_NAMES):
-            if i not in first and (diff >> i) & 1:
-                first[i] = ErrataEntry(
-                    name, op, (observed >> i) & 1, (expected >> i) & 1
-                )
-    return tuple(first[i] for i in sorted(first))
+    mismatches = verify_architecture("cla_verbatim").mismatches
+    entries = []
+    for i, name in enumerate(EQUATION_NAMES):
+        for m in mismatches:
+            observed, expected = m.actual.code() >> i & 1, m.expected.code() >> i & 1
+            if observed != expected:
+                entries.append(ErrataEntry(name, m.operands, observed, expected))
+                break
+    return tuple(entries)
 
 
 # ----------------------------------------------------------------------

@@ -119,6 +119,17 @@ class TestBcdResult:
         with pytest.raises(ValueError):
             BcdResult(0, 2)
 
+    def test_from_code_round_trips_every_five_bit_code(self):
+        for code in range(32):
+            result = BcdResult.from_code(code)
+            assert result == BcdResult(code & 15, code >> 4)
+            assert result.code() == code
+
+    @pytest.mark.parametrize("code", [32, 33, 63, 1 << 40, -1, True, 3.0])
+    def test_from_code_rejects_codes_outside_five_bits(self, code):
+        with pytest.raises(ValueError, match="five bits"):
+            BcdResult.from_code(code)
+
 
 class TestConventional:
     def test_matches_oracle_everywhere(self):

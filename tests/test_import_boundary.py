@@ -92,8 +92,10 @@ class TestModuleLoading:
 
     @pytest.mark.parametrize(
         "argv",
-        [["errata"], ["simulate", "--arch", "cla_corrected", "--digits", "999,1"]],
-        ids=["errata", "simulate-digits"],
+        [["errata"], ["simulate", "--arch", "cla_corrected", "--digits", "999,1"],
+         ["verify", "--arch", "conventional"],
+         ["simulate", "--arch", "carry_skip", "--a", "1", "--b", "2"]],
+        ids=["errata", "simulate-digits", "verify-classical", "simulate-classical"],
     )
     def test_classical_commands_skip_the_netlist_layer(self, argv):
         loaded = loaded_after(

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revdec import netlist as netlist_module
 from revdec.gates import BitVector, GatePermutation, ParseError, builtin_catalog
 from revdec.netlist import (
+    _LANE_FUNCTIONS,
     _MAX_INJECTIVITY_INPUTS,
     ROLE_ANCILLA,
     ROLE_GARBAGE,
@@ -518,6 +520,32 @@ class TestReferenceEvaluator:
         # The generated source names only the engine's own identifiers.
         names = set(re.findall(r"[A-Za-z_]\w*", _lane_source("f0", width, table)))
         assert names <= {"def", "return", "f0", "ones"} | {f"x{i}" for i in range(width)}
+
+    def test_lane_function_cache_stays_bounded(self, monkeypatch):
+        # Many netlists over fresh random tables plus the built-in TS3, which
+        # each netlist shares with the last: the cache is emptied before it
+        # would pass its bound, unless one netlist alone needs more, and a
+        # table cached before the emptying still compiles for the netlist.
+        bound = 6
+        monkeypatch.setattr(netlist_module, "_MAX_LANE_FUNCTIONS", bound)
+        _LANE_FUNCTIONS.clear()
+        rng = random.Random(1515)
+        for trial in range(60):
+            gates = [TS3, *(GatePermutation("TS3", 3, rng.sample(range(8), 8))
+                            for _ in range(rng.randint(0, 8)))]
+            b = NetlistBuilder(f"random{trial}")
+            wires = [b.primary_input(f"i{k}") for k in range(3)]
+            for g, gate in enumerate(gates):
+                wires = b.gate(gate, wires, [f"w{g}_{i}" for i in range(3)])
+            for wire in wires:
+                b.primary_output(wire)
+            net = b.build()
+            distinct = {gate.table for gate in gates}
+            assert_columns_match_the_reference(net)
+            assert len(_LANE_FUNCTIONS) <= max(bound, len(distinct))
+            for pattern in range(8):
+                primary = reference_simulate(net, pattern)[0]
+                assert net.simulate(BitVector(3, pattern))[0] == BitVector.from_bits(primary)
 
 
 def undriven_net() -> Netlist:

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import argparse
-from collections import Counter
 
 import pytest
 
-from revdec import verification
-from revdec.classical import CLA_CORRECTED, DECIMAL_ARCHITECTURES
+from revdec import classical, verification
+from revdec.classical import ARCHITECTURES, DECIMAL_ARCHITECTURES, Architecture
 from revdec.cli import build_parser
-from revdec.verification import ARCHITECTURES, cla_agreement, cla_errata
+from revdec.verification import cla_agreement, cla_errata
 
 ORDER = [
     "conventional",
@@ -45,9 +44,13 @@ class TestRegistry:
         assert arch_choices(command) == with_build
 
     def test_chainable_rows(self):
-        chainable = [name for name, arch in ARCHITECTURES.items() if arch.chainable]
+        chainable = [name for name, arch in ARCHITECTURES.items() if arch.exact and arch.add]
         assert chainable == ["conventional", "cla_corrected", "carry_skip"]
         assert list(DECIMAL_ARCHITECTURES) == chainable
+
+    def test_verification_does_not_reexport_the_registry(self):
+        assert verification.ARCHITECTURES is ARCHITECTURES
+        assert "ARCHITECTURES" not in verification.__all__
 
     def test_each_row_is_either_classical_or_a_netlist(self):
         for arch in ARCHITECTURES.values():
@@ -68,18 +71,21 @@ class TestRegistry:
 class TestSinglePassAudits:
     @pytest.mark.parametrize("audit", [cla_agreement, cla_errata])
     def test_one_sweep_of_equations_and_oracle(self, monkeypatch, audit):
-        calls = Counter()
-        real_cla_add, real_oracle = verification.cla_add, verification.oracle
+        # Each audit reads one cla_verbatim verify report: its row's adder
+        # runs once per valid input, and the cached oracle table not at all.
+        classical.oracle_sweep()
+        calls = []
+        row = ARCHITECTURES["cla_verbatim"]
 
-        def counting_cla_add(op, variant=CLA_CORRECTED):
-            calls[f"cla_add:{variant}"] += 1
-            return real_cla_add(op, variant)
+        def counting_add(op):
+            calls.append(op)
+            return row.add(op)
 
-        def counting_oracle(op):
-            calls["oracle"] += 1
-            return real_oracle(op)
+        def no_oracle(op):
+            raise AssertionError("the oracle table is computed once per process")
 
-        monkeypatch.setattr(verification, "cla_add", counting_cla_add)
-        monkeypatch.setattr(verification, "oracle", counting_oracle)
+        monkeypatch.setitem(ARCHITECTURES, "cla_verbatim",
+                            Architecture("cla_verbatim", add=counting_add, exact=False))
+        monkeypatch.setattr(classical, "oracle", no_oracle)
         audit()
-        assert calls == {"cla_add:verbatim": 200, "oracle": 200}
+        assert len(calls) == 200

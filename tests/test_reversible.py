@@ -20,6 +20,7 @@ from revdec.gates import (
     UnknownGate,
     WidthMismatch,
     builtin_catalog,
+    parse_gate_defs,
 )
 from revdec.netlist import ROLE_ANCILLA, CostMetrics, Netlist, NetlistBuilder
 from revdec.reversible import (
@@ -33,6 +34,7 @@ from revdec.reversible import (
     simulate_digit_add,
     skip_mux_subcircuit,
 )
+from revdec.verification import verify_architecture
 
 ALL_OPS = tuple(valid_operands())
 CONVENTIONAL = build_conventional_reversible()
@@ -283,6 +285,20 @@ class TestEncodingAndCatalog:
         del catalog["TSG"]
         with pytest.raises(UnknownGate, match="TSG"):
             build_conventional_reversible(catalog)
+
+    @pytest.mark.parametrize("build", [
+        build_conventional_reversible,
+        build_carry_skip_reversible,
+        lambda catalog: verify_architecture("rev_conventional", catalog),
+        lambda catalog: verify_architecture("rev_carry_skip", catalog),
+    ], ids=["conventional", "carry_skip", "verify-conventional", "verify-carry_skip"])
+    @pytest.mark.parametrize("catalog", [{}, parse_gate_defs("# empty")],
+                             ids=["dict", "parsed"])
+    def test_empty_catalog_is_not_replaced_by_the_builtins(self, build, catalog):
+        # Only None means "the built-in gates"; an empty catalog lacks TSG.
+        assert catalog == {}
+        with pytest.raises(UnknownGate, match="TSG"):
+            build(catalog)
 
     def test_replacement_tables_drive_behavior(self):
         # Swapping in a wrong (but reversible) adder gate must change the

@@ -9,8 +9,9 @@ from conftest import equation_bit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revdec import verification
+from revdec import classical
 from revdec.classical import (
+    ARCHITECTURES,
     CLA_VERBATIM,
     Architecture,
     BcdOperands,
@@ -22,9 +23,9 @@ from revdec.classical import (
 from revdec.gates import GatePermutation, builtin_catalog
 from revdec.reversible import simulate_digit_add
 from revdec.verification import (
-    ARCHITECTURES,
     BASELINE_COSTS,
     EQUATION_NAMES,
+    ErrataEntry,
     Mismatch,
     VerificationReport,
     cla_agreement,
@@ -144,17 +145,21 @@ class TestVerifyArchitecture:
             expected[name] = VerificationReport(
                 name, 200, tuple(mismatches),
                 build.metrics if build else None, build.target if build else None)
+        audits = cla_agreement(), cla_errata()
         calls = []
-        real_oracle = verification.oracle
 
         def counting_oracle(op):
             calls.append(op)
-            return real_oracle(op)
+            return oracle(op)
 
-        monkeypatch.setattr(verification, "_ORACLE_SWEEP", None)
-        monkeypatch.setattr(verification, "oracle", counting_oracle)
+        # From a cold start, the oracle table is built once and serves every
+        # row, both audits and the corrected covers behind cla_corrected.
+        classical.oracle_sweep.cache_clear()
+        classical._corrected_covers.cache_clear()
+        monkeypatch.setattr(classical, "oracle", counting_oracle)
         reports = {name: verify_architecture(name) for name in ARCHITECTURES}
-        assert len(calls) == 200
+        assert (cla_agreement(), cla_errata()) == audits
+        assert calls == list(valid_operands())
         assert reports == expected
 
     def test_architecture_list_is_complete(self):
@@ -206,6 +211,32 @@ class TestClaErrata:
             != equation_bit(oracle(op), "S2_VERBATIM")
         ]
         assert failures == [(2, 3, 1), (3, 2, 1), (3, 3, 0), (3, 3, 1)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(flips=st.dictionaries(st.sampled_from(list(valid_operands())),
+                                 st.integers(1, 31), max_size=12))
+    @example(flips={})
+    @example(flips={op: 31 for op in valid_operands()})
+    def test_audits_equal_a_per_input_reference(self, flips):
+        # A cla_verbatim row that flips chosen output bits of the oracle: both
+        # audits must report what a per-input, per-equation sweep reports.
+        def add(op):
+            return BcdResult.from_code(oracle(op).code() ^ flips.get(op, 0))
+
+        want_agreement, want_errata = {}, []
+        for name in EQUATION_NAMES:
+            wrong = [op for op in valid_operands()
+                     if equation_bit(add(op), name) != equation_bit(oracle(op), name)]
+            want_agreement[name] = (200 - len(wrong), 200)
+            if wrong:
+                op = wrong[0]
+                want_errata.append(ErrataEntry(name, op, equation_bit(add(op), name),
+                                               equation_bit(oracle(op), name)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(ARCHITECTURES, "cla_verbatim",
+                          Architecture("cla_verbatim", add=add, exact=False))
+            assert cla_agreement() == want_agreement
+            assert cla_errata() == tuple(want_errata)
 
     def test_equation_names(self):
         assert EQUATION_NAMES == (
