@@ -15,7 +15,11 @@ in how they obtain the binary stage result and the decimal-carry decision:
   and is exact.
 * ``carry_skip``: the conventional datapath plus a block-propagate skip
   path that forwards the incoming carry straight to the detection layer
-  whenever every bit position propagates, shortening the critical path.
+  whenever every bit position propagates.  On valid digits that path never
+  decides the decimal carry: every position propagates only when
+  ``a + b == 15``, where the carry-out is 1 for either carry-in, and the
+  carry-out depends on the carry-in only when ``a + b == 9``, where the
+  skip path is not taken.
 
 :func:`oracle` is the ground truth all of them are judged against; it uses
 plain integer arithmetic and nothing from the circuit models.  This module
@@ -82,10 +86,14 @@ class BcdOperands:
     cin: int
 
     def __post_init__(self) -> None:
-        for label, digit in (("a", self.a), ("b", self.b)):
+        a, b, cin = self.a, self.b, self.cin
+        if (type(a) is int and 0 <= a <= 9 and type(b) is int and 0 <= b <= 9
+                and type(cin) is int and 0 <= cin <= 1):
+            return
+        for label, digit in (("a", a), ("b", b)):
             if type(digit) is not int or not 0 <= digit <= 9:
                 raise InvalidBcd(f"operand {label}={digit!r} is not a BCD digit")
-        _check_carry(self.cin)
+        _check_carry(cin)
 
     def a_bits(self) -> tuple[int, int, int, int]:
         return tuple((self.a >> i) & 1 for i in range(4))  # type: ignore[return-value]
@@ -173,9 +181,11 @@ class SkipSignals:
     ``p_bits`` are the per-position propagate (XOR) signals, ``big_p``
     their conjunction (the block propagate), ``c4`` the ripple carry out of
     the binary stage, and ``cout`` the decimal carry actually produced.
-    When ``big_p`` is set the skip path forwards the incoming carry without
-    waiting for ``c4``; on valid digits the forwarded value always equals
-    ``c4``, it is just available sooner.
+    When ``big_p`` is set the skip path forwards the incoming carry in place
+    of ``c4``; on valid digits the forwarded value always equals ``c4``.
+    ``big_p`` holds only when ``a + b == 15``, where ``cout`` is 1 for either
+    carry-in, so the skip never speeds up a carry-out that ``cin`` decides
+    (those are the inputs with ``a + b == 9``).
     """
 
     p_bits: tuple[int, int, int, int]
@@ -437,16 +447,28 @@ def _render_signals(signals: object) -> str:
     return " ".join(f"{n}={getattr(signals, n)}" for n in signals.__match_args__)
 
 
+@lru_cache(maxsize=8)
+def _cached_build(builder: str, gates: frozenset[tuple[str, GatePermutation]]) -> Any:
+    """One build per (builder, catalog content); a failed build caches nothing."""
+    from . import reversible
+
+    return getattr(reversible, builder)(dict(gates))
+
+
 def _reversible_row(name: str, builder: str) -> Architecture:
     """A netlist row whose first build imports :mod:`revdec.reversible`.
 
     Commands that never build a netlist then never load the netlist layer.
+    Equal catalogs share one build (``None`` is the built-in catalog), and
+    with it the build's digit table and cost metrics.
     """
 
     def build(catalog: Mapping[str, GatePermutation] | None = None):
-        from . import reversible
+        if catalog is None:
+            from .gates import builtin_catalog
 
-        return getattr(reversible, builder)(catalog)
+            catalog = builtin_catalog()
+        return _cached_build(builder, frozenset(catalog.items()))
 
     return Architecture(name, build=build)
 

@@ -189,8 +189,9 @@ def _cmd_truthtable(args: argparse.Namespace) -> int:
 
 
 def _cmd_errata(args: argparse.Namespace) -> int:
-    agreement = cla_agreement()
-    entries = cla_errata()
+    report = verify_architecture("cla_verbatim")
+    agreement = cla_agreement(report)
+    entries = cla_errata(report)
     sites = xor_substitution_audit()
     first_by_equation = {e.equation: e for e in entries}
     print("equation agreement over the 200 valid inputs:")

@@ -174,9 +174,10 @@ class ErrataEntry:
     expected: int
 
 
-def cla_agreement() -> dict[str, tuple[int, int]]:
-    """Per-equation ``(matching inputs, total inputs)`` over the valid sweep."""
-    report = verify_architecture("cla_verbatim")
+def cla_agreement(report: VerificationReport | None = None) -> dict[str, tuple[int, int]]:
+    """Per-equation ``(matching inputs, total inputs)`` over the valid sweep,
+    read from ``report`` (by default a fresh ``cla_verbatim`` verify report)."""
+    report = report or verify_architecture("cla_verbatim")
     diffs = [m.actual.code() ^ m.expected.code() for m in report.mismatches]
     return {
         name: (report.total - sum(diff >> i & 1 for diff in diffs), report.total)
@@ -184,15 +185,16 @@ def cla_agreement() -> dict[str, tuple[int, int]]:
     }
 
 
-def cla_errata() -> tuple[ErrataEntry, ...]:
+def cla_errata(report: VerificationReport | None = None) -> tuple[ErrataEntry, ...]:
     """One entry per faulty as-given equation, in column order.
 
     Each entry records the first input (canonical sweep order) on which the
     equation's output bit disagrees with the decimal truth table, together
     with both bits.  Equations that agree everywhere produce no entry, so
     an empty result would mean the printed equations are fully correct.
+    ``report`` is read like in :func:`cla_agreement`.
     """
-    mismatches = verify_architecture("cla_verbatim").mismatches
+    mismatches = (report or verify_architecture("cla_verbatim")).mismatches
     entries = []
     for i, name in enumerate(EQUATION_NAMES):
         for m in mismatches:

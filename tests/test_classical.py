@@ -280,6 +280,18 @@ class TestCarrySkip:
                 assert signals.c4 == op.cin
         assert saw_skip
 
+    def test_block_propagate_holds_exactly_when_the_digits_sum_to_15(self):
+        for op in ALL_OPS:
+            assert carry_skip_add(op)[1].big_p == (op.a + op.b == 15)
+
+    def test_carry_out_depends_on_the_carry_in_only_when_the_digits_sum_to_9(self):
+        # So the skip path (taken only at a + b == 15) never forwards a
+        # carry-in that decides the carry-out.
+        for a in range(10):
+            for b in range(10):
+                couts = {carry_skip_add(BcdOperands(a, b, cin))[1].cout for cin in (0, 1)}
+                assert (len(couts) == 2) == (a + b == 9)
+
     def test_agrees_with_conventional(self):
         for op in ALL_OPS:
             assert carry_skip_add(op)[0] == conventional_add(op)[0]

@@ -419,6 +419,8 @@ class TestCheckInjective:
         x1, x2 = collision
         assert x1 != x2
         assert x1.bit(0) == x2.bit(0)  # they differ only in the dropped wire
+        # The answer is computed once: every later call returns the same pair.
+        assert all(net.check_injective() is collision for _ in range(3))
 
     def test_too_many_inputs_refused(self):
         wires = [f"w{i}" for i in range(21)]
@@ -559,10 +561,23 @@ def undriven_net() -> Netlist:
     )
 
 
+def cyclic_net() -> Netlist:
+    """A netlist whose analysis fails: its two gates feed each other."""
+    return Netlist(
+        "cyclic",
+        (InputDecl("a", ROLE_PRIMARY_INPUT), InputDecl("b", ROLE_PRIMARY_INPUT),
+         InputDecl("z", ROLE_ANCILLA, 0), InputDecl("z2", ROLE_ANCILLA, 0)),
+        (OutputDecl("y1", ROLE_PRIMARY_OUTPUT), OutputDecl("y2", ROLE_GARBAGE),
+         OutputDecl("x1", ROLE_GARBAGE), OutputDecl("x2", ROLE_GARBAGE)),
+        (GateInstance(TS3, ("a", "w2", "z"), ("x1", "w1", "y1")),
+         GateInstance(TS3, ("b", "w1", "z2"), ("x2", "w2", "y2"))),
+    )
+
+
 class TestAnalysisCache:
     def test_analysis_runs_once_per_netlist(self, monkeypatch):
         calls = {}
-        for name in ("_drivers", "_topo_order", "_plan", "_columns"):
+        for name in ("_drivers", "_topo_order", "_plan", "_columns", "_collision"):
             analysis = vars(Netlist)[name].func
 
             def counted(net, analysis=analysis, name=name):
@@ -577,9 +592,11 @@ class TestAnalysisCache:
             net.simulate(BitVector(3, pattern % 8))
             net.simulate_trace(BitVector(3, pattern % 8))
         net.check_injective()
+        net.check_injective()
         net.columns()
         net.metrics()
-        assert calls == {"_drivers": 1, "_topo_order": 1, "_plan": 1, "_columns": 1}
+        assert calls == {"_drivers": 1, "_topo_order": 1, "_plan": 1, "_columns": 1,
+                         "_collision": 1}
 
     @pytest.mark.parametrize(
         "net",
@@ -614,6 +631,16 @@ class TestAnalysisCache:
             with pytest.raises(MalformedNetlist, match="never driven"):
                 net.check_injective()
         assert not {"_topo_order", "_plan", "_columns"} & set(vars(net))
+
+    @pytest.mark.parametrize("make, match", [(undriven_net, "never driven"),
+                                             (cyclic_net, "cycle")],
+                             ids=["undriven", "cyclic"])
+    def test_unevaluable_netlist_raises_on_every_call(self, make, match):
+        net = make()
+        for _ in range(3):
+            with pytest.raises(MalformedNetlist, match=match):
+                net.check_injective()
+        assert "_collision" not in vars(net)
 
 
 class TestMetrics:

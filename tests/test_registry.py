@@ -6,7 +6,7 @@ import argparse
 
 import pytest
 
-from revdec import classical, verification
+from revdec import classical, cli, verification
 from revdec.classical import ARCHITECTURES, DECIMAL_ARCHITECTURES, Architecture
 from revdec.cli import build_parser
 from revdec.verification import cla_agreement, cla_errata
@@ -68,24 +68,41 @@ class TestRegistry:
         assert targets == {"rev_conventional": (11, 22), "rev_carry_skip": (15, 27)}
 
 
+def count_verbatim_adds(monkeypatch) -> list:
+    """Patch the ``cla_verbatim`` row to record every digit add it makes, and
+    the oracle to fail if its cached table is computed again."""
+    classical.oracle_sweep()
+    calls = []
+    row = ARCHITECTURES["cla_verbatim"]
+
+    def counting_add(op):
+        calls.append(op)
+        return row.add(op)
+
+    def no_oracle(op):
+        raise AssertionError("the oracle table is computed once per process")
+
+    monkeypatch.setitem(ARCHITECTURES, "cla_verbatim",
+                        Architecture("cla_verbatim", add=counting_add, exact=False))
+    monkeypatch.setattr(classical, "oracle", no_oracle)
+    return calls
+
+
 class TestSinglePassAudits:
     @pytest.mark.parametrize("audit", [cla_agreement, cla_errata])
     def test_one_sweep_of_equations_and_oracle(self, monkeypatch, audit):
         # Each audit reads one cla_verbatim verify report: its row's adder
         # runs once per valid input, and the cached oracle table not at all.
-        classical.oracle_sweep()
-        calls = []
-        row = ARCHITECTURES["cla_verbatim"]
-
-        def counting_add(op):
-            calls.append(op)
-            return row.add(op)
-
-        def no_oracle(op):
-            raise AssertionError("the oracle table is computed once per process")
-
-        monkeypatch.setitem(ARCHITECTURES, "cla_verbatim",
-                            Architecture("cla_verbatim", add=counting_add, exact=False))
-        monkeypatch.setattr(classical, "oracle", no_oracle)
+        calls = count_verbatim_adds(monkeypatch)
         audit()
         assert len(calls) == 200
+
+    def test_errata_command_reads_one_report(self, monkeypatch, capsys):
+        expected = (cla_agreement(), cla_errata())
+        calls = count_verbatim_adds(monkeypatch)
+        assert cli.main(["errata"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 200
+        report = verification.verify_architecture("cla_verbatim")
+        assert (cla_agreement(report), cla_errata(report)) == expected
+        assert len(calls) == 400

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from revdec import classical, reversible
 from revdec.classical import (
+    ARCHITECTURES,
     BcdOperands,
     BcdResult,
     carry_skip_add,
@@ -34,8 +37,10 @@ from revdec.reversible import (
     simulate_digit_add,
     skip_mux_subcircuit,
 )
-from revdec.verification import verify_architecture
+from revdec.verification import table1_report, verify_architecture
 
+# The five built-in gate tables restated in the catalog text format.
+GATE_DEFS = Path(__file__).resolve().parents[1] / "revbench" / "gate_defs.txt"
 ALL_OPS = tuple(valid_operands())
 CONVENTIONAL = build_conventional_reversible()
 CARRY_SKIP = build_carry_skip_reversible()
@@ -369,3 +374,61 @@ class TestDigitTable:
                 simulate_digit_add(build, op)
             assert str(info.value) == str(direct.value)
         assert not any(vars(build).get("_digit_table", ()))
+
+
+class TestBuildCache:
+    """A registry row builds once per catalog content; builders called
+    directly build afresh every time."""
+
+    BUILDERS = {"rev_conventional": "build_conventional_reversible",
+                "rev_carry_skip": "build_carry_skip_reversible"}
+
+    @pytest.mark.parametrize("arch", BUILDERS)
+    def test_equal_catalogs_share_one_build(self, arch):
+        build = ARCHITECTURES[arch].build
+        restated = parse_gate_defs(GATE_DEFS.read_text(encoding="utf-8"))
+        assert restated is not builtin_catalog()
+        assert build(restated) is build(builtin_catalog()) is build(None) is build()
+
+    @pytest.mark.parametrize("arch", BUILDERS)
+    def test_a_row_builds_once_per_catalog(self, monkeypatch, arch):
+        classical._cached_build.cache_clear()
+        real = getattr(reversible, self.BUILDERS[arch])
+        calls = []
+        monkeypatch.setattr(reversible, self.BUILDERS[arch],
+                            lambda catalog: calls.append(catalog) or real(catalog))
+        for _ in range(3):
+            assert verify_architecture(arch).passed
+        table1_report()
+        ARCHITECTURES[arch].build(builtin_catalog())
+        assert len(calls) == 1
+        assert real() is not real()
+
+    def test_catalogs_never_share_a_build_table_or_report(self):
+        row = ARCHITECTURES["rev_conventional"]
+        broken = identity_tsg_catalog()
+        for _ in range(2):
+            assert not verify_architecture("rev_conventional", broken).passed
+            assert verify_architecture("rev_conventional").passed
+        assert row.build(broken) is not row.build()
+        got = [[simulate_digit_add(row.build(catalog), op) for op in ALL_OPS]
+               for catalog in (broken, None)]
+        assert got[0] == [simulated(row.build(broken), op) for op in ALL_OPS]
+        assert got[1] == [oracle(op) for op in ALL_OPS] != got[0]
+
+    def test_cache_never_outgrows_its_bound(self):
+        bound = classical._cached_build.cache_info().maxsize
+        row = ARCHITECTURES["rev_carry_skip"]
+        for k in range(2 * bound + 1):
+            spare = GatePermutation(f"SPARE{k}", 1, [1, 0])
+            catalog = {**builtin_catalog(), spare.name: spare}
+            assert row.build(catalog) is row.build(dict(catalog))
+            assert verify_architecture("rev_carry_skip", catalog).passed
+            assert classical._cached_build.cache_info().currsize <= bound
+
+    def test_a_failed_build_is_not_cached(self):
+        before = classical._cached_build.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(UnknownGate, match="TSG"):
+                ARCHITECTURES["rev_conventional"].build({})
+        assert classical._cached_build.cache_info().currsize == before
