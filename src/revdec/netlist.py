@@ -485,14 +485,8 @@ class Netlist:
         input pair.  Unlike :meth:`simulate` this deliberately skips the
         consumption bookkeeping rules, so it can diagnose information loss
         in netlists that :meth:`validate` would reject, for example outputs
-        that alias one wire while another wire is dropped.  The answer is
-        computed once per netlist.
+        that alias one wire while another wire is dropped.
         """
-        return self._collision
-
-    @cached_property
-    def _collision(self) -> tuple[BitVector, BitVector] | None:
-        """The sweep of :meth:`check_injective`; cached only once it succeeds."""
         lanes = self._columns
         _, primaries, _, _, outputs = self._plan
         size = 1 << len(primaries)

@@ -419,8 +419,8 @@ class TestCheckInjective:
         x1, x2 = collision
         assert x1 != x2
         assert x1.bit(0) == x2.bit(0)  # they differ only in the dropped wire
-        # The answer is computed once: every later call returns the same pair.
-        assert all(net.check_injective() is collision for _ in range(3))
+        # The sweep reads the cached columns, so every later call agrees.
+        assert all(net.check_injective() == collision for _ in range(3))
 
     def test_too_many_inputs_refused(self):
         wires = [f"w{i}" for i in range(21)]
@@ -577,7 +577,7 @@ def cyclic_net() -> Netlist:
 class TestAnalysisCache:
     def test_analysis_runs_once_per_netlist(self, monkeypatch):
         calls = {}
-        for name in ("_drivers", "_topo_order", "_plan", "_columns", "_collision"):
+        for name in ("_drivers", "_topo_order", "_plan", "_columns"):
             analysis = vars(Netlist)[name].func
 
             def counted(net, analysis=analysis, name=name):
@@ -595,8 +595,7 @@ class TestAnalysisCache:
         net.check_injective()
         net.columns()
         net.metrics()
-        assert calls == {"_drivers": 1, "_topo_order": 1, "_plan": 1, "_columns": 1,
-                         "_collision": 1}
+        assert calls == {"_drivers": 1, "_topo_order": 1, "_plan": 1, "_columns": 1}
 
     @pytest.mark.parametrize(
         "net",
@@ -640,7 +639,7 @@ class TestAnalysisCache:
         for _ in range(3):
             with pytest.raises(MalformedNetlist, match=match):
                 net.check_injective()
-        assert "_collision" not in vars(net)
+        assert not {"_topo_order", "_plan", "_columns"} & set(vars(net))
 
 
 class TestMetrics:
