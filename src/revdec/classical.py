@@ -56,6 +56,7 @@ __all__ = [
     "oracle",
     "oracle_sweep",
     "output_columns",
+    "result_at",
     "conventional_add",
     "detection_terms",
     "naive_detection_terms",
@@ -225,6 +226,11 @@ def output_columns(results: Iterable[tuple[BcdOperands, BcdResult]]) -> list[int
     for op, result in results:
         by_code[result.code()] |= 1 << op.code()
     return [sum(ops for code, ops in enumerate(by_code) if code >> i & 1) for i in range(5)]
+
+
+def result_at(columns: Sequence[int], code: int) -> BcdResult:
+    """The inverse of :func:`output_columns`: the result at input ``code``."""
+    return BcdResult.from_code(sum((column >> code & 1) << i for i, column in enumerate(columns)))
 
 
 @lru_cache(maxsize=1)

@@ -19,7 +19,7 @@ without touching code (see :func:`parse_gate_defs` and
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 from ._record import record
 
@@ -82,25 +82,6 @@ class BitVector:
             raise ValueError(
                 f"value {self.value!r} does not fit in {self.width} bits"
             )
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        """Build a vector from bit 0 upward: ``from_bits([1, 0, 1])`` is 0b101."""
-        seq = tuple(bits)
-        if not seq:
-            raise ValueError("at least one bit is required")
-        value = 0
-        for i, bit in enumerate(seq):
-            if type(bit) is not int or bit not in (0, 1):
-                raise ValueError(f"bit {i} is {bit!r}, expected 0 or 1")
-            value |= bit << i
-        return cls(len(seq), value)
-
-    def bit(self, i: int) -> int:
-        """Return bit ``i`` (line ``i``)."""
-        if not 0 <= i < self.width:
-            raise IndexError(f"bit index {i} out of range for width {self.width}")
-        return (self.value >> i) & 1
 
     def __int__(self) -> int:
         return self.value

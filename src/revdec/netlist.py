@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Sequence
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from ._record import record
 from .gates import BitVector, GatePermutation, NotBijective, ParseError, WidthMismatch
@@ -59,11 +59,6 @@ _OUTPUT_ROLES = (ROLE_PRIMARY_OUTPUT, ROLE_GARBAGE)
 # at once and can be swept for injectivity; a wider one runs one pattern a pass.
 _MAX_INJECTIVITY_INPUTS = 20
 
-# Each distinct gate table's lane function, keyed by (width, table); emptied
-# before it would grow past _MAX_LANE_FUNCTIONS entries.
-_LANE_FUNCTIONS: dict[tuple[int, tuple[int, ...]], Callable[..., tuple]] = {}
-_MAX_LANE_FUNCTIONS = 256
-
 
 class MalformedNetlist(ValueError):
     """The netlist breaks a structural rule (drivers, consumers, cycles)."""
@@ -84,19 +79,12 @@ def _lane_source(name: str, width: int, table: Sequence[int]) -> str:
     return f"def {name}(ones, {', '.join(xs)}):\n    return {', '.join(columns)},\n"
 
 
-def _lane_functions(gates: Sequence[GatePermutation]) -> list[Callable[..., tuple]]:
-    """Each gate's lane function; tables not seen before compile in one ``exec``."""
-    keys = [(g.width, g.table) for g in gates]
-    distinct = list(dict.fromkeys(keys))
-    new = [key for key in distinct if key not in _LANE_FUNCTIONS]
-    if len(_LANE_FUNCTIONS) + len(new) > _MAX_LANE_FUNCTIONS:
-        _LANE_FUNCTIONS.clear()
-        new = distinct
-    if new:
-        namespace: dict = {}
-        exec("".join(_lane_source(f"f{k}", *key) for k, key in enumerate(new)), namespace)
-        _LANE_FUNCTIONS.update((key, namespace[f"f{k}"]) for k, key in enumerate(new))
-    return [_LANE_FUNCTIONS[key] for key in keys]
+@lru_cache(maxsize=256)
+def _lane_function(width: int, table: tuple[int, ...]) -> Callable[..., tuple]:
+    """One gate table's lane function, compiled once per process."""
+    namespace: dict = {}
+    exec(_lane_source("f", width, table), namespace)
+    return namespace["f"]
 
 
 def _check_wire_name(wire: object) -> str:
@@ -303,11 +291,11 @@ class Netlist:
 
         consts = [d.const or 0 for d in self.inputs]
         consts += [0] * (len(self._drivers) - len(consts))
-        functions = _lane_functions([inst.gate for inst in self.gates])
         steps = []
         for g in self._topo_order:
             inst = self.gates[g]
-            steps.append((g, functions[g], wires(inst.input_wires), wires(inst.output_wires)))
+            steps.append((g, _lane_function(inst.gate.width, inst.gate.table),
+                          wires(inst.input_wires), wires(inst.output_wires)))
         return (consts, wires(self.primary_input_wires()), tuple(steps),
                 wires(self.primary_output_wires()), wires(d.wire for d in self.outputs))
 
@@ -410,14 +398,7 @@ class Netlist:
         ``(primary, full)``: the primary output bits, then every declared
         output (primary and garbage), each in declaration order.
         """
-        lanes, p = self._lanes_at(x)
-        vectors = []
-        for wires in self._plan[3:]:
-            value = 0
-            for i, wire in enumerate(wires):
-                value |= (lanes[wire] >> p & 1) << i
-            vectors.append(BitVector(len(wires), value))
-        return tuple(vectors)
+        return self._outputs(*self._lanes_at(x))
 
     def simulate_trace(self, x: BitVector) -> tuple[BitVector, BitVector, tuple[TraceStep, ...]]:
         """Like :meth:`simulate` but also report every gate evaluation."""
@@ -427,7 +408,17 @@ class Netlist:
                       tuple(zip(self.gates[g].input_wires, [lanes[w] >> p & 1 for w in ins])),
                       tuple(zip(self.gates[g].output_wires, [lanes[w] >> p & 1 for w in outs])))
             for g, _, ins, outs in self._plan[2])
-        return (*self.simulate(x), trace)
+        return (*self._outputs(lanes, p), trace)
+
+    def _outputs(self, lanes: list[int], p: int) -> tuple[BitVector, BitVector]:
+        """The primary and the full output vector at bit ``p`` of ``lanes``."""
+        vectors = []
+        for wires in self._plan[3:]:
+            value = 0
+            for i, wire in enumerate(wires):
+                value |= (lanes[wire] >> p & 1) << i
+            vectors.append(BitVector(len(wires), value))
+        return tuple(vectors)
 
     def columns(self) -> dict[str, int]:
         """Map each wire to its lane over all ``2**n`` primary patterns (n <= 20)."""
@@ -451,20 +442,6 @@ class Netlist:
             for wire in inst.output_wires:
                 depth[wire] = level
         return depth
-
-    def cone_of(self, wire: str) -> frozenset[int]:
-        """Indices of the gate instances that ``wire`` transitively depends on."""
-        drivers = self._drivers
-        if wire not in drivers:
-            raise MalformedNetlist(f"wire {wire!r} is never driven")
-        seen: set[int] = set()
-        frontier = [wire]
-        while frontier:
-            kind, idx = drivers[frontier.pop()]
-            if kind == "gate" and idx not in seen:
-                seen.add(idx)
-                frontier.extend(self.gates[idx].input_wires)
-        return frozenset(seen)
 
     def metrics(self) -> CostMetrics:
         """Gate count, garbage count, ancilla count and depth."""
@@ -652,10 +629,8 @@ class NetlistBuilder:
         """Declare a primary input line and return its wire name."""
         return self._declare(InputDecl(wire, ROLE_PRIMARY_INPUT))
 
-    def ancilla(self, const: int, wire: str | None = None) -> str:
+    def ancilla(self, const: int) -> str:
         """Declare a constant input line (0 or 1) and return its wire name."""
-        if wire is not None:
-            return self._declare(InputDecl(wire, ROLE_ANCILLA, const))
         decl = InputDecl(f"{'one' if const else 'zero'}{self._ancilla_serial}",
                          ROLE_ANCILLA, const)
         self._ancilla_serial += 1

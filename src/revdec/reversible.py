@@ -25,7 +25,7 @@ from collections.abc import Mapping, Sequence
 from functools import cached_property
 
 from ._record import record
-from .classical import BcdOperands, BcdResult
+from .classical import BcdOperands, BcdResult, result_at, valid_operands
 from .gates import BitVector, GatePermutation, UnknownGate, builtin_catalog
 from .netlist import CostMetrics, Netlist, NetlistBuilder
 
@@ -64,10 +64,24 @@ class ReversibleAdderBuild:
         return self.netlist.metrics()
 
     @cached_property
-    def _digit_table(self) -> list[BcdResult | None]:
-        """Each digit result :func:`simulate_digit_add` has computed, at
-        ``a*20 + b*2 + cin`` as in :mod:`revdec.classical`'s digit tables."""
-        return [None] * 200
+    def columns(self) -> tuple[int, ...]:
+        """The primary-output lanes over all 512 input codes, in the layout of
+        :func:`~revdec.classical.output_columns`.
+
+        One :meth:`Netlist.simulate` call validates the netlist and raises its
+        :class:`~revdec.gates.WidthMismatch` unless it has nine primary inputs.
+        """
+        net = self.netlist
+        net.simulate(BitVector(9, 0))
+        lanes = net.columns()
+        return tuple(lanes[w] for w in net.primary_output_wires())
+
+    @cached_property
+    def _digit_table(self) -> tuple[BcdResult, ...]:
+        """Every digit result at ``a*20 + b*2 + cin`` (the order of
+        :func:`~revdec.classical.valid_operands`), decoded from :attr:`columns`."""
+        columns = self.columns
+        return tuple(result_at(columns, op.code()) for op in valid_operands())
 
 
 def _required(catalog: Mapping[str, GatePermutation], name: str) -> GatePermutation:
@@ -306,15 +320,6 @@ def decode_primary(build: ReversibleAdderBuild, primary: BitVector) -> BcdResult
 
 
 def simulate_digit_add(build: ReversibleAdderBuild, op: BcdOperands) -> BcdResult:
-    """Run one digit addition through a built netlist.
-
-    The first call per operand simulates the netlist; the build keeps the
-    result, so later calls with the same operand return it directly.
-    """
-    table = build._digit_table
-    slot = op.a * 20 + op.b * 2 + op.cin
-    result = table[slot]
-    if result is None:
-        primary, _ = build.netlist.simulate(input_pattern(op))
-        table[slot] = result = decode_primary(build, primary)
-    return result
+    """One digit addition through a built netlist, read from the build's
+    digit table; the first call decodes all 200 digits from its columns."""
+    return build._digit_table[op.a * 20 + op.b * 2 + op.cin]

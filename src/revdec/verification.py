@@ -34,6 +34,7 @@ from .classical import (
     naive_detection_terms,
     oracle_sweep,
     output_columns,
+    result_at,
     valid_operands,
 )
 
@@ -130,8 +131,9 @@ def verify_architecture(
 
     Every row yields its five output columns: a classical row from its
     ``add``, a reversible row (built from an optional replacement gate
-    catalog) from its primary-output lanes.  One XOR per column against the
-    oracle's columns decides the sweep, and only failing inputs are decoded.
+    catalog) from its build's primary-output ``columns``.  One XOR per column
+    against the oracle's columns decides the sweep, and only failing inputs
+    are decoded.
     Reversible reports carry the measured costs and the design targets.
     """
     arch = ARCHITECTURES.get(architecture)
@@ -143,18 +145,15 @@ def verify_architecture(
     if build is None:
         columns = output_columns((op, arch.add(op)) for op, _ in sweep)
     else:
-        lanes = build.netlist.columns()
-        columns = [lanes[w] for w in build.netlist.primary_output_wires()]
+        columns = build.columns
     diff = 0
     for column, want in zip(columns, expected):
         diff |= column ^ want
     mismatches = []
     if diff & valid:  # decode only the failing inputs, in canonical order
         for op, want in sweep:
-            p = op.code()
-            if diff >> p & 1:
-                code = sum((column >> p & 1) << i for i, column in enumerate(columns))
-                mismatches.append(Mismatch(op, want, BcdResult.from_code(code)))
+            if diff >> op.code() & 1:
+                mismatches.append(Mismatch(op, want, result_at(columns, op.code())))
     return VerificationReport(architecture, len(sweep), tuple(mismatches),
                               build.metrics if build else None, build.target if build else None)
 

@@ -22,6 +22,8 @@ from revdec.classical import (
     detection_terms,
     naive_detection_terms,
     oracle,
+    output_columns,
+    result_at,
     valid_operands,
 )
 
@@ -129,6 +131,14 @@ class TestBcdResult:
     def test_from_code_rejects_codes_outside_five_bits(self, code):
         with pytest.raises(ValueError, match="five bits"):
             BcdResult.from_code(code)
+
+    @pytest.mark.parametrize("variant", [CLA_VERBATIM, CLA_CORRECTED])
+    def test_result_at_inverts_output_columns(self, variant):
+        # The verbatim equations reach sums above 9, so every sum bit is used.
+        results = [(op, cla_add(op, variant)) for op in ALL_OPS]
+        columns = output_columns(results)
+        assert [result_at(columns, op.code()) for op, _ in results] == [
+            r for _, r in results]
 
 
 class TestConventional:

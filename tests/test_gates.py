@@ -32,30 +32,13 @@ FROZEN_TABLES = {
 
 
 class TestBitVector:
-    def test_from_bits_is_little_endian(self):
-        assert BitVector.from_bits([1, 0, 1]).value == 0b101
-        assert BitVector.from_bits([0, 1]).value == 2
-
-    def test_accessors(self):
-        v = BitVector(4, 0b0110)
-        assert [v.bit(i) for i in range(4)] == [0, 1, 1, 0]
-        assert v.bit(1) == 1 and v.bit(3) == 0
-        assert int(v) == 6
-
-    def test_bit_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            BitVector(3, 5).bit(3)
+    def test_int_is_the_value(self):
+        assert int(BitVector(4, 0b0110)) == 6
 
     @pytest.mark.parametrize("width,value", [(0, 0), (3, 8), (3, -1), (2, 4)])
     def test_rejects_out_of_range(self, width, value):
         with pytest.raises(ValueError):
             BitVector(width, value)
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            BitVector.from_bits([0, 2])
-        with pytest.raises(ValueError):
-            BitVector.from_bits([])
 
 
 class TestMakeGate:

@@ -1,5 +1,6 @@
-"""Import-boundary tests: ``import revdec`` loads no submodule, and only the
-commands that build a netlist load the netlist layer.
+"""Import-boundary tests: ``import revdec`` loads no submodule, only the
+commands that build a netlist load the netlist layer, and every revdec name
+the benchmark imports or wraps exists.
 
 Module loading is checked in a fresh interpreter, because this test session
 has already imported every module.
@@ -7,6 +8,8 @@ has already imported every module.
 
 from __future__ import annotations
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -19,6 +22,7 @@ import revdec
 from revdec import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = Path(__file__).resolve().parents[1] / "revbench"
 NETLIST_LAYER = {"revdec.netlist", "revdec.reversible"}
 
 PUBLIC_NAMES = {
@@ -46,6 +50,32 @@ PROBED = {
     "decimal_add": ["simulate", "--arch", "conventional", "--digits", "12,34"],
     "catalog_from_env": ["verify", "--arch", "rev_conventional"],
 }
+
+
+# The objects whose attributes the benchmark's tracer wraps, by the name the
+# benchmark gives them.
+WRAP_TARGETS = {"Netlist": "revdec.netlist:Netlist", "cli": "revdec.cli"}
+
+
+def benchmark_names() -> list[tuple[str, str, str]]:
+    """``(file, owner, name)`` for each ``from revdec.<mod> import <name>`` in
+    ``revbench/*.py`` and each ``tracer.wrap(<Netlist or cli>, "<name>", ..)``;
+    the owner is a module name, or ``module:attribute``."""
+    found = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("revdec."):
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "wrap" and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "tracer" and len(node.args) >= 2
+                  and isinstance(node.args[0], ast.Name) and node.args[0].id in WRAP_TARGETS
+                  and isinstance(node.args[1], ast.Constant)):
+                found.append((path.name, WRAP_TARGETS[node.args[0].id], node.args[1].value))
+    return found
+
+
+BENCHMARK_NAMES = benchmark_names()
 
 
 def modules_after(code: str) -> set[str]:
@@ -152,3 +182,21 @@ class TestCliCallsThroughModuleNames:
         assert cli.main(PROBED[name]) == 0
         capsys.readouterr()
         assert calls
+
+
+class TestBenchmarkNames:
+    """What ``revbench/`` imports from revdec and wraps with its tracer exists;
+    the benchmark's own self-check would otherwise be the first to notice."""
+
+    def test_the_scan_finds_imports_and_both_wrap_targets(self):
+        owners = {owner for _, owner, _ in BENCHMARK_NAMES}
+        assert {"revdec.reversible", *WRAP_TARGETS.values()} <= owners
+
+    @pytest.mark.parametrize("owner, name", sorted({ref[1:] for ref in BENCHMARK_NAMES}),
+                             ids=lambda part: part)
+    def test_name_exists(self, owner, name):
+        module, _, attribute = owner.partition(":")
+        target = importlib.import_module(module)
+        if attribute:
+            target = getattr(target, attribute)
+        assert hasattr(target, name), f"{owner} has no {name!r}"

@@ -11,10 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revdec import netlist as netlist_module
 from revdec.gates import BitVector, GatePermutation, ParseError, builtin_catalog
 from revdec.netlist import (
-    _LANE_FUNCTIONS,
     _MAX_INJECTIVITY_INPUTS,
     ROLE_ANCILLA,
     ROLE_GARBAGE,
@@ -28,7 +26,7 @@ from revdec.netlist import (
     NetlistBuilder,
     OutputDecl,
     TraceStep,
-    _lane_functions,
+    _lane_function,
     _lane_source,
 )
 
@@ -123,11 +121,14 @@ def reference_values(net: Netlist, pattern: int):
 
 
 def reference_simulate(net: Netlist, pattern: int):
-    """The primary output bits, every output's bit and the trace steps."""
+    """The primary output vector, the vector of every output and the trace steps."""
     values, steps = reference_values(net, pattern)
-    primary = tuple(values[w] for w in net.primary_output_wires())
-    full = tuple(values[d.wire] for d in net.outputs)
-    return primary, full, steps
+
+    def vector(wires) -> BitVector:
+        return BitVector(len(wires), sum(values[w] << i for i, w in enumerate(wires)))
+
+    return (vector(net.primary_output_wires()), vector([d.wire for d in net.outputs]),
+            steps)
 
 
 def assert_columns_match_the_reference(net: Netlist) -> None:
@@ -221,8 +222,6 @@ BAD_WIRES = ["w", "x", "zero0", "has space", "", "tab\t", 7, None, ["v"]]
 
 REJECTED_CALLS = {
     **{f"primary_input-{w!r}": lambda b, w=w: b.primary_input(w) for w in BAD_WIRES},
-    # ancilla(0, None) names the wire itself.
-    **{f"ancilla-{w!r}": lambda b, w=w: b.ancilla(0, w) for w in BAD_WIRES if w is not None},
     **{f"gate_output-{w!r}": lambda b, w=w: b.gate(TS3, ("p", "q", "r"), ("s", "t", w))
        for w in [*BAD_WIRES, "p"]},
     **{f"gate_input-{w!r}": lambda b, w=w: b.gate(TS3, (w, "q", "r"), ("s", "t", "u"))
@@ -263,15 +262,15 @@ class TestSimulate:
         for x in (0, 1):
             for y in (0, 1):
                 for cin in (0, 1):
-                    primary, full = net.simulate(BitVector.from_bits([x, y, cin]))
-                    s, co = primary.bit(0), primary.bit(1)
+                    primary, full = net.simulate(BitVector(3, x | y << 1 | cin << 2))
+                    s, co = primary.value & 1, primary.value >> 1 & 1
                     assert 2 * co + s == x + y + cin
                     assert full.width == 4  # two results plus two garbage lines
 
     def test_example_one_plus_zero_plus_one(self):
         net = full_adder_net()
-        primary, _ = net.simulate(BitVector.from_bits([1, 0, 1]))
-        assert (primary.bit(0), primary.bit(1)) == (0, 1)
+        primary, _ = net.simulate(BitVector(3, 0b101))
+        assert primary == BitVector(2, 0b10)
 
     def test_width_mismatch(self):
         from revdec.gates import WidthMismatch
@@ -281,12 +280,12 @@ class TestSimulate:
 
     def test_trace_reports_every_gate(self):
         net = full_adder_net()
-        primary, _, steps = net.simulate_trace(BitVector.from_bits([1, 1, 0]))
+        primary, _, steps = net.simulate_trace(BitVector(3, 0b011))
         assert len(steps) == 1
         step = steps[0]
         assert step.gate_name == "TSG"
         assert dict(step.inputs) == {"x": 1, "y": 1, "zero0": 0, "cin": 0}
-        assert dict(step.outputs)["s"] == primary.bit(0)
+        assert dict(step.outputs)["s"] == primary.value & 1
 
     def test_gate_order_does_not_change_results(self):
         # Two independent parity gates, listed in both construction orders.
@@ -418,7 +417,7 @@ class TestCheckInjective:
         assert collision is not None
         x1, x2 = collision
         assert x1 != x2
-        assert x1.bit(0) == x2.bit(0)  # they differ only in the dropped wire
+        assert x1.value & 1 == x2.value & 1  # they differ only in the dropped wire
         # The sweep reads the cached columns, so every later call agrees.
         assert all(net.check_injective() == collision for _ in range(3))
 
@@ -443,12 +442,23 @@ class TestCheckInjective:
             net.columns()
         rng = random.Random(7)
         for pattern in [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(40)]:
-            primary, full, steps = reference_simulate(net, pattern)
-            want = (BitVector.from_bits(primary), BitVector.from_bits(full))
+            *want, steps = reference_simulate(net, pattern)
             x = BitVector(width, pattern)
-            assert net.simulate(x) == want
+            assert net.simulate(x) == tuple(want)
             assert net.simulate_trace(x) == (*want, steps)
         assert "_columns" not in vars(net)
+
+    def test_wide_trace_evaluates_the_netlist_once(self, monkeypatch):
+        net = wide_net(_MAX_INJECTIVITY_INPUTS + 1)
+        x = BitVector(len(net.primary_input_wires()), 0x15A5A5)
+        passes = []
+        real_lanes = Netlist._lanes
+        monkeypatch.setattr(Netlist, "_lanes",
+                            lambda net, *args: passes.append(1) or real_lanes(net, *args))
+        primary, full, _ = net.simulate_trace(x)
+        assert len(passes) == 1
+        assert net.simulate(x) == (primary, full)
+        assert len(passes) == 2
 
     def test_randomly_composed_netlists_are_injective(self):
         rng = random.Random(1207)
@@ -484,10 +494,9 @@ class TestReferenceEvaluator:
         net.validate()
         width = len(net.primary_input_wires())
         for pattern in range(1 << width):
-            primary, full, steps = reference_simulate(net, pattern)
-            want = (BitVector.from_bits(primary), BitVector.from_bits(full))
+            *want, steps = reference_simulate(net, pattern)
             x = BitVector(width, pattern)
-            assert net.simulate(x) == want
+            assert net.simulate(x) == tuple(want)
             assert net.simulate_trace(x) == (*want, steps)
         assert reference_collision(net) is None
         assert net.check_injective() is None
@@ -513,7 +522,7 @@ class TestReferenceEvaluator:
     def test_lane_functions_equal_the_gate_tables(self, width_table):
         width, table = width_table
         gate = GatePermutation("RANDOM", width, table)
-        (lane_function,) = _lane_functions([gate])
+        lane_function = _lane_function(gate.width, gate.table)
         size = 1 << width
         ins = [sum(1 << p for p in range(size) if (p >> i) & 1) for i in range(width)]
         outs = lane_function((1 << size) - 1, *ins)
@@ -523,17 +532,18 @@ class TestReferenceEvaluator:
         names = set(re.findall(r"[A-Za-z_]\w*", _lane_source("f0", width, table)))
         assert names <= {"def", "return", "f0", "ones"} | {f"x{i}" for i in range(width)}
 
-    def test_lane_function_cache_stays_bounded(self, monkeypatch):
-        # Many netlists over fresh random tables plus the built-in TS3, which
-        # each netlist shares with the last: the cache is emptied before it
-        # would pass its bound, unless one netlist alone needs more, and a
-        # table cached before the emptying still compiles for the netlist.
-        bound = 6
-        monkeypatch.setattr(netlist_module, "_MAX_LANE_FUNCTIONS", bound)
-        _LANE_FUNCTIONS.clear()
+    def test_lane_function_cache_stays_bounded(self):
+        # Netlists drawn from more distinct random tables than the cache
+        # holds, each sharing the built-in TS3: the cache never passes its
+        # bound, and a table evicted earlier compiles again when it returns.
+        bound = _lane_function.cache_info().maxsize
+        _lane_function.cache_clear()
         rng = random.Random(1515)
-        for trial in range(60):
-            gates = [TS3, *(GatePermutation("TS3", 3, rng.sample(range(8), 8))
+        pool = {tuple(rng.sample(range(8), 8)) for _ in range(bound + bound // 2)}
+        assert len(pool) > bound
+        pool = sorted(pool)
+        for trial in range(bound // 2):
+            gates = [TS3, *(GatePermutation("TS3", 3, rng.choice(pool))
                             for _ in range(rng.randint(0, 8)))]
             b = NetlistBuilder(f"random{trial}")
             wires = [b.primary_input(f"i{k}") for k in range(3)]
@@ -542,12 +552,12 @@ class TestReferenceEvaluator:
             for wire in wires:
                 b.primary_output(wire)
             net = b.build()
-            distinct = {gate.table for gate in gates}
             assert_columns_match_the_reference(net)
-            assert len(_LANE_FUNCTIONS) <= max(bound, len(distinct))
+            assert _lane_function.cache_info().currsize <= bound
             for pattern in range(8):
                 primary = reference_simulate(net, pattern)[0]
-                assert net.simulate(BitVector(3, pattern))[0] == BitVector.from_bits(primary)
+                assert net.simulate(BitVector(3, pattern))[0] == primary
+        assert _lane_function.cache_info().misses > bound
 
 
 def undriven_net() -> Netlist:
@@ -662,14 +672,9 @@ class TestMetrics:
         net = b.build()
         assert net.metrics().depth == 3
 
-    def test_wire_depths_and_cone(self):
-        net = full_adder_net()
-        depths = net.wire_depths()
+    def test_wire_depths(self):
+        depths = full_adder_net().wire_depths()
         assert depths["x"] == 0 and depths["s"] == 1
-        assert net.cone_of("s") == frozenset({0})
-        assert net.cone_of("x") == frozenset()
-        with pytest.raises(MalformedNetlist):
-            net.cone_of("missing")
 
 
 class TestSerialization:
