@@ -56,7 +56,7 @@ __all__ = [
     "oracle",
     "oracle_sweep",
     "output_columns",
-    "result_at",
+    "digit_table",
     "conventional_add",
     "detection_terms",
     "naive_detection_terms",
@@ -106,6 +106,9 @@ class BcdOperands:
         """The nine-bit input code: ``a`` on bits 0-3, ``b`` on 4-7, ``cin`` on 8."""
         return self.a | (self.b << 4) | (self.cin << 8)
 
+    def as_dict(self) -> dict[str, int]:
+        return {"a": self.a, "b": self.b, "cin": self.cin}
+
 
 @record
 class BcdResult:
@@ -131,6 +134,9 @@ class BcdResult:
     def code(self) -> int:
         """The five-bit output code: ``sum`` on bits 0-3, ``cout`` on bit 4."""
         return self.sum | (self.cout << 4)
+
+    def as_dict(self) -> dict[str, int]:
+        return {"sum": self.sum, "cout": self.cout}
 
     @classmethod
     def from_code(cls, code: int) -> BcdResult:
@@ -205,12 +211,9 @@ def valid_operands() -> Iterator[BcdOperands]:
 
     The order (``a`` outermost, then ``b``, then ``cin``) is the one every
     exhaustive check and every "first failing input" report in this package
-    uses.
+    uses.  They are the operands of :func:`oracle_sweep`, made once per process.
     """
-    for a in range(10):
-        for b in range(10):
-            for cin in (0, 1):
-                yield BcdOperands(a, b, cin)
+    return (op for op, _ in oracle_sweep()[0])
 
 
 def oracle(op: BcdOperands) -> BcdResult:
@@ -228,18 +231,23 @@ def output_columns(results: Iterable[tuple[BcdOperands, BcdResult]]) -> list[int
     return [sum(ops for code, ops in enumerate(by_code) if code >> i & 1) for i in range(5)]
 
 
-def result_at(columns: Sequence[int], code: int) -> BcdResult:
-    """The inverse of :func:`output_columns`: the result at input ``code``."""
-    return BcdResult.from_code(sum((column >> code & 1) << i for i, column in enumerate(columns)))
-
-
 @lru_cache(maxsize=1)
 def oracle_sweep() -> tuple[tuple[tuple[BcdOperands, BcdResult], ...], tuple[int, ...], int]:
     """Every valid input with its oracle result in canonical order, the
     oracle's five :func:`output_columns` and the mask of the valid input
     codes; computed once per process."""
-    pairs = tuple((op, oracle(op)) for op in valid_operands())
+    ops = (BcdOperands(a, b, cin) for a in range(10) for b in range(10) for cin in (0, 1))
+    pairs = tuple((op, oracle(op)) for op in ops)
     return pairs, tuple(output_columns(pairs)), sum(1 << op.code() for op, _ in pairs)
+
+
+def digit_table(columns: Sequence[int]) -> tuple[BcdResult, ...]:
+    """The inverse of :func:`output_columns` over the valid inputs: the result
+    of each, at slot ``a*20 + b*2 + cin`` (the order of :func:`oracle_sweep`)."""
+    return tuple(
+        BcdResult.from_code(sum((col >> x & 1) << i for i, col in enumerate(columns)))
+        for x in (op.code() for op in valid_operands())
+    )
 
 
 # ----------------------------------------------------------------------
@@ -436,9 +444,9 @@ class Architecture:
     A classical row computes a digit with ``add`` and renders its
     intermediate signals as one line with ``trace``.  A reversible row
     instead has a ``build`` that assembles its netlist from an optional
-    gate catalog; nothing is built until it is called.  ``exact`` is false
-    only for a design whose disagreements with :func:`oracle` are
-    documented errata rather than failures.
+    gate catalog; nothing is built until it is called.  Every row answers
+    through :meth:`columns`.  ``exact`` is false only for a design whose
+    disagreements with :func:`oracle` are documented errata, not failures.
     """
 
     name: str
@@ -446,6 +454,14 @@ class Architecture:
     trace: Callable[[BcdOperands], str] | None = None
     build: Callable[..., Any] | None = None
     exact: bool = True
+
+    def columns(self, catalog: Mapping[str, GatePermutation] | None = None) -> tuple[int, ...]:
+        """The row's five :func:`output_columns`: a reversible row's from its
+        build (of ``catalog``, by default the built-in one), cached on the
+        build; a classical row's from ``add`` over :func:`oracle_sweep`."""
+        if self.build:
+            return self.build(catalog).columns
+        return tuple(output_columns((op, self.add(op)) for op in valid_operands()))
 
 
 def _render_signals(signals: object) -> str:
@@ -517,18 +533,12 @@ ARCHITECTURES: dict[str, Architecture] = {
 # The exact rows with an ``add``: the ones decimal_add may ripple across digits.
 DECIMAL_ARCHITECTURES = tuple(n for n, arch in ARCHITECTURES.items() if arch.exact and arch.add)
 
-# Each architecture's (sum digit, carry) for every valid digit input, at
-# index a*20 + b*2 + cin, computed the first time that input is added.
-_DIGIT_TABLES: dict[str, list[tuple[int, int] | None]] = {
-    name: [None] * 200 for name in DECIMAL_ARCHITECTURES
-}
 
-
-def _fill_digit(arch: str, a: int, b: int, cin: int) -> tuple[int, int]:
-    """Compute one entry of ``_DIGIT_TABLES[arch]`` and store it."""
-    result = ARCHITECTURES[arch].add(BcdOperands(a, b, cin))
-    _DIGIT_TABLES[arch][a * 20 + b * 2 + cin] = stage = (result.sum, result.cout)
-    return stage
+@lru_cache(maxsize=None)
+def _digit_pairs(arch: str) -> tuple[tuple[int, int], ...]:
+    """A row's ``(sum, cout)`` for every valid input, from its whole
+    :func:`digit_table`, at slot ``a*20 + b*2 + cin``."""
+    return tuple((r.sum, r.cout) for r in digit_table(ARCHITECTURES[arch].columns()))
 
 
 def decimal_add(
@@ -540,9 +550,11 @@ def decimal_add(
     """Add two equal-length little-endian BCD digit strings.
 
     Digit 0 is the least significant.  Returns the sum digits (same length
-    as the inputs) and the final carry.  Raises :class:`LengthMismatch`
-    for unequal lengths, :class:`InvalidBcd` for out-of-range digits and
-    ``ValueError`` for an unknown architecture or carry bit.
+    as the inputs) and the final carry.  A row's first call fills its whole
+    :func:`digit_table`; each digit is then a tuple read.  Raises
+    :class:`LengthMismatch` for unequal lengths, :class:`InvalidBcd` for
+    out-of-range digits and ``ValueError`` for an unknown architecture or
+    carry bit.
     """
     if len(x_digits) != len(y_digits):
         raise LengthMismatch(
@@ -555,13 +567,13 @@ def decimal_add(
         raise ValueError(
             f"unknown architecture {arch!r}; choose from {DECIMAL_ARCHITECTURES}"
         )
-    table = _DIGIT_TABLES[arch]
+    table = _digit_pairs(arch)
     carry = cin
     out: list[int] = []
     for x, y in zip(x_digits, y_digits):
         # Checked on every digit: a table hit must not let True or 1.0 pass.
         if not (type(x) is int and 0 <= x <= 9 and type(y) is int and 0 <= y <= 9):
             BcdOperands(x, y, carry)  # raises the InvalidBcd naming the digit
-        digit, carry = table[x * 20 + y * 2 + carry] or _fill_digit(arch, x, y, carry)
+        digit, carry = table[x * 20 + y * 2 + carry]
         out.append(digit)
     return out, carry

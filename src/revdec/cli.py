@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 from .classical import (
@@ -29,6 +29,7 @@ from .gates import UnknownGate, catalog_from_env
 from .verification import (
     cla_agreement,
     cla_errata,
+    cost_delta,
     table1_report,
     verify_architecture,
     xor_substitution_audit,
@@ -52,6 +53,11 @@ def _parse_digit_pair(text: str) -> tuple[list[int], list[int]]:
     return tuple([int(c) for c in reversed(p)] for p in padded)  # type: ignore[return-value]
 
 
+def _assignments(pairs: Iterable[tuple[str, object]]) -> str:
+    """``name=value`` for each pair, joined by spaces."""
+    return " ".join(f"{name}={value}" for name, value in pairs)
+
+
 def _simulate_reversible(
     build: ReversibleAdderBuild, op: BcdOperands, trace: bool
 ) -> BcdResult:
@@ -60,9 +66,8 @@ def _simulate_reversible(
     if trace:
         _, _, steps = build.netlist.simulate_trace(input_pattern(op))
         for step in steps:
-            ins = " ".join(f"{w}={v}" for w, v in step.inputs)
-            outs = " ".join(f"{w}={v}" for w, v in step.outputs)
-            print(f"g{step.index} {step.gate_name}: {ins} -> {outs}")
+            print(f"g{step.index} {step.gate_name}: "
+                  f"{_assignments(step.inputs)} -> {_assignments(step.outputs)}")
     return simulate_digit_add(build, op)
 
 
@@ -114,11 +119,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ok = report.total - len(report.mismatches)
         line = f"{arch.name}: {ok}/{report.total}"
         if report.metrics is not None:
-            m = report.metrics
-            line += (
-                f" [gates={m.gate_count} garbage={m.garbage_count}"
-                f" ancilla={m.ancilla_count} depth={m.depth}]"
-            )
+            line += f" [{_assignments(report.metrics.as_dict().items())}]"
         if report.passed:
             line += " PASS"
         elif not arch.exact and not args.strict:
@@ -145,11 +146,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         m = build.metrics
         target_gates, target_garbage = build.target
         print(
-            f"arch={args.arch} gates={m.gate_count} garbage={m.garbage_count} "
-            f"ancilla={m.ancilla_count} depth={m.depth} "
-            f"fidelity={build.figure_fidelity} "
-            f"target={target_gates}/{target_garbage} "
-            f"delta={m.gate_count - target_gates:+d}/{m.garbage_count - target_garbage:+d}"
+            f"arch={args.arch} {_assignments(m.as_dict().items())} "
+            f"fidelity={build.figure_fidelity} target={target_gates}/{target_garbage} "
+            f"delta={cost_delta(m.gate_count, m.garbage_count, build.target)}"
         )
     if args.table1:
         print(table1_report(catalog).render())
@@ -199,9 +198,8 @@ def _cmd_errata(args: argparse.Namespace) -> int:
         line = f"  {name}: {ok}/{total}"
         entry = first_by_equation.get(name)
         if entry is not None:
-            op = entry.first_failing_input
             line += (
-                f"  first failure a={op.a} b={op.b} cin={op.cin}:"
+                f"  first failure {_assignments(entry.first_failing_input.as_dict().items())}:"
                 f" observed {entry.observed}, expected {entry.expected}"
             )
         print(line)
@@ -210,14 +208,13 @@ def _cmd_errata(args: argparse.Namespace) -> int:
         if site.or_equals_xor_on_valid:
             status = "exclusive on all valid inputs"
         else:
-            cex = site.first_valid_counterexample
+            cex = site.first_valid_counterexample.as_dict().items()
             status = (
                 f"NOT exclusive: {site.valid_counterexample_count} valid inputs "
-                f"disagree, first a={cex.a} b={cex.b} cin={cex.cin}"
+                f"disagree, first {_assignments(cex)}"
             )
         if site.diverges_off_domain:
-            detail = " ".join(f"{k}={v}" for k, v in site.off_domain_example)
-            status += f"; off-domain divergence at {detail}"
+            status += f"; off-domain divergence at {_assignments(site.off_domain_example)}"
         else:
             status += "; structurally exclusive (no divergence anywhere)"
         print(f"  {site.site} [{' , '.join(site.terms)}]: {status}")
@@ -230,11 +227,7 @@ def _cmd_errata(args: argparse.Namespace) -> int:
             "errata": [
                 {
                     "equation": e.equation,
-                    "first_failing_input": {
-                        "a": e.first_failing_input.a,
-                        "b": e.first_failing_input.b,
-                        "cin": e.first_failing_input.cin,
-                    },
+                    "first_failing_input": e.first_failing_input.as_dict(),
                     "observed": e.observed,
                     "expected": e.expected,
                 }

@@ -25,7 +25,7 @@ from collections.abc import Mapping, Sequence
 from functools import cached_property
 
 from ._record import record
-from .classical import BcdOperands, BcdResult, result_at, valid_operands
+from .classical import BcdOperands, BcdResult, digit_table
 from .gates import BitVector, GatePermutation, UnknownGate, builtin_catalog
 from .netlist import CostMetrics, Netlist, NetlistBuilder
 
@@ -78,10 +78,9 @@ class ReversibleAdderBuild:
 
     @cached_property
     def _digit_table(self) -> tuple[BcdResult, ...]:
-        """Every digit result at ``a*20 + b*2 + cin`` (the order of
-        :func:`~revdec.classical.valid_operands`), decoded from :attr:`columns`."""
-        columns = self.columns
-        return tuple(result_at(columns, op.code()) for op in valid_operands())
+        """Every digit result at ``a*20 + b*2 + cin``: the
+        :func:`~revdec.classical.digit_table` of :attr:`columns`."""
+        return digit_table(self.columns)
 
 
 def _required(catalog: Mapping[str, GatePermutation], name: str) -> GatePermutation:

@@ -32,9 +32,8 @@ from .classical import (
     conventional_add,
     detection_terms,
     naive_detection_terms,
+    digit_table,
     oracle_sweep,
-    output_columns,
-    result_at,
     valid_operands,
 )
 
@@ -56,6 +55,7 @@ __all__ = [
     "cla_errata",
     "xor_substitution_audit",
     "table1_report",
+    "cost_delta",
 ]
 
 
@@ -104,13 +104,8 @@ class VerificationReport:
             "architecture": self.architecture,
             "total": self.total,
             "mismatches": [
-                {
-                    "a": m.operands.a,
-                    "b": m.operands.b,
-                    "cin": m.operands.cin,
-                    "expected": {"sum": m.expected.sum, "cout": m.expected.cout},
-                    "actual": {"sum": m.actual.sum, "cout": m.actual.cout},
-                }
+                {**m.operands.as_dict(), "expected": m.expected.as_dict(),
+                 "actual": m.actual.as_dict()}
                 for m in self.mismatches
             ],
             "agreement": self.agreement,
@@ -129,31 +124,27 @@ def verify_architecture(
 ) -> VerificationReport:
     """Sweep all 200 valid inputs and report every oracle disagreement.
 
-    Every row yields its five output columns: a classical row from its
-    ``add``, a reversible row (built from an optional replacement gate
-    catalog) from its build's primary-output ``columns``.  One XOR per column
-    against the oracle's columns decides the sweep, and only failing inputs
-    are decoded.
-    Reversible reports carry the measured costs and the design targets.
+    The row answers through its :meth:`~revdec.classical.Architecture.columns`
+    (a reversible row built from an optional replacement gate catalog).  One
+    XOR per column against the oracle's columns decides the sweep, and only a
+    failing sweep is decoded.  Reversible reports carry the measured costs
+    and the design targets.
     """
     arch = ARCHITECTURES.get(architecture)
     if arch is None:
         choices = tuple(ARCHITECTURES)
         raise ValueError(f"unknown architecture {architecture!r}; choose from {choices}")
     sweep, expected, valid = oracle_sweep()
+    columns = arch.columns(catalog)
     build = arch.build(catalog) if arch.build else None
-    if build is None:
-        columns = output_columns((op, arch.add(op)) for op, _ in sweep)
-    else:
-        columns = build.columns
     diff = 0
     for column, want in zip(columns, expected):
         diff |= column ^ want
     mismatches = []
-    if diff & valid:  # decode only the failing inputs, in canonical order
-        for op, want in sweep:
+    if diff & valid:  # decode only a failing sweep; report its inputs in canonical order
+        for (op, want), got in zip(sweep, digit_table(columns)):
             if diff >> op.code() & 1:
-                mismatches.append(Mismatch(op, want, result_at(columns, op.code())))
+                mismatches.append(Mismatch(op, want, got))
     return VerificationReport(architecture, len(sweep), tuple(mismatches),
                               build.metrics if build else None, build.target if build else None)
 
@@ -238,9 +229,7 @@ class SubstitutionSite:
             "site": self.site,
             "terms": list(self.terms),
             "or_equals_xor_on_valid": self.or_equals_xor_on_valid,
-            "first_valid_counterexample": (
-                {"a": cex.a, "b": cex.b, "cin": cex.cin} if cex else None
-            ),
+            "first_valid_counterexample": cex.as_dict() if cex else None,
             "valid_counterexample_count": self.valid_counterexample_count,
             "diverges_off_domain": self.diverges_off_domain,
             "off_domain_example": (
@@ -337,6 +326,11 @@ def xor_substitution_audit() -> tuple[SubstitutionSite, ...]:
 # ----------------------------------------------------------------------
 
 
+def cost_delta(gates: int, garbage: int, target: tuple[int, int]) -> str:
+    """Measured minus target (gates, garbage), rendered as ``+g/+w``."""
+    return f"{gates - target[0]:+d}/{garbage - target[1]:+d}"
+
+
 @record
 class Table1Row:
     """One line of the cost comparison; ``target`` is (gates, garbage)."""
@@ -366,7 +360,7 @@ class Table1Report:
             else:
                 target_gates, target_garbage = row.target
                 target = f"{target_gates}/{target_garbage}"
-                delta = f"{row.gates - target_gates:+d}/{row.garbage - target_garbage:+d}"
+                delta = cost_delta(row.gates, row.garbage, row.target)
             lines.append(
                 f"{row.label:<18} {row.gates:>5} {row.garbage:>7} "
                 f"{target:>8} {delta:>8}  {row.fidelity or '-'}"

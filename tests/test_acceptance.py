@@ -171,8 +171,7 @@ def _as_digits(value: int, width: int) -> list[int]:
 
 
 def test_criterion_7_multi_digit_property():
-    for table in classical._DIGIT_TABLES.values():
-        table[:] = [None] * len(table)
+    classical._digit_pairs.cache_clear()
     rng = random.Random(20260814)
     ok = True
     start = time.perf_counter()

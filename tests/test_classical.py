@@ -20,10 +20,10 @@ from revdec.classical import (
     conventional_add,
     decimal_add,
     detection_terms,
+    digit_table,
     naive_detection_terms,
     oracle,
     output_columns,
-    result_at,
     valid_operands,
 )
 
@@ -133,12 +133,10 @@ class TestBcdResult:
             BcdResult.from_code(code)
 
     @pytest.mark.parametrize("variant", [CLA_VERBATIM, CLA_CORRECTED])
-    def test_result_at_inverts_output_columns(self, variant):
+    def test_digit_table_inverts_output_columns(self, variant):
         # The verbatim equations reach sums above 9, so every sum bit is used.
         results = [(op, cla_add(op, variant)) for op in ALL_OPS]
-        columns = output_columns(results)
-        assert [result_at(columns, op.code()) for op, _ in results] == [
-            r for _, r in results]
+        assert list(digit_table(output_columns(results))) == [r for _, r in results]
 
 
 class TestConventional:

@@ -86,9 +86,8 @@ class TestBoolOperands:
         ids=["bool-x", "float-x", "bool-y", "bool-second-digit"],
     )
     def test_decimal_add_rejects_non_int_digits(self, warm, x, y):
-        for table in classical._DIGIT_TABLES.values():
-            table[:] = [None] * len(table)
-        if warm:  # the same digits as ints fill the entries the bad call reads
+        classical._digit_pairs.cache_clear()
+        if warm:  # the same digits as ints fill the table the bad call reads
             assert decimal_add([int(d) for d in x], [int(d) for d in y])
         with pytest.raises(InvalidBcd):
             decimal_add(x, y)

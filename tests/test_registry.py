@@ -106,3 +106,20 @@ class TestSinglePassAudits:
         report = verification.verify_architecture("cla_verbatim")
         assert (cla_agreement(report), cla_errata(report)) == expected
         assert len(calls) == 400
+
+
+class TestDecimalAddTable:
+    @pytest.mark.parametrize("name", DECIMAL_ARCHITECTURES)
+    def test_first_call_makes_200_adds_and_later_calls_none(self, monkeypatch, name):
+        row, calls = ARCHITECTURES[name], []
+        monkeypatch.setitem(ARCHITECTURES, name, Architecture(
+            name, add=lambda op: calls.append(op) or row.add(op), trace=row.trace))
+        classical._digit_pairs.cache_clear()
+        try:
+            assert classical.decimal_add([9], [1], 0, name) == ([0], 1)
+            assert calls == list(classical.valid_operands())
+            for cin in (0, 1):
+                assert classical.decimal_add([5, 9, 9], [5, 0, 0], cin, name)[1] == 1
+            assert len(calls) == 200
+        finally:  # the next caller must not read the counting row's table
+            classical._digit_pairs.cache_clear()

@@ -15,7 +15,9 @@ from revdec.classical import (
     BcdResult,
     carry_skip_add,
     conventional_add,
+    digit_table,
     oracle,
+    oracle_sweep,
     valid_operands,
 )
 from revdec.gates import (
@@ -389,6 +391,28 @@ class TestDigitTable:
                 simulate_digit_add(build, op)
             assert str(info.value) == str(direct.value)
         assert not {"columns", "_digit_table"} & set(vars(build))
+
+
+class TestOneDigitPath:
+    """Every registry row answers through its five columns, and one decoder
+    turns them into the digits its own adder or netlist computes."""
+
+    @pytest.mark.parametrize("name, catalog", [
+        *((name, None) for name in ARCHITECTURES),
+        ("rev_conventional", identity_tsg_catalog()),
+        ("rev_carry_skip", identity_tsg_catalog()),
+    ], ids=[*ARCHITECTURES, "rev_conventional-identity_tsg", "rev_carry_skip-identity_tsg"])
+    def test_digit_table_of_the_columns_is_the_rows_results(self, name, catalog):
+        row = ARCHITECTURES[name]
+        if row.build is None:
+            want = [row.add(op) for op in ALL_OPS]
+        else:
+            build = row.build(catalog)
+            want = [simulated(build, op) for op in ALL_OPS]
+            assert [simulate_digit_add(build, op) for op in ALL_OPS] == want
+        table = digit_table(row.columns(catalog))
+        assert list(table) == want
+        assert (table == digit_table(oracle_sweep()[1])) is (catalog is None and row.exact)
 
 
 class TestBuildCache:
