@@ -477,6 +477,14 @@ def _cached_build(builder: str, gates: frozenset[tuple[str, GatePermutation]]) -
     return getattr(reversible, builder)(dict(gates))
 
 
+@lru_cache(maxsize=1)
+def _builtin_gates() -> frozenset[tuple[str, GatePermutation]]:
+    """The built-in catalog's :func:`_cached_build` key, made once per process."""
+    from .gates import builtin_catalog
+
+    return frozenset(builtin_catalog().items())
+
+
 def _reversible_row(name: str, builder: str) -> Architecture:
     """A netlist row whose first build imports :mod:`revdec.reversible`.
 
@@ -486,11 +494,8 @@ def _reversible_row(name: str, builder: str) -> Architecture:
     """
 
     def build(catalog: Mapping[str, GatePermutation] | None = None):
-        if catalog is None:
-            from .gates import builtin_catalog
-
-            catalog = builtin_catalog()
-        return _cached_build(builder, frozenset(catalog.items()))
+        gates = _builtin_gates() if catalog is None else frozenset(catalog.items())
+        return _cached_build(builder, gates)
 
     return Architecture(name, build=build)
 

@@ -25,8 +25,9 @@ over the whole input domain; simulation reads single bits of it.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii
 
 from ._record import record
 from .gates import BitVector, GatePermutation, NotBijective, ParseError, WidthMismatch
@@ -482,23 +483,42 @@ class Netlist:
     # ------------------------------------------------------------------
 
     def to_json(self) -> str:
-        """Serialize to the interchange JSON schema (self-contained)."""
+        """Serialize to the interchange JSON schema (self-contained).
+
+        The text is byte for byte what ``json.dumps(doc, indent=2)`` writes
+        for the document ``{"name", "inputs", "outputs", "gates",
+        "gate_defs"}``: keys in that order, a two-space indent, non-ASCII
+        characters as ``\\uXXXX`` escapes, an ancilla's ``const`` as its one
+        extra key and ``gate_defs`` sorted by name.  The document keys gate
+        tables by name, so two placed gates that share a name but not a
+        table raise :class:`MalformedNetlist` naming that gate.
+        """
         self.validate()
-        gate_defs: dict[str, GatePermutation] = {}
+        quote = encode_basestring_ascii
+        inputs = [f'{{\n      "wire": {quote(d.wire)},\n      "role": {quote(d.role)}'
+                  + (f',\n      "const": {d.const!r}\n    }}' if d.role == ROLE_ANCILLA
+                     else "\n    }")
+                  for d in self.inputs]
+        outputs = [f'{{\n      "wire": {quote(d.wire)},\n      "role": {quote(d.role)}\n    }}'
+                   for d in self.outputs]
+        defs: dict[str, GatePermutation] = {}
+        gates = []
         for inst in self.gates:
-            gate_defs.setdefault(inst.gate.name, inst.gate)
-        doc = {
-            "name": self.name,
-            "inputs": [{"wire": d.wire, "role": d.role, "const": d.const}
-                       if d.role == ROLE_ANCILLA else {"wire": d.wire, "role": d.role}
-                       for d in self.inputs],
-            "outputs": [{"wire": d.wire, "role": d.role} for d in self.outputs],
-            "gates": [{"gate_name": inst.gate.name, "in": list(inst.input_wires),
-                       "out": list(inst.output_wires)} for inst in self.gates],
-            "gate_defs": [{"name": g.name, "width": g.width, "table": list(g.table)}
-                          for g in sorted(gate_defs.values(), key=lambda g: g.name)],
-        }
-        return json.dumps(doc, indent=2)
+            gate = inst.gate
+            known = defs.setdefault(gate.name, gate)
+            if known is not gate and known != gate:
+                raise MalformedNetlist(
+                    f"two placed gates named {gate.name!r} have different tables; "
+                    f"the interchange JSON keys gate tables by name")
+            gates.append(f'{{\n      "gate_name": {quote(gate.name)},\n'
+                         f'      "in": {_json_array(map(quote, inst.input_wires), 6)},\n'
+                         f'      "out": {_json_array(map(quote, inst.output_wires), 6)}\n    }}')
+        gate_defs = [f'{{\n      "name": {quote(name)},\n      "width": {gate.width!r},\n'
+                     f'      "table": {_json_array(map(repr, gate.table), 6)}\n    }}'
+                     for name, gate in sorted(defs.items())]
+        return (f'{{\n  "name": {quote(self.name)},\n  "inputs": {_json_array(inputs, 2)},\n'
+                f'  "outputs": {_json_array(outputs, 2)},\n  "gates": {_json_array(gates, 2)},\n'
+                f'  "gate_defs": {_json_array(gate_defs, 2)}\n}}')
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "Netlist":
@@ -557,40 +577,50 @@ class Netlist:
         each wire becomes one labelled edge from its driver to its consumer.
         """
         self.validate()
-        drivers = self._drivers
-
-        def driver_node(wire: str) -> str:
-            kind, idx = drivers[wire]
-            return _dot_quote(f"in:{wire}") if kind == "input" else f'"g{idx}"'
-
+        # Escaping is per character, so each wire's escaped name is wrapped
+        # as is for its node ids, labels and edges.
+        escaped = {wire: _dot_escape(wire) for wire in self._drivers}
+        source = {wire: f'"in:{escaped[wire]}"' if kind == "input" else f'"g{idx}"'
+                  for wire, (kind, idx) in self._drivers.items()}
         lines = [f"digraph {_dot_quote(self.name)} {{", "  rankdir=LR;"]
         for decl in self.inputs:
-            label = (f"{decl.wire} = {decl.const} [{decl.role}]" if decl.role == ROLE_ANCILLA
-                     else f"{decl.wire} [{decl.role}]")
-            node = _dot_quote(f"in:{decl.wire}")
-            lines.append(f"  {node} [shape=ellipse, label={_dot_quote(label)}];")
+            wire = escaped[decl.wire]
+            label = (f"{wire} = {decl.const} [{decl.role}]" if decl.role == ROLE_ANCILLA
+                     else f"{wire} [{decl.role}]")
+            lines.append(f'  "in:{wire}" [shape=ellipse, label="{label}"];')
         for g, inst in enumerate(self.gates):
             label = _dot_quote(f"g{g}: {inst.gate.name}")
             lines.append(f'  "g{g}" [shape=box, label={label}];')
         for decl in self.outputs:
             shape = "doublecircle" if decl.role == ROLE_PRIMARY_OUTPUT else "ellipse"
-            node = _dot_quote(f"out:{decl.wire}")
-            label = _dot_quote(f"{decl.wire} [{decl.role}]")
-            lines.append(f"  {node} [shape={shape}, label={label}];")
+            wire = escaped[decl.wire]
+            lines.append(f'  "out:{wire}" [shape={shape}, label="{wire} [{decl.role}]"];')
         for g, inst in enumerate(self.gates):
             for wire in inst.input_wires:
-                label = _dot_quote(wire)
-                lines.append(f'  {driver_node(wire)} -> "g{g}" [label={label}];')
+                lines.append(f'  {source[wire]} -> "g{g}" [label="{escaped[wire]}"];')
         for decl in self.outputs:
-            node, label = _dot_quote(f"out:{decl.wire}"), _dot_quote(decl.wire)
-            lines.append(f"  {driver_node(decl.wire)} -> {node} [label={label}];")
+            wire = escaped[decl.wire]
+            lines.append(f'  {source[decl.wire]} -> "out:{wire}" [label="{wire}"];')
         lines.append("}")
         return "\n".join(lines)
 
 
+def _json_array(items: Iterable[str], depth: int) -> str:
+    """A JSON array of rendered ``items`` laid out as ``json.dumps(indent=2)``
+    lays out one that opens ``depth`` spaces in."""
+    pad = "\n" + " " * depth
+    body = f",{pad}  ".join(items)
+    return f"[{pad}  {body}{pad}]" if body else "[]"
+
+
+def _dot_escape(text: str) -> str:
+    """``text`` inside a DOT quoted string: backslashes and double quotes escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _dot_quote(text: str) -> str:
-    """A DOT quoted string: backslashes and double quotes are escaped."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    """A DOT quoted string."""
+    return f'"{_dot_escape(text)}"'
 
 
 class NetlistBuilder:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from collections import deque
@@ -154,6 +155,94 @@ def reference_collision(net: Netlist):
             return BitVector(width, seen[full]), BitVector(width, pattern)
         seen[full] = pattern
     return None
+
+
+def reference_doc(net: Netlist) -> dict:
+    """The interchange document as plain data; ``to_json`` writes its
+    ``json.dumps(doc, indent=2)``."""
+    gate_defs: dict[str, GatePermutation] = {}
+    for inst in net.gates:
+        gate_defs.setdefault(inst.gate.name, inst.gate)
+    return {
+        "name": net.name,
+        "inputs": [{"wire": d.wire, "role": d.role, "const": d.const}
+                   if d.role == ROLE_ANCILLA else {"wire": d.wire, "role": d.role}
+                   for d in net.inputs],
+        "outputs": [{"wire": d.wire, "role": d.role} for d in net.outputs],
+        "gates": [{"gate_name": inst.gate.name, "in": list(inst.input_wires),
+                   "out": list(inst.output_wires)} for inst in net.gates],
+        "gate_defs": [{"name": g.name, "width": g.width, "table": list(g.table)}
+                      for g in sorted(gate_defs.values(), key=lambda g: g.name)],
+    }
+
+
+def reference_dot(net: Netlist) -> str:
+    """The Graphviz rendering, quoting every string where it is written."""
+
+    def quote(text: str) -> str:
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    def driver_node(wire: str) -> str:
+        kind, idx = net._drivers[wire]
+        return quote(f"in:{wire}") if kind == "input" else f'"g{idx}"'
+
+    lines = [f"digraph {quote(net.name)} {{", "  rankdir=LR;"]
+    for decl in net.inputs:
+        label = (f"{decl.wire} = {decl.const} [{decl.role}]" if decl.role == ROLE_ANCILLA
+                 else f"{decl.wire} [{decl.role}]")
+        lines.append(f"  {quote(f'in:{decl.wire}')} [shape=ellipse, label={quote(label)}];")
+    for g, inst in enumerate(net.gates):
+        lines.append(f'  "g{g}" [shape=box, label={quote(f"g{g}: {inst.gate.name}")}];')
+    for decl in net.outputs:
+        shape = "doublecircle" if decl.role == ROLE_PRIMARY_OUTPUT else "ellipse"
+        label = quote(f"{decl.wire} [{decl.role}]")
+        lines.append(f"  {quote(f'out:{decl.wire}')} [shape={shape}, label={label}];")
+    for g, inst in enumerate(net.gates):
+        for wire in inst.input_wires:
+            lines.append(f'  {driver_node(wire)} -> "g{g}" [label={quote(wire)}];')
+    for decl in net.outputs:
+        lines.append(f"  {driver_node(decl.wire)} -> {quote(f'out:{decl.wire}')} "
+                     f"[label={quote(decl.wire)}];")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+# Names an encoder must escape or pass through unchanged: quotes,
+# backslashes, non-ASCII (one character outside the BMP) and control
+# characters that str.split does not count as whitespace.
+AWKWARD_TEXT = st.text(st.sampled_from('a"\\\x00\x07\x1b\x7f\u00e9\u20ac\U0001f600')
+                       | st.characters(), min_size=1, max_size=5)
+WIRE_TEXT = AWKWARD_TEXT.filter(lambda s: s.split() == [s])
+GATE_TEXT = WIRE_TEXT.map(str.upper).filter(
+    lambda s: s.split() == [s] and s.upper() == s and s not in BUILTINS)
+
+
+@st.composite
+def awkward_netlists(draw) -> Netlist:
+    """A valid builder-made netlist of 0-5 gates with awkward netlist, wire
+    and gate names.  Wire ``k`` is ``f"{piece}#{k}"``, so names never clash."""
+    pieces = draw(st.lists(WIRE_TEXT, min_size=1, max_size=4))
+    serial = iter(range(1 << 30))
+
+    def fresh() -> str:
+        k = next(serial)
+        return f"{pieces[k % len(pieces)]}#{k}"
+
+    def take(wires: list[str]) -> str:
+        return wires.pop(draw(st.integers(0, len(wires) - 1)))
+
+    odd = GatePermutation(draw(GATE_TEXT), 2, draw(st.permutations(range(4))))
+    b = NetlistBuilder(draw(st.text(max_size=6)))
+    available = [b.primary_input(fresh()) for _ in range(draw(st.integers(1, 3)))]
+    available += [b.ancilla(draw(st.integers(0, 1))) for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 5))):
+        gate = draw(st.sampled_from([*GATE_POOL, odd]))
+        ins = [take(available) if available and draw(st.booleans())
+               else b.ancilla(draw(st.integers(0, 1))) for _ in range(gate.width)]
+        available += b.gate(gate, ins, [fresh() for _ in range(gate.width)])
+    for _ in range(draw(st.integers(1, len(available)))):
+        b.primary_output(take(available))
+    return b.build()
 
 
 class TestBuilder:
@@ -720,3 +809,53 @@ class TestSerialization:
         assert 'label="zero0 = 0 [ancilla]"' in dot
         # one edge per wire: 4 into the gate, 4 out of the circuit
         assert dot.count("->") == 8
+
+
+class TestInterchangeBytes:
+    """``to_json`` and ``to_dot`` write the same bytes as the plain-data
+    references above, for any valid netlist and any legal names."""
+
+    @given(awkward_netlists())
+    def test_json_is_the_reference_document_dumped(self, net):
+        assert net.to_json() == json.dumps(reference_doc(net), indent=2)
+
+    @given(awkward_netlists())
+    def test_json_round_trips(self, net):
+        assert Netlist.from_json(net.to_json()) == net
+
+    @given(awkward_netlists())
+    def test_dot_is_the_reference_rendering(self, net):
+        assert net.to_dot() == reference_dot(net)
+
+    def test_zero_gate_netlist(self):
+        b = NetlistBuilder('q"\\\u00e9')
+        b.primary_output(b.primary_input("x\x00\U0001f600"))
+        net = b.build()
+        text = net.to_json()
+        assert '"gates": []' in text and '"gate_defs": []' in text and text.isascii()
+        assert text == json.dumps(reference_doc(net), indent=2)
+        assert Netlist.from_json(text) == net
+        assert net.to_dot() == reference_dot(net)
+
+    @staticmethod
+    def two_gates_named_x(second: GatePermutation) -> Netlist:
+        b = NetlistBuilder("clash")
+        (y,) = b.gate(GatePermutation("X", 1, [1, 0]), [b.primary_input("x")], ["y"])
+        (z,) = b.gate(second, [y], ["z"])
+        b.primary_output(z)
+        return b.build()
+
+    def test_same_named_gates_with_different_tables_are_refused(self):
+        # The document keys tables by name: writing one table for both gates
+        # would turn this circuit's NOT x into NOT NOT x once parsed back.
+        net = self.two_gates_named_x(GatePermutation("X", 1, [0, 1]))
+        with pytest.raises(MalformedNetlist, match="'X'"):
+            net.to_json()
+
+    def test_same_named_gates_with_equal_tables_share_one_definition(self):
+        net = self.two_gates_named_x(GatePermutation("X", 1, [1, 0]))
+        assert net.gates[0].gate is not net.gates[1].gate
+        text = net.to_json()
+        assert len(json.loads(text)["gate_defs"]) == 1
+        assert text == json.dumps(reference_doc(net), indent=2)
+        assert Netlist.from_json(text) == net

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from revdec import classical, reversible
+from revdec import classical, gates, reversible
 from revdec.classical import (
     ARCHITECTURES,
     BcdOperands,
@@ -442,6 +442,20 @@ class TestBuildCache:
         ARCHITECTURES[arch].build(builtin_catalog())
         assert len(calls) == 1
         assert real() is not real()
+
+    def test_the_builtin_key_is_made_once_per_process(self, monkeypatch):
+        classical._builtin_gates.cache_clear()
+        real = gates.builtin_catalog
+        calls = []
+        monkeypatch.setattr(gates, "builtin_catalog", lambda: calls.append(1) or real())
+        try:
+            for arch in self.BUILDERS:
+                for _ in range(2):
+                    assert verify_architecture(arch).passed
+                    assert ARCHITECTURES[arch].build() is ARCHITECTURES[arch].build(real())
+            assert len(calls) == 1
+        finally:
+            classical._builtin_gates.cache_clear()
 
     def test_catalogs_never_share_a_build_table_or_report(self):
         row = ARCHITECTURES["rev_conventional"]
