@@ -88,6 +88,38 @@ def _lane_function(width: int, table: tuple[int, ...]) -> Callable[..., tuple]:
     return namespace["f"]
 
 
+_WORD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+# Transpose masks are cached up to this many patterns (at most 192 KiB an
+# entry); a 20-input sweep's would take up to 48 MiB, so it builds its own.
+_CACHED_MASK_PATTERNS = 1 << 12
+
+
+@lru_cache(maxsize=8)
+def _transpose_steps(word: int, length: int) -> tuple[tuple[int, int], ...]:
+    """``(shift, mask)`` per step of transposing every ``word`` x ``word``
+    block of a matrix whose row ``r`` is bits ``r * length`` onwards.
+
+    The step for ``d = word / 2, .., 2, 1`` swaps each block's top-right and
+    bottom-left ``d`` x ``d`` quarters (Hacker's Delight, section 7-3): the
+    mask holds the bits of rows with bit ``d`` clear in columns with it set,
+    and the shift moves one of them to its partner, ``d`` rows down and
+    ``d`` columns left.
+    """
+    row = length // 8
+    steps = []
+    d = word // 2
+    while d:
+        if d >= 8:
+            columns = (bytes(d // 8) + b"\xff" * (d // 8)) * (row * 4 // d)
+        else:
+            columns = bytes([{1: 0xAA, 2: 0xCC, 4: 0xF0}[d]]) * row
+        mask = (columns * d + bytes(row * d)) * (word // (2 * d))
+        steps.append((d * (length - 1), int.from_bytes(mask, "little")))
+        d //= 2
+    return tuple(steps)
+
+
 def _check_wire_name(wire: object) -> str:
     if not isinstance(wire, str) or wire.split() != [wire]:
         raise MalformedNetlist(
@@ -146,8 +178,15 @@ class GateInstance:
         object.__setattr__(self, "input_wires", tuple(self.input_wires))
         object.__setattr__(self, "output_wires", tuple(self.output_wires))
         for wires, side in ((self.input_wires, "input"), (self.output_wires, "output")):
-            for wire in wires:
-                _check_wire_name(wire)
+            # Splitting the joined names gives them back exactly when each
+            # is a non-empty string without whitespace; else find the culprit.
+            try:
+                named = " ".join(wires).split() == list(wires)
+            except TypeError:
+                named = False
+            if not named:
+                for wire in wires:
+                    _check_wire_name(wire)
             if len(wires) != self.gate.width:
                 raise MalformedNetlist(
                     f"gate {self.gate.name!r} has {self.gate.width} lines but "
@@ -459,23 +498,51 @@ class Netlist:
 
         Sweeps every primary input pattern (constants fixed on ancilla
         lines) and compares the complete output tuples, garbage included.
-        Returns ``None`` when no two inputs collide, otherwise one colliding
-        input pair.  Unlike :meth:`simulate` this deliberately skips the
-        consumption bookkeeping rules, so it can diagnose information loss
-        in netlists that :meth:`validate` would reject, for example outputs
-        that alias one wire while another wire is dropped.
+        Returns ``None`` when no two inputs collide, otherwise the first
+        collision in pattern order: the earliest pattern whose outputs an
+        earlier pattern already produced, after that earlier pattern.
+        Unlike :meth:`simulate` this deliberately skips the consumption
+        bookkeeping rules, so it can diagnose information loss in netlists
+        that :meth:`validate` would reject, for example outputs that alias
+        one wire while another wire is dropped.
+
+        The answer is not cached; each call sweeps the cached output lanes
+        again.  Up to 64 lanes are the rows of one bit matrix, and a
+        transpose of its ``word`` x ``word`` blocks (``word`` is 8, 16, 32 or
+        64 bits) turns them into one output code per pattern; more outputs
+        take one code per 64 of them.  The sweep passes when the codes are
+        all distinct, and only otherwise walks the patterns in order.
         """
         lanes = self._columns
         _, primaries, _, _, outputs = self._plan
-        size = 1 << len(primaries)
-        # Character p of each reversed binary string is that output's bit p,
-        # so zipping them yields every pattern's output tuple in order.
-        bits = [format(lanes[w], f"0{size}b")[::-1] for w in outputs]
-        seen: dict[tuple[str, ...], int] = {}
-        for pattern, output in enumerate(zip(*bits) if bits else [()] * size):
-            first = seen.setdefault(output, pattern)
-            if first != pattern:
-                return BitVector(len(primaries), first), BitVector(len(primaries), pattern)
+        width = len(primaries)
+        size = 1 << width
+        word = max(8, 1 << (min(len(outputs), 64) - 1).bit_length())
+        length = max(size, word)  # row length; patterns past size are padding
+        row = length // 8
+        steps = (_transpose_steps if size <= _CACHED_MASK_PATTERNS
+                 else _transpose_steps.__wrapped__)(word, length)
+        views = []
+        for start in range(0, len(outputs) or 1, 64):
+            # Output j of the chunk is row j.  After the transpose, word
+            # i * blocks + b holds the code of pattern b * word + i; a byte
+            # swap is one-to-one, so the native byte order does not matter.
+            x = int.from_bytes(b"".join(lanes[w].to_bytes(row, "little")
+                                        for w in outputs[start:start + 64]), "little")
+            for shift, mask in steps:
+                t = ((x >> shift) ^ x) & mask
+                x ^= t ^ (t << shift)
+            views.append(memoryview(x.to_bytes(row * word, "little")).cast(_WORD_FORMATS[word]))
+        blocks = length // word
+        # With padding there is one block, whose words are in pattern order.
+        codes = views[0][:size] if len(views) == 1 else list(zip(*views))[:size]
+        if len(set(codes)) < size:
+            seen: dict = {}
+            for pattern in range(size):
+                first = seen.setdefault(codes[pattern % word * blocks + pattern // word],
+                                        pattern)
+                if first != pattern:
+                    return BitVector(width, first), BitVector(width, pattern)
         return None
 
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ from collections import deque
 from functools import cached_property
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revdec.gates import BitVector, GatePermutation, ParseError, builtin_catalog
@@ -555,6 +555,20 @@ class TestCheckInjective:
             net = random_net(rng, f"random{trial}")
             assert net.check_injective() is None, net.name
 
+    def test_identity_at_the_input_limit(self):
+        # 2**20 patterns: the widest netlist the sweep accepts.
+        n = _MAX_INJECTIVITY_INPUTS
+        wires = [f"x{i}" for i in range(n)]
+        inputs = tuple(InputDecl(w, ROLE_PRIMARY_INPUT) for w in wires)
+        outputs = [OutputDecl(w, ROLE_PRIMARY_OUTPUT) for w in wires]
+        assert Netlist("identity", inputs, tuple(outputs), ()).check_injective() is None
+        for k in (3, n - 1):
+            # Output k aliases wire k + 1 (mod n), so input k is dropped.
+            lossy = list(outputs)
+            lossy[k] = OutputDecl(wires[(k + 1) % n], ROLE_PRIMARY_OUTPUT)
+            net = Netlist("lossy", inputs, tuple(lossy), ())
+            assert net.check_injective() == (BitVector(n, 0), BitVector(n, 1 << k))
+
     def test_no_primary_inputs_means_no_collision(self):
         # One pattern (the ancilla constants) cannot collide with another.
         net = Netlist(
@@ -593,17 +607,59 @@ class TestReferenceEvaluator:
         assert net.columns() == dict(zip(net._drivers, net._columns))
 
     @settings(max_examples=150, deadline=None)
-    @given(st.randoms(use_true_random=False))
-    def test_lossy_netlists_report_the_reference_collision(self, rng):
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_lossy_netlists_report_the_reference_collision(self, rng, wide):
         # Aliasing one output onto another drops a wire: check_injective
         # skips the consumption rules, so it still sweeps such a netlist.
         net = random_net(rng, "r", rng.randint(1, 3))
         outputs = list(net.outputs)
+        if wide:
+            # 65-130 outputs in shuffled order: constant ancillas passed
+            # straight to garbage spread the real outputs over two chunks
+            # of 64 output codes.
+            pads = [InputDecl(f"pad{j}", ROLE_ANCILLA, rng.randint(0, 1))
+                    for j in range(rng.randint(65, 130) - len(outputs))]
+            outputs += [OutputDecl(d.wire, ROLE_GARBAGE) for d in pads]
+            rng.shuffle(outputs)
+            net = Netlist("r", net.inputs + tuple(pads), tuple(outputs), net.gates)
         k = rng.randrange(len(outputs))
         outputs[k] = OutputDecl(rng.choice(outputs).wire, outputs[k].role)
         lossy = Netlist("lossy", net.inputs, tuple(outputs), net.gates)
         assert lossy.check_injective() == reference_collision(lossy)
         assert_columns_match_the_reference(lossy)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 130), st.randoms(use_true_random=False))
+    @example(0, 0, random.Random(0))  # one pattern, no outputs
+    @example(2, 0, random.Random(0))  # no outputs: patterns 0 and 1 collide
+    @example(3, 64, random.Random(1))  # 8 patterns padded to 64
+    @example(7, 65, random.Random(2))  # one code past the chunk boundary
+    @example(12, 130, random.Random(3))
+    def test_pattern_words_equal_the_per_pattern_reference(self, n, m, rng):
+        # check_injective over random output lanes: each copies an input
+        # column, XORs two of them, is random or is sparse, so the sweep
+        # sees both distinct and colliding codes at every word width.
+        size = 1 << n
+        net = Netlist("columns", tuple(InputDecl(f"x{i}", ROLE_PRIMARY_INPUT) for i in range(n))
+                      + tuple(InputDecl(f"c{j}", ROLE_ANCILLA, 0) for j in range(m)),
+                      tuple(OutputDecl(f"c{j}", ROLE_GARBAGE) for j in range(m)), ())
+        inputs = net._columns[:n] or [0]
+        lanes = [rng.choice([
+            rng.choice(inputs),
+            rng.choice(inputs) ^ rng.choice(inputs),
+            rng.getrandbits(size),
+            rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size),
+        ]) for _ in range(m)]
+        vars(net)["_columns"] = net._columns[:n] + lanes
+        # The reference: each pattern's tuple of output bits, in pattern order.
+        bits = [format(lane, f"0{size}b")[::-1] for lane in lanes]
+        seen, want = {}, None
+        for pattern, code in enumerate(zip(*bits) if bits else [()] * size):
+            first = seen.setdefault(code, pattern)
+            if first != pattern:
+                want = BitVector(n, first), BitVector(n, pattern)
+                break
+        assert net.check_injective() == want
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 4).flatmap(
