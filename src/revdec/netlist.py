@@ -226,6 +226,25 @@ class TraceStep:
 
 
 @record
+class _Analysis:
+    """What :attr:`Netlist._analysis` finds in its one walk over the wires.
+
+    Wire ``i`` is named ``wires[i]``: the circuit inputs in declaration
+    order, then each gate's output wires in placement order.  ``steps``
+    holds ``(gate index, input wires, output wires)`` per gate in dependency
+    order; every other wire here is an index.
+    """
+
+    wires: tuple[str, ...]
+    drivers: tuple[int, ...]  # per wire: its gate's index, or -1 for a circuit input
+    steps: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+    primary_inputs: tuple[int, ...]
+    primary_outputs: tuple[int, ...]
+    outputs: tuple[int, ...]
+    fault: str | None  # the first broken consumption rule, raised by validate
+
+
+@record
 class Netlist:
     """An immutable reversible circuit.
 
@@ -233,9 +252,11 @@ class Netlist:
     same inputs, outputs and gate placements (including the gates' tables)
     in the same order.  Validation is explicit via :meth:`validate`;
     operations that only make sense on well-formed circuits (simulation,
-    metrics, export) call it themselves.  Its result is remembered, as is
-    the analysis behind it (drivers, dependency order, the circuit lowered to
-    wire indices); a failed check caches nothing and raises again.
+    metrics, export) call it themselves.  One walk over the wires, cached on
+    first use, gives each wire's index and driver, the gates' dependency
+    order and the first broken consumption rule, which :meth:`validate`
+    raises on every call.  A circuit that cannot be evaluated (a wire
+    driven twice or never, a cycle) caches nothing and raises again.
     """
 
     name: str
@@ -264,80 +285,86 @@ class Netlist:
         return tuple(d.wire for d in self.outputs if d.role == ROLE_GARBAGE)
 
     @cached_property
-    def _drivers(self) -> dict[str, tuple[str, int]]:
-        """Map each wire to its unique driver, inputs first, then gate outputs.
+    def _analysis(self) -> _Analysis:
+        """Walk inputs, gate outputs, gate inputs and outputs once.
 
-        The driver is ``("input", input_index)`` or ``("gate", gate_index)``.
-        Raises :class:`MalformedNetlist` if any wire is driven twice.
+        Raises :class:`MalformedNetlist` only for a circuit that cannot be
+        evaluated, naming the first of: a wire declared or driven twice, a
+        consumed wire never driven, an output never driven, a dependency
+        cycle.  Gates are ordered by Kahn's FIFO queue of ready gates.  The
+        first broken consumption rule is only kept as ``fault``, so
+        :meth:`check_injective` still sweeps a netlist that :meth:`validate`
+        rejects, for example one whose outputs alias a wire.
         """
-        drivers: dict[str, tuple[str, int]] = {}
-        for i, decl in enumerate(self.inputs):
-            if decl.wire in drivers:
-                raise MalformedNetlist(f"wire {decl.wire!r} is declared twice")
-            drivers[decl.wire] = ("input", i)
-        for g, inst in enumerate(self.gates):
-            for wire in inst.output_wires:
-                if wire in drivers:
-                    raise MalformedNetlist(f"wire {wire!r} is driven twice")
-                drivers[wire] = ("gate", g)
-        return drivers
-
-    @cached_property
-    def _topo_order(self) -> tuple[int, ...]:
-        """Indices of ``gates`` in dependency order.
-
-        Verifies that the circuit is evaluable: every consumed wire has a
-        driver and no dependency cycle exists.  Does not check the
-        consumption rules; :meth:`validate` layers those on top.
-        """
-        drivers = self._drivers
+        # Sources drive wires: -1 the circuit inputs, then each gate its
+        # outputs.  Sinks consume them: each gate its inputs, then -1 the
+        # circuit outputs.  A wire needs one source; validate wants one sink.
+        index: dict[str, int] = {}
+        drivers: list[int] = []  # per wire: its source
+        outs_of = []  # per source: its wires
+        for g, names in [(-1, [d.wire for d in self.inputs]),
+                         *enumerate(inst.output_wires for inst in self.gates)]:
+            outs_of.append(tuple(range(len(drivers), len(drivers) + len(names))))
+            for wire in names:
+                if wire in index:
+                    raise MalformedNetlist(f"wire {wire!r} is "
+                                           + ("driven twice" if g >= 0 else "declared twice"))
+                index[wire] = len(drivers)
+                drivers.append(g)
+        del outs_of[0]
+        fault = None
+        consumers: list[int | None] = [None] * len(drivers)  # per wire: its sink
         missing = [0] * len(self.gates)  # gate-driven inputs not yet ordered
-        consumers: dict[int, list[int]] = {}
-        for g, inst in enumerate(self.gates):
-            for wire in inst.input_wires:
-                if wire not in drivers:
-                    raise MalformedNetlist(f"wire {wire!r} is consumed but never driven")
-                kind, idx = drivers[wire]
-                if kind == "gate":
+        successors: list[list[int]] = [[] for _ in self.gates]
+        ins_of = []  # per sink: its wires
+        for g, names in [*enumerate(inst.input_wires for inst in self.gates),
+                         (-1, [d.wire for d in self.outputs])]:
+            ins = []
+            for wire in names:
+                i = index.get(wire)
+                if i is None:
+                    raise MalformedNetlist(f"wire {wire!r} is consumed but never driven"
+                                           if g >= 0 else f"output {wire!r} is never driven")
+                ins.append(i)
+                if g >= 0 and drivers[i] >= 0:
                     missing[g] += 1
-                    consumers.setdefault(idx, []).append(g)
-        for decl in self.outputs:
-            if decl.wire not in drivers:
-                raise MalformedNetlist(f"output {decl.wire!r} is never driven")
+                    successors[drivers[i]].append(g)
+                first = consumers[i]
+                if first is not None and fault is None:
+                    where = [f"gate {k} ({self.gates[k].gate.name})" if k >= 0
+                             else "circuit output" for k in (first, g)]
+                    fault = (f"output {wire!r} is declared twice" if first == g == -1 else
+                             f"wire {wire!r} is consumed twice ({where[0]} and {where[1]}); "
+                             f"fan-out requires an explicit copy gate")
+                consumers[i] = g
+            ins_of.append(tuple(ins))
+        outputs = ins_of.pop()
 
         order = [g for g, n in enumerate(missing) if n == 0]
         for g in order:  # a FIFO queue: the loop reaches the gates it appends
-            for nxt in consumers.get(g, ()):
+            for nxt in successors[g]:
                 missing[nxt] -= 1
                 if missing[nxt] == 0:
                     order.append(nxt)
         if len(order) != len(self.gates):
             raise MalformedNetlist("netlist contains a dependency cycle")
-        return tuple(order)
 
-    @cached_property
-    def _plan(self):
-        """The circuit lowered to wire indices for :meth:`_lanes`.
-
-        Wire ``i`` is key ``i`` of :attr:`_drivers`.  Holds every wire's
-        constant (the ancilla's, else 0), the primary input wires, ``(gate
-        index, lane function, input wires, output wires)`` per gate in
-        dependency order, the primary output wires and all output wires.
-        """
-        index = {w: i for i, w in enumerate(self._drivers)}.__getitem__
-
-        def wires(names) -> tuple[int, ...]:
-            return tuple(map(index, names))
-
-        consts = [d.const or 0 for d in self.inputs]
-        consts += [0] * (len(self._drivers) - len(consts))
-        steps = []
-        for g in self._topo_order:
-            inst = self.gates[g]
-            steps.append((g, _lane_function(inst.gate.width, inst.gate.table),
-                          wires(inst.input_wires), wires(inst.output_wires)))
-        return (consts, wires(self.primary_input_wires()), tuple(steps),
-                wires(self.primary_output_wires()), wires(d.wire for d in self.outputs))
+        primary_inputs = tuple(i for i, d in enumerate(self.inputs)
+                               if d.role == ROLE_PRIMARY_INPUT)
+        primary_outputs = tuple(i for i, d in zip(outputs, self.outputs)
+                                if d.role == ROLE_PRIMARY_OUTPUT)
+        if fault is None:
+            dangling = [w for w, c in zip(index, consumers) if c is None]
+            if dangling:
+                fault = (f"wire(s) {sorted(dangling)} are driven but neither consumed by a "
+                         f"gate nor declared as outputs; classify them as garbage")
+            elif not primary_inputs:
+                fault = "netlist declares no primary inputs"
+            elif not primary_outputs:
+                fault = "netlist declares no primary outputs"
+        return _Analysis(tuple(index), tuple(drivers),
+                         tuple((g, ins_of[g], outs_of[g]) for g in order),
+                         primary_inputs, primary_outputs, outputs, fault)
 
     def validate(self) -> None:
         """Check every structural invariant; raise :class:`MalformedNetlist`.
@@ -345,43 +372,12 @@ class Netlist:
         Rules: unique wire names per declaration site, exactly one driver
         and exactly one consumer per wire (fan-out is not allowed), no
         driven-but-unclassified wires, no cycles, and at least one primary
-        input and one primary output.  A netlist that passed is not checked
-        again; one that failed raises on every call.
+        input and one primary output.  The answer comes from the cached
+        analysis; a netlist that failed raises on every call.
         """
-        self._valid
-
-    @cached_property
-    def _valid(self) -> bool:
-        """The checks of :meth:`validate`; cached only once they pass."""
-        self._topo_order
-        consumed: dict[str, str] = {}
-
-        def consume(wire: str, where: str) -> None:
-            if wire in consumed:
-                raise MalformedNetlist(
-                    f"wire {wire!r} is consumed twice ({consumed[wire]} and {where}); "
-                    f"fan-out requires an explicit copy gate")
-            consumed[wire] = where
-
-        for g, inst in enumerate(self.gates):
-            for wire in inst.input_wires:
-                consume(wire, f"gate {g} ({inst.gate.name})")
-        seen_outputs: set[str] = set()
-        for decl in self.outputs:
-            if decl.wire in seen_outputs:
-                raise MalformedNetlist(f"output {decl.wire!r} is declared twice")
-            seen_outputs.add(decl.wire)
-            consume(decl.wire, "circuit output")
-        dangling = [w for w in self._drivers if w not in consumed]
-        if dangling:
-            raise MalformedNetlist(
-                f"wire(s) {sorted(dangling)} are driven but neither consumed by a "
-                f"gate nor declared as outputs; classify them as garbage")
-        if not self.primary_input_wires():
-            raise MalformedNetlist("netlist declares no primary inputs")
-        if not self.primary_output_wires():
-            raise MalformedNetlist("netlist declares no primary outputs")
-        return True
+        fault = self._analysis.fault
+        if fault:
+            raise MalformedNetlist(fault)
 
     # ------------------------------------------------------------------
     # simulation
@@ -393,11 +389,14 @@ class Netlist:
         ``ones`` has a 1 in every lane bit in use.  Each wire has one driver,
         so its lane is written once, before any gate reads it.
         """
-        consts, primaries, steps, _, _ = self._plan
-        lanes = [ones * c for c in consts]
-        for wire, column in zip(primaries, columns):
+        analysis = self._analysis
+        lanes = [ones if d.const else 0 for d in self.inputs]
+        lanes += [0] * (len(analysis.wires) - len(lanes))
+        for wire, column in zip(analysis.primary_inputs, columns):
             lanes[wire] = column
-        for _, lane_function, ins, outs in steps:
+        for g, ins, outs in analysis.steps:
+            gate = self.gates[g].gate
+            lane_function = _lane_function(gate.width, gate.table)
             for wire, lane in zip(outs, lane_function(ones, *[lanes[w] for w in ins])):
                 lanes[wire] = lane
         return lanes
@@ -408,7 +407,7 @@ class Netlist:
 
         Input ``i``'s column doubles a period of ``2**i`` zeros, ``2**i`` ones.
         """
-        width = len(self._plan[1])
+        width = len(self._analysis.primary_inputs)
         if width > _MAX_INJECTIVITY_INPUTS:
             raise MalformedNetlist(f"refusing to enumerate 2**{width} input patterns "
                                    f"(limit is 2**{_MAX_INJECTIVITY_INPUTS})")
@@ -423,7 +422,7 @@ class Netlist:
     def _lanes_at(self, x: BitVector) -> tuple[list[int], int]:
         """Validate; every wire's lane and the bit for ``x`` (one lane if too wide)."""
         self.validate()
-        width = len(self._plan[1])
+        width = len(self._analysis.primary_inputs)
         if x.width != width:
             raise WidthMismatch(f"netlist {self.name!r} has {width} primary inputs "
                                 f"but the pattern has {x.width} bits")
@@ -447,13 +446,13 @@ class Netlist:
             TraceStep(g, self.gates[g].gate.name,
                       tuple(zip(self.gates[g].input_wires, [lanes[w] >> p & 1 for w in ins])),
                       tuple(zip(self.gates[g].output_wires, [lanes[w] >> p & 1 for w in outs])))
-            for g, _, ins, outs in self._plan[2])
+            for g, ins, outs in self._analysis.steps)
         return (*self._outputs(lanes, p), trace)
 
     def _outputs(self, lanes: list[int], p: int) -> tuple[BitVector, BitVector]:
         """The primary and the full output vector at bit ``p`` of ``lanes``."""
         vectors = []
-        for wires in self._plan[3:]:
+        for wires in (self._analysis.primary_outputs, self._analysis.outputs):
             value = 0
             for i, wire in enumerate(wires):
                 value |= (lanes[wire] >> p & 1) << i
@@ -463,7 +462,7 @@ class Netlist:
     def columns(self) -> dict[str, int]:
         """Map each wire to its lane over all ``2**n`` primary patterns (n <= 20)."""
         self.validate()
-        return dict(zip(self._drivers, self._columns))
+        return dict(zip(self._analysis.wires, self._columns))
 
     # ------------------------------------------------------------------
     # analysis
@@ -475,13 +474,13 @@ class Netlist:
         Circuit input wires sit at depth 0; a gate's output wires sit one
         past the deepest of its input wires.
         """
-        depth: dict[str, int] = {d.wire: 0 for d in self.inputs}
-        for g in self._topo_order:
-            inst = self.gates[g]
-            level = 1 + max(depth[w] for w in inst.input_wires)
-            for wire in inst.output_wires:
+        analysis = self._analysis
+        depth = [0] * len(analysis.wires)
+        for _, ins, outs in analysis.steps:
+            level = 1 + max(depth[w] for w in ins)
+            for wire in outs:
                 depth[wire] = level
-        return depth
+        return dict(zip(analysis.wires, depth))
 
     def metrics(self) -> CostMetrics:
         """Gate count, garbage count, ancilla count and depth."""
@@ -501,10 +500,10 @@ class Netlist:
         Returns ``None`` when no two inputs collide, otherwise the first
         collision in pattern order: the earliest pattern whose outputs an
         earlier pattern already produced, after that earlier pattern.
-        Unlike :meth:`simulate` this deliberately skips the consumption
-        bookkeeping rules, so it can diagnose information loss in netlists
-        that :meth:`validate` would reject, for example outputs that alias
-        one wire while another wire is dropped.
+        Unlike :meth:`simulate` it needs only an evaluable circuit, not the
+        consumption rules :meth:`validate` adds, so it can diagnose
+        information loss in netlists that :meth:`validate` would reject, for
+        example outputs that alias one wire while another wire is dropped.
 
         The answer is not cached; each call sweeps the cached output lanes
         again.  Up to 64 lanes are the rows of one bit matrix, and a
@@ -514,8 +513,8 @@ class Netlist:
         all distinct, and only otherwise walks the patterns in order.
         """
         lanes = self._columns
-        _, primaries, _, _, outputs = self._plan
-        width = len(primaries)
+        outputs = self._analysis.outputs
+        width = len(self._analysis.primary_inputs)
         size = 1 << width
         word = max(8, 1 << (min(len(outputs), 64) - 1).bit_length())
         length = max(size, word)  # row length; patterns past size are padding
@@ -646,9 +645,9 @@ class Netlist:
         self.validate()
         # Escaping is per character, so each wire's escaped name is wrapped
         # as is for its node ids, labels and edges.
-        escaped = {wire: _dot_escape(wire) for wire in self._drivers}
-        source = {wire: f'"in:{escaped[wire]}"' if kind == "input" else f'"g{idx}"'
-                  for wire, (kind, idx) in self._drivers.items()}
+        escaped = {wire: _dot_escape(wire) for wire in self._analysis.wires}
+        source = {wire: f'"g{g}"' if g >= 0 else f'"in:{escaped[wire]}"'
+                  for wire, g in zip(escaped, self._analysis.drivers)}
         lines = [f"digraph {_dot_quote(self.name)} {{", "  rankdir=LR;"]
         for decl in self.inputs:
             wire = escaped[decl.wire]

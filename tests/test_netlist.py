@@ -30,6 +30,7 @@ from revdec.netlist import (
     _lane_function,
     _lane_source,
 )
+from revdec.reversible import build_carry_skip_reversible
 
 BUILTINS = builtin_catalog()
 TS3 = BUILTINS["TS3"]
@@ -132,9 +133,8 @@ def reference_simulate(net: Netlist, pattern: int):
             steps)
 
 
-def assert_columns_match_the_reference(net: Netlist) -> None:
+def assert_columns_match_the_reference(net: Netlist, columns: dict[str, int]) -> None:
     """Bit ``p`` of every wire's column is the reference value under pattern ``p``."""
-    columns = dict(zip(net._drivers, net._columns))
     for pattern in range(1 << len(net.primary_input_wires())):
         values, _ = reference_values(net, pattern)
         assert {w: (lane >> pattern) & 1 for w, lane in columns.items()} == values
@@ -182,10 +182,9 @@ def reference_dot(net: Netlist) -> str:
     def quote(text: str) -> str:
         return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    def driver_node(wire: str) -> str:
-        kind, idx = net._drivers[wire]
-        return quote(f"in:{wire}") if kind == "input" else f'"g{idx}"'
-
+    driver_node = {d.wire: quote(f"in:{d.wire}") for d in net.inputs}
+    driver_node.update((w, f'"g{g}"') for g, inst in enumerate(net.gates)
+                       for w in inst.output_wires)
     lines = [f"digraph {quote(net.name)} {{", "  rankdir=LR;"]
     for decl in net.inputs:
         label = (f"{decl.wire} = {decl.const} [{decl.role}]" if decl.role == ROLE_ANCILLA
@@ -199,12 +198,169 @@ def reference_dot(net: Netlist) -> str:
         lines.append(f"  {quote(f'out:{decl.wire}')} [shape={shape}, label={label}];")
     for g, inst in enumerate(net.gates):
         for wire in inst.input_wires:
-            lines.append(f'  {driver_node(wire)} -> "g{g}" [label={quote(wire)}];')
+            lines.append(f'  {driver_node[wire]} -> "g{g}" [label={quote(wire)}];')
     for decl in net.outputs:
-        lines.append(f"  {driver_node(decl.wire)} -> {quote(f'out:{decl.wire}')} "
+        lines.append(f"  {driver_node[decl.wire]} -> {quote(f'out:{decl.wire}')} "
                      f"[label={quote(decl.wire)}];")
     lines.append("}")
     return "\n".join(lines)
+
+
+def reference_drivers(net: Netlist) -> dict[str, tuple[str, int]]:
+    """Each wire's driver, ``("input", i)`` or ``("gate", g)``: the first of
+    three separate passes that validate a netlist."""
+    drivers: dict[str, tuple[str, int]] = {}
+    for i, decl in enumerate(net.inputs):
+        if decl.wire in drivers:
+            raise MalformedNetlist(f"wire {decl.wire!r} is declared twice")
+        drivers[decl.wire] = ("input", i)
+    for g, inst in enumerate(net.gates):
+        for wire in inst.output_wires:
+            if wire in drivers:
+                raise MalformedNetlist(f"wire {wire!r} is driven twice")
+            drivers[wire] = ("gate", g)
+    return drivers
+
+
+def reference_evaluable(net: Netlist) -> None:
+    """The second pass: every consumed wire is driven and no cycle exists."""
+    drivers = reference_drivers(net)
+    missing = [0] * len(net.gates)
+    consumers: dict[int, list[int]] = {}
+    for g, inst in enumerate(net.gates):
+        for wire in inst.input_wires:
+            if wire not in drivers:
+                raise MalformedNetlist(f"wire {wire!r} is consumed but never driven")
+            kind, idx = drivers[wire]
+            if kind == "gate":
+                missing[g] += 1
+                consumers.setdefault(idx, []).append(g)
+    for decl in net.outputs:
+        if decl.wire not in drivers:
+            raise MalformedNetlist(f"output {decl.wire!r} is never driven")
+    order = [g for g, n in enumerate(missing) if n == 0]
+    for g in order:
+        for nxt in consumers.get(g, ()):
+            missing[nxt] -= 1
+            if missing[nxt] == 0:
+                order.append(nxt)
+    if len(order) != len(net.gates):
+        raise MalformedNetlist("netlist contains a dependency cycle")
+
+
+def reference_validate(net: Netlist) -> None:
+    """The third pass, after the other two: the consumption and role rules."""
+    reference_evaluable(net)
+    consumed: dict[str, str] = {}
+
+    def consume(wire: str, where: str) -> None:
+        if wire in consumed:
+            raise MalformedNetlist(
+                f"wire {wire!r} is consumed twice ({consumed[wire]} and {where}); "
+                f"fan-out requires an explicit copy gate")
+        consumed[wire] = where
+
+    for g, inst in enumerate(net.gates):
+        for wire in inst.input_wires:
+            consume(wire, f"gate {g} ({inst.gate.name})")
+    seen_outputs: set[str] = set()
+    for decl in net.outputs:
+        if decl.wire in seen_outputs:
+            raise MalformedNetlist(f"output {decl.wire!r} is declared twice")
+        seen_outputs.add(decl.wire)
+        consume(decl.wire, "circuit output")
+    dangling = [w for w in reference_drivers(net) if w not in consumed]
+    if dangling:
+        raise MalformedNetlist(
+            f"wire(s) {sorted(dangling)} are driven but neither consumed by a "
+            f"gate nor declared as outputs; classify them as garbage")
+    if not net.primary_input_wires():
+        raise MalformedNetlist("netlist declares no primary inputs")
+    if not net.primary_output_wires():
+        raise MalformedNetlist("netlist declares no primary outputs")
+
+
+def reference_faults(net: Netlist) -> tuple[str | None, str | None]:
+    """The reference's message for an unevaluable netlist and for an invalid
+    one, each ``None`` when its check passes."""
+    messages = []
+    for check in (reference_evaluable, reference_validate):
+        try:
+            check(net)
+            messages.append(None)
+        except MalformedNetlist as exc:
+            messages.append(str(exc))
+    return messages[0], messages[1]
+
+
+def mutated_net(rng: random.Random, n_mutations: int) -> Netlist:
+    """A :func:`random_net` netlist after ``n_mutations`` random rule breaks.
+
+    A mutation that would make a :class:`GateInstance` itself invalid (a
+    wire twice on one side, or on both sides) is skipped.
+    """
+    net = random_net(rng, "r", rng.randint(1, 3))
+    inputs, outputs = list(net.inputs), list(net.outputs)
+    gates = [[inst.gate, list(inst.input_wires), list(inst.output_wires)] for inst in net.gates]
+    for _ in range(n_mutations):
+        ins, outs = list(inputs), list(outputs)
+        lines = [[gate, list(i), list(o)] for gate, i, o in gates]
+        driven = [d.wire for d in ins] + [w for _, _, o in lines for w in o]
+        _, gate_ins, gate_outs = rng.choice(lines)
+        k = rng.randrange(len(gate_ins))
+        kind = rng.choice(["reconsume", "alias", "drop", "duplicate", "undriven",
+                           "redrive", "cycle", "strip"])
+        if kind == "reconsume":  # a gate reads a wire another sink reads
+            gate_ins[k] = rng.choice(driven)
+        elif kind == "alias" and outs:  # an output names another driven wire
+            j = rng.randrange(len(outs))
+            outs[j] = OutputDecl(rng.choice(driven), outs[j].role)
+        elif kind == "drop" and outs:
+            del outs[rng.randrange(len(outs))]
+        elif kind == "duplicate" and outs:
+            outs.insert(rng.randrange(len(outs) + 1),
+                        OutputDecl(rng.choice(outs).wire,
+                                   rng.choice([ROLE_PRIMARY_OUTPUT, ROLE_GARBAGE])))
+        elif kind == "undriven":  # a gate input or an output no one drives
+            ghost = f"ghost{rng.randrange(1 << 30)}"
+            if rng.random() < 0.5:
+                gate_ins[k] = ghost
+            else:
+                outs.append(OutputDecl(ghost, ROLE_GARBAGE))
+        elif kind == "redrive":  # a second input declaration or gate output
+            if rng.random() < 0.5:
+                ins.insert(rng.randrange(len(ins) + 1),
+                           InputDecl(rng.choice(driven), ROLE_PRIMARY_INPUT))
+            else:
+                gate_outs[rng.randrange(len(gate_outs))] = rng.choice(driven)
+        elif kind == "cycle":
+            # Gate g reads wire b of a gate h that reads g's output, and
+            # b's other readers read g's old input a instead: a 2-cycle.
+            pairs = [(g, h) for g, (_, _, o) in enumerate(lines)
+                     for h, (_, i, _) in enumerate(lines) if h != g and set(o) & set(i)]
+            if pairs:
+                g, h = rng.choice(pairs)
+                g_ins = lines[g][1]
+                j = rng.randrange(len(g_ins))
+                a, b = g_ins[j], rng.choice(lines[h][2])
+                for _, i, _ in lines:
+                    i[:] = [a if w == b else w for w in i]
+                outs = [OutputDecl(a if d.wire == b else d.wire, d.role) for d in outs]
+                g_ins[j] = b
+        elif kind == "strip":  # strip primary input roles, output roles or both
+            side = rng.choice(["inputs", "outputs", "both"])
+            if side != "outputs":
+                ins = [InputDecl(d.wire, ROLE_ANCILLA, 0) if d.role == ROLE_PRIMARY_INPUT
+                       else d for d in ins]
+            if side != "inputs":
+                outs = [OutputDecl(d.wire, ROLE_GARBAGE) for d in outs]
+        try:
+            [GateInstance(gate, tuple(i), tuple(o)) for gate, i, o in lines]
+        except MalformedNetlist:
+            continue
+        inputs, outputs, gates = ins, outs, lines
+    return Netlist("mutant", tuple(inputs), tuple(outputs),
+                   tuple(GateInstance(gate, tuple(i), tuple(o)) for gate, i, o in gates))
 
 
 # Names an encoder must escape or pass through unchanged: quotes,
@@ -403,6 +559,34 @@ class TestSimulate:
         assert forward.metrics().depth == backward.metrics().depth
 
 
+def ancillas_only(net: Netlist) -> tuple[InputDecl, ...]:
+    return tuple(InputDecl(d.wire, ROLE_ANCILLA, 0) for d in net.inputs)
+
+
+def garbage_only(net: Netlist) -> tuple[OutputDecl, ...]:
+    return tuple(OutputDecl(d.wire, ROLE_GARBAGE) for d in net.outputs)
+
+
+# The full adder's (inputs, outputs) redeclared, and the message validation
+# gives; the last two pin the order in which the last three rules apply.
+DECLARATION_FAULTS = {
+    "input-declared-twice": (lambda n: (n.inputs + n.inputs[:1], n.outputs),
+                             "wire 'x' is declared twice"),
+    "output-declared-twice": (lambda n: (n.inputs, n.outputs + n.outputs[:1]),
+                              "output 's' is declared twice"),
+    "no-primary-inputs": (lambda n: (ancillas_only(n), n.outputs),
+                          "netlist declares no primary inputs"),
+    "no-primary-outputs": (lambda n: (n.inputs, garbage_only(n)),
+                           "netlist declares no primary outputs"),
+    "dangling-before-no-primary-inputs": (
+        lambda n: (ancillas_only(n), n.outputs[:-1]),
+        "wire(s) ['res_h'] are driven but neither consumed by a gate nor declared as "
+        "outputs; classify them as garbage"),
+    "no-primary-inputs-before-outputs": (lambda n: (ancillas_only(n), garbage_only(n)),
+                                         "netlist declares no primary inputs"),
+}
+
+
 class TestValidation:
     def _net(self, inputs, outputs, gates) -> Netlist:
         return Netlist("bad", tuple(inputs), tuple(outputs), tuple(gates))
@@ -487,6 +671,40 @@ class TestValidation:
     def test_instance_self_loop(self):
         with pytest.raises(MalformedNetlist, match="own input"):
             GateInstance(TS3, ("a", "b", "c"), ("a", "d", "e"))
+
+    @pytest.mark.parametrize("declare, message", DECLARATION_FAULTS.values(),
+                             ids=DECLARATION_FAULTS.keys())
+    def test_declaration_faults(self, declare, message):
+        adder = full_adder_net()
+        net = Netlist("bad", *declare(adder), adder.gates)
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(MalformedNetlist, match=exact):
+            net.validate()
+        with pytest.raises(MalformedNetlist, match=exact):
+            Netlist.from_json(json.dumps(reference_doc(net)))
+
+    # A seeded Random rather than st.randoms: Hypothesis's own draws favour
+    # the first choice, which leaves pairs of rule breaks rare.
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2))
+    def test_messages_and_precedence_match_the_three_pass_reference(self, seed, n_mutations):
+        net = mutated_net(random.Random(seed), n_mutations)
+        unevaluable, invalid = reference_faults(net)
+        if invalid is None:
+            net.validate()
+        else:
+            with pytest.raises(MalformedNetlist) as info:
+                net.validate()
+            assert str(info.value) == invalid
+        # check_injective needs only an evaluable netlist.
+        if unevaluable is None:
+            collision = net.check_injective()
+            if net.primary_output_wires():  # else the reference has no output vector
+                assert collision == reference_collision(net)
+        else:
+            with pytest.raises(MalformedNetlist) as info:
+                net.check_injective()
+            assert str(info.value) == unevaluable
 
 
 class TestCheckInjective:
@@ -603,8 +821,7 @@ class TestReferenceEvaluator:
             assert net.simulate_trace(x) == (*want, steps)
         assert reference_collision(net) is None
         assert net.check_injective() is None
-        assert_columns_match_the_reference(net)
-        assert net.columns() == dict(zip(net._drivers, net._columns))
+        assert_columns_match_the_reference(net, net.columns())
 
     @settings(max_examples=150, deadline=None)
     @given(st.randoms(use_true_random=False), st.booleans())
@@ -626,7 +843,9 @@ class TestReferenceEvaluator:
         outputs[k] = OutputDecl(rng.choice(outputs).wire, outputs[k].role)
         lossy = Netlist("lossy", net.inputs, tuple(outputs), net.gates)
         assert lossy.check_injective() == reference_collision(lossy)
-        assert_columns_match_the_reference(lossy)
+        # columns() validates, so read the lossy netlist's lanes by wire index.
+        assert_columns_match_the_reference(lossy, dict(zip(lossy._analysis.wires,
+                                                           lossy._columns)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 12), st.integers(0, 130), st.randoms(use_true_random=False))
@@ -697,7 +916,7 @@ class TestReferenceEvaluator:
             for wire in wires:
                 b.primary_output(wire)
             net = b.build()
-            assert_columns_match_the_reference(net)
+            assert_columns_match_the_reference(net, net.columns())
             assert _lane_function.cache_info().currsize <= bound
             for pattern in range(8):
                 primary = reference_simulate(net, pattern)[0]
@@ -732,7 +951,7 @@ def cyclic_net() -> Netlist:
 class TestAnalysisCache:
     def test_analysis_runs_once_per_netlist(self, monkeypatch):
         calls = {}
-        for name in ("_drivers", "_topo_order", "_plan", "_columns"):
+        for name in ("_analysis", "_columns"):
             analysis = vars(Netlist)[name].func
 
             def counted(net, analysis=analysis, name=name):
@@ -750,13 +969,14 @@ class TestAnalysisCache:
         net.check_injective()
         net.columns()
         net.metrics()
-        assert calls == {"_drivers": 1, "_topo_order": 1, "_plan": 1, "_columns": 1}
+        net.to_dot()
+        assert calls == {"_analysis": 1, "_columns": 1}
 
     @pytest.mark.parametrize(
         "net",
         [
             undriven_net(),
-            # the analysis passes but a consumption rule fails: "z" dangles
+            # the analysis passes and keeps a broken consumption rule: "z" dangles
             Netlist(
                 "dangling",
                 (InputDecl("a", ROLE_PRIMARY_INPUT), InputDecl("z", ROLE_ANCILLA, 0)),
@@ -777,14 +997,29 @@ class TestAnalysisCache:
         for _ in range(2):
             with pytest.raises(MalformedNetlist):
                 net.columns()
-        assert "_valid" not in vars(net)
+        # Only the evaluable netlist keeps its analysis; neither keeps columns.
+        assert ("_analysis" in vars(net)) == (net.name == "dangling")
+        assert "_columns" not in vars(net)
+
+    def test_validation_and_export_compile_no_gate(self):
+        # Lane functions compile where a netlist is first evaluated, so the
+        # cold metrics and export paths never derive a gate's covers.
+        _lane_function.cache_clear()
+        net = build_carry_skip_reversible().netlist
+        net.validate()
+        net.metrics()
+        net.to_json()
+        net.to_dot()
+        assert _lane_function.cache_info().misses == 0
+        net.check_injective()
+        assert _lane_function.cache_info().misses > 0
 
     def test_unevaluable_netlist_caches_no_columns(self):
         net = undriven_net()
         for _ in range(2):
             with pytest.raises(MalformedNetlist, match="never driven"):
                 net.check_injective()
-        assert not {"_topo_order", "_plan", "_columns"} & set(vars(net))
+        assert not {"_analysis", "_columns"} & set(vars(net))
 
     @pytest.mark.parametrize("make, match", [(undriven_net, "never driven"),
                                              (cyclic_net, "cycle")],
@@ -794,7 +1029,7 @@ class TestAnalysisCache:
         for _ in range(3):
             with pytest.raises(MalformedNetlist, match=match):
                 net.check_injective()
-        assert not {"_topo_order", "_plan", "_columns"} & set(vars(net))
+        assert not {"_analysis", "_columns"} & set(vars(net))
 
 
 class TestMetrics:

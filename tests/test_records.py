@@ -26,6 +26,7 @@ from revdec.netlist import (
     Netlist,
     OutputDecl,
     TraceStep,
+    _Analysis,
 )
 from revdec.reversible import ReversibleAdderBuild
 from revdec.verification import (
@@ -71,6 +72,11 @@ SAMPLES = {
     Netlist: (
         ("inverter", NET.inputs, NET.outputs, NET.gates),
         ("renamed", NET.inputs, NET.outputs, NET.gates),
+    ),
+    _Analysis: (
+        (("a", "b"), (-1, 0), ((0, (0,), (1,)),), (0,), (1,), (1,), None),
+        (("a", "b"), (-1, 0), ((0, (0,), (1,)),), (0,), (), (1,),
+         "netlist declares no primary outputs"),
     ),
     ReversibleAdderBuild: ((NET, (11, 22)), (NET, (11, 23))),
     Mismatch: (
@@ -118,7 +124,7 @@ def test_every_record_class_is_sampled():
         and "__match_args__" in vars(obj)
     }
     assert found == set(SAMPLES)
-    assert len(found) == 21
+    assert len(found) == 22
 
 
 class TestRecords:
