@@ -63,12 +63,14 @@ def _simulate_reversible(
 ) -> BcdResult:
     from .reversible import input_pattern, simulate_digit_add
 
+    # The digit table fills the netlist's columns, which the trace then reads.
+    result = simulate_digit_add(build, op)
     if trace:
         _, _, steps = build.netlist.simulate_trace(input_pattern(op))
         for step in steps:
             print(f"g{step.index} {step.gate_name}: "
                   f"{_assignments(step.inputs)} -> {_assignments(step.outputs)}")
-    return simulate_digit_add(build, op)
+    return result
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -19,7 +19,9 @@ Evaluation is lane-parallel: bit ``p`` of a wire's *lane* int is its value
 under primary input pattern ``p``.  Each distinct gate table compiles once
 per process to a function over lanes built from each output column's
 :func:`~revdec.sop.derive_sop` cover.  One pass computes every wire's lane
-over the whole input domain; simulation reads single bits of it.
+over the whole input domain for :meth:`Netlist.columns` and the injectivity
+sweep, and is cached; simulation reads single bits of it when it is there,
+and otherwise evaluates its one pattern over 1-bit lanes.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ _INPUT_ROLES = (ROLE_PRIMARY_INPUT, ROLE_ANCILLA)
 _OUTPUT_ROLES = (ROLE_PRIMARY_OUTPUT, ROLE_GARBAGE)
 
 # Up to this many primary inputs, a netlist is evaluated over all 2**n patterns
-# at once and can be swept for injectivity; a wider one runs one pattern a pass.
+# at once and can be swept for injectivity.
 _MAX_INJECTIVITY_INPUTS = 20
 
 
@@ -175,18 +177,25 @@ class GateInstance:
     output_wires: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "input_wires", tuple(self.input_wires))
-        object.__setattr__(self, "output_wires", tuple(self.output_wires))
-        for wires, side in ((self.input_wires, "input"), (self.output_wires, "output")):
-            # Splitting the joined names gives them back exactly when each
-            # is a non-empty string without whitespace; else find the culprit.
-            try:
-                named = " ".join(wires).split() == list(wires)
-            except TypeError:
-                named = False
-            if not named:
-                for wire in wires:
-                    _check_wire_name(wire)
+        ins, outs = self.input_wires, self.output_wires
+        if type(ins) is not tuple:
+            object.__setattr__(self, "input_wires", ins := tuple(ins))
+        if type(outs) is not tuple:
+            object.__setattr__(self, "output_wires", outs := tuple(outs))
+        # One pass over both sides.  Splitting the joined names gives them
+        # back exactly when each is a non-empty string without whitespace;
+        # one set of both sides finds duplicates and overlap alike.  Only a
+        # failure runs the checks side by side, which name the culprit.
+        wires = ins + outs
+        try:
+            named = " ".join(wires).split() == list(wires)
+        except TypeError:
+            named = False
+        if named and len(ins) == self.gate.width == len(outs) and len(set(wires)) == len(wires):
+            return
+        for wires, side in ((ins, "input"), (outs, "output")):
+            for wire in wires:
+                _check_wire_name(wire)
             if len(wires) != self.gate.width:
                 raise MalformedNetlist(
                     f"gate {self.gate.name!r} has {self.gate.width} lines but "
@@ -194,7 +203,7 @@ class GateInstance:
             if len(set(wires)) != len(wires):
                 raise MalformedNetlist(
                     f"gate {self.gate.name!r} lists a duplicate {side} wire")
-        overlap = set(self.input_wires) & set(self.output_wires)
+        overlap = set(ins) & set(outs)
         if overlap:
             raise MalformedNetlist(
                 f"gate {self.gate.name!r} would drive its own input wire(s) "
@@ -420,22 +429,29 @@ class Netlist:
         return self._lanes(columns, (1 << (1 << width)) - 1)
 
     def _lanes_at(self, x: BitVector) -> tuple[list[int], int]:
-        """Validate; every wire's lane and the bit for ``x`` (one lane if too wide)."""
+        """Validate; every wire's lane and the bit for ``x`` in it: the cached
+        columns when :meth:`columns` or :meth:`check_injective` filled them,
+        else one pass over 1-bit lanes."""
         self.validate()
         width = len(self._analysis.primary_inputs)
         if x.width != width:
             raise WidthMismatch(f"netlist {self.name!r} has {width} primary inputs "
                                 f"but the pattern has {x.width} bits")
-        if width > _MAX_INJECTIVITY_INPUTS:
+        columns = self.__dict__.get("_columns")
+        if columns is None:
             return self._lanes([(x.value >> i) & 1 for i in range(width)]), 0
-        return self._columns, x.value
+        return columns, x.value
 
     def simulate(self, x: BitVector) -> tuple[BitVector, BitVector]:
         """Evaluate the circuit on one primary input pattern.
 
         Bit ``i`` of ``x`` feeds the ``i``-th declared primary input.  Returns
         ``(primary, full)``: the primary output bits, then every declared
-        output (primary and garbage), each in declaration order.
+        output (primary and garbage), each in declaration order.  It reads
+        bit ``x`` of the cached columns when :meth:`columns` or
+        :meth:`check_injective` has filled them; otherwise it runs one gate
+        pass for this pattern and caches nothing, so a loop over many
+        patterns should call :meth:`columns` first.
         """
         return self._outputs(*self._lanes_at(x))
 
@@ -468,19 +484,22 @@ class Netlist:
     # analysis
     # ------------------------------------------------------------------
 
+    def _depths(self) -> list[int]:
+        """Each wire's number of gates on its longest driving path, by index."""
+        depth = [0] * len(self._analysis.wires)
+        for _, ins, outs in self._analysis.steps:
+            level = 1 + max([depth[w] for w in ins])
+            for wire in outs:
+                depth[wire] = level
+        return depth
+
     def wire_depths(self) -> dict[str, int]:
         """Map each wire to the number of gates on its longest driving path.
 
         Circuit input wires sit at depth 0; a gate's output wires sit one
         past the deepest of its input wires.
         """
-        analysis = self._analysis
-        depth = [0] * len(analysis.wires)
-        for _, ins, outs in analysis.steps:
-            level = 1 + max(depth[w] for w in ins)
-            for wire in outs:
-                depth[wire] = level
-        return dict(zip(analysis.wires, depth))
+        return dict(zip(self._analysis.wires, self._depths()))
 
     def metrics(self) -> CostMetrics:
         """Gate count, garbage count, ancilla count and depth."""
@@ -489,7 +508,7 @@ class Netlist:
             gate_count=len(self.gates),
             garbage_count=len(self.garbage_wires()),
             ancilla_count=sum(1 for d in self.inputs if d.role == ROLE_ANCILLA),
-            depth=max(self.wire_depths().values(), default=0),
+            depth=max(self._depths(), default=0),
         )
 
     def check_injective(self) -> tuple[BitVector, BitVector] | None:

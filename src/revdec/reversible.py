@@ -68,12 +68,15 @@ class ReversibleAdderBuild:
         """The primary-output lanes over all 512 input codes, in the layout of
         :func:`~revdec.classical.output_columns`.
 
-        One :meth:`Netlist.simulate` call validates the netlist and raises its
-        :class:`~revdec.gates.WidthMismatch` unless it has nine primary inputs.
+        :meth:`Netlist.columns` validates the netlist and fills its cached
+        lanes (a netlist too wide to sweep raises there); then one
+        :meth:`Netlist.simulate` call, which reads a bit of them, raises its
+        :class:`~revdec.gates.WidthMismatch` unless the netlist has nine
+        primary inputs.
         """
         net = self.netlist
-        net.simulate(BitVector(9, 0))
         lanes = net.columns()
+        net.simulate(BitVector(9, 0))
         return tuple(lanes[w] for w in net.primary_output_wires())
 
     @cached_property

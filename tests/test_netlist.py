@@ -30,7 +30,7 @@ from revdec.netlist import (
     _lane_function,
     _lane_source,
 )
-from revdec.reversible import build_carry_skip_reversible
+from revdec.reversible import build_carry_skip_reversible, build_conventional_reversible
 
 BUILTINS = builtin_catalog()
 TS3 = BUILTINS["TS3"]
@@ -401,6 +401,54 @@ def awkward_netlists(draw) -> Netlist:
     return b.build()
 
 
+def reference_gate_instance(gate: GatePermutation, input_wires, output_wires) -> None:
+    """The per-side check of a placed gate: the input names, the input
+    width and a duplicate input, then the same three for the outputs, then
+    an overlap of the two sides."""
+    input_wires, output_wires = tuple(input_wires), tuple(output_wires)
+    for wires, side in ((input_wires, "input"), (output_wires, "output")):
+        for wire in wires:
+            if not isinstance(wire, str) or wire.split() != [wire]:
+                raise MalformedNetlist(
+                    f"wire names must be non-empty strings without whitespace, got {wire!r}")
+        if len(wires) != gate.width:
+            raise MalformedNetlist(f"gate {gate.name!r} has {gate.width} lines but "
+                                   f"{len(wires)} {side} wires were given")
+        if len(set(wires)) != len(wires):
+            raise MalformedNetlist(f"gate {gate.name!r} lists a duplicate {side} wire")
+    overlap = set(input_wires) & set(output_wires)
+    if overlap:
+        raise MalformedNetlist(f"gate {gate.name!r} would drive its own input wire(s) "
+                               f"{sorted(overlap)}; give outputs fresh names")
+
+
+# Names a gate line must refuse: empty, whitespace anywhere, not a string.
+BAD_GATE_WIRES = st.one_of(
+    st.sampled_from(["", " ", "a b", "\tc", "d\n", "e\u3000", 7, None, b"w0", 1.5, ["w1"]]),
+    st.text(max_size=3).filter(lambda s: s.split() != [s]),
+)
+
+
+@st.composite
+def gate_instance_args(draw):
+    """``(gate, input_wires, output_wires)``: distinct clean names, each side
+    one line short, one line long or empty now and then, and up to three
+    faults: a bad name, a name repeated within a side or across the two."""
+    gate = draw(st.sampled_from(GATE_POOL))
+    width = [gate.width] * 4 + [gate.width - 1, gate.width + 1, 0]
+    n_in, n_out = draw(st.sampled_from(width)), draw(st.sampled_from(width))
+    names = draw(st.permutations([f"w{k}" for k in range(12)]))
+    sides = [names[:n_in], names[n_in:n_in + n_out]]
+    for kind, side, k, j, bad in draw(st.lists(st.tuples(
+            st.sampled_from(["bad", "repeat", "overlap"]), st.integers(0, 1),
+            st.integers(0, 9), st.integers(0, 9), BAD_GATE_WIRES), max_size=3)):
+        wires = sides[side]
+        source = sides[1 - side] if kind == "overlap" else wires
+        if wires and (kind == "bad" or source):
+            wires[k % len(wires)] = bad if kind == "bad" else source[j % len(source)]
+    return (gate, *(draw(st.sampled_from([tuple, list]))(wires) for wires in sides))
+
+
 class TestBuilder:
     def test_duplicate_wire_name(self):
         b = NetlistBuilder("n")
@@ -671,6 +719,29 @@ class TestValidation:
     def test_instance_self_loop(self):
         with pytest.raises(MalformedNetlist, match="own input"):
             GateInstance(TS3, ("a", "b", "c"), ("a", "d", "e"))
+
+    @settings(max_examples=400, deadline=None)
+    @given(gate_instance_args())
+    @example((TS3, ["a", "b", "c"], ("d", "e", "f")))
+    @example((TS3, ("a", "a b", "c"), ("d", "e")))  # input name before output width
+    @example((TS3, ("a", "b"), ("d", "", "f")))  # input width before output name
+    @example((TS3, ("a", "a", "c"), ("a", "e")))  # input duplicate before output width
+    @example((TS3, ("a", "b", "c"), ("d", "d", "a")))  # output duplicate before overlap
+    @example((TS3, ("a", "b", "c"), ("d", 7, "a")))  # output name before overlap
+    @example((TS3, ("a", "b", "c"), ("c", "a", "e")))  # overlap, named in sorted order
+    @example((TS3, ("a", ["v"], "c"), ("d", "e", "f")))  # unhashable, still a name error
+    def test_messages_and_precedence_match_the_per_side_reference(self, args):
+        gate, ins, outs = args
+        try:
+            reference_gate_instance(gate, ins, outs)
+        except MalformedNetlist as exc:
+            with pytest.raises(MalformedNetlist) as info:
+                GateInstance(gate, ins, outs)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        else:
+            inst = GateInstance(gate, ins, outs)
+            assert (inst.input_wires, inst.output_wires) == (tuple(ins), tuple(outs))
+            assert type(inst.input_wires) is type(inst.output_wires) is tuple
 
     @pytest.mark.parametrize("declare, message", DECLARATION_FAULTS.values(),
                              ids=DECLARATION_FAULTS.keys())
@@ -1032,7 +1103,94 @@ class TestAnalysisCache:
         assert not {"_analysis", "_columns"} & set(vars(net))
 
 
+ONE_PATTERN_NETS = {
+    "conventional": lambda: build_conventional_reversible().netlist,
+    "carry_skip": lambda: build_carry_skip_reversible().netlist,
+    **{f"random{k}": lambda k=k: random_net(random.Random(2200 + k), f"random{k}", 1 + k % 3,
+                                            (2, 9), (1, 12)) for k in range(6)},
+    "wide": wide_net,
+}
+
+
+def counted_passes(monkeypatch) -> list:
+    """A list that gains one entry per ``Netlist._lanes`` pass from now on."""
+    passes = []
+    real_lanes = Netlist._lanes
+    monkeypatch.setattr(Netlist, "_lanes",
+                        lambda net, *args: passes.append(1) or real_lanes(net, *args))
+    return passes
+
+
+class TestOnePatternSimulation:
+    """Without cached columns, simulate and simulate_trace run one gate pass
+    for their one pattern and cache nothing; with them, no pass at all."""
+
+    @pytest.mark.parametrize("make", ONE_PATTERN_NETS.values(), ids=ONE_PATTERN_NETS.keys())
+    def test_fresh_netlist_runs_one_pass_per_call(self, monkeypatch, make):
+        net = make()
+        width = len(net.primary_input_wires())
+        rng = random.Random(width)
+        patterns = (range(1 << width) if width <= 9
+                    else [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(30)])
+        passes = counted_passes(monkeypatch)
+        for pattern in patterns:
+            *want, steps = reference_simulate(net, pattern)
+            x = BitVector(width, pattern)
+            assert net.simulate(x) == tuple(want)
+            assert net.simulate_trace(x) == (*want, steps)
+        assert len(passes) == 2 * len(patterns)
+        assert "_columns" not in vars(net)
+
+    @pytest.mark.parametrize("make", [build_conventional_reversible,
+                                      build_carry_skip_reversible])
+    def test_cached_columns_serve_every_pattern(self, monkeypatch, make):
+        net = make().netlist
+        net.columns()
+        passes = counted_passes(monkeypatch)
+        for pattern in range(512):
+            *want, steps = reference_simulate(net, pattern)
+            x = BitVector(9, pattern)
+            assert net.simulate(x) == tuple(want)
+            assert net.simulate_trace(x) == (*want, steps)
+        assert passes == []
+
+
+def reference_depths(net: Netlist) -> dict[str, int]:
+    """Each wire's longest driving path in gates, walking gates in
+    :func:`reference_order`."""
+    depths = {d.wire: 0 for d in net.inputs}
+    for g in reference_order(net):
+        inst = net.gates[g]
+        level = 1 + max(depths[w] for w in inst.input_wires)
+        depths.update((w, level) for w in inst.output_wires)
+    return depths
+
+
+def shuffled_net(rng: random.Random) -> Netlist:
+    """A :func:`random_net` netlist with its gates placed in shuffled order."""
+    net = random_net(rng, "r", rng.randint(1, 3), (2, 6), (1, 10))
+    gates = list(net.gates)
+    rng.shuffle(gates)
+    return Netlist("r", net.inputs, net.outputs, tuple(gates))
+
+
 class TestMetrics:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.randoms(use_true_random=False).map(shuffled_net), awkward_netlists()))
+    def test_depth_is_the_reference_longest_path(self, net):
+        depths = reference_depths(net)
+        assert net.wire_depths() == depths
+        assert net.metrics().depth == max(depths.values())
+
+    def test_gate_free_netlist_has_depth_zero(self):
+        b = NetlistBuilder("wires")
+        for wire in ("x", "y"):
+            b.primary_output(b.primary_input(wire))
+        net = b.build()
+        assert net.wire_depths() == {"x": 0, "y": 0}
+        assert net.metrics() == CostMetrics(gate_count=0, garbage_count=0,
+                                            ancilla_count=0, depth=0)
+
     def test_full_adder_metrics(self):
         m = full_adder_net().metrics()
         assert m == CostMetrics(gate_count=1, garbage_count=2, ancilla_count=1, depth=1)

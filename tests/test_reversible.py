@@ -358,6 +358,28 @@ class TestDigitTable:
         assert calls == [build]
         assert len(simulations) == 1
 
+    @pytest.mark.parametrize(
+        "make", [build_conventional_reversible, build_carry_skip_reversible]
+    )
+    def test_columns_simulate_once_and_sweep_once(self, monkeypatch, make):
+        # The benchmark's traced run times Netlist.simulate inside the digit
+        # table's first fill, so columns keeps its one simulate call; it reads
+        # the lanes that one sweep over all 512 input codes filled.
+        build = make()
+        simulations, sweeps = [], []
+        real_simulate = Netlist.simulate
+        monkeypatch.setattr(Netlist, "simulate",
+                            lambda net, x: simulations.append(x) or real_simulate(net, x))
+        lanes = vars(Netlist)["_columns"]
+        counted = cached_property(lambda net: sweeps.append(net) or lanes.func(net))
+        counted.__set_name__(Netlist, "_columns")
+        monkeypatch.setattr(Netlist, "_columns", counted)
+        for _ in range(2):
+            assert build.columns == tuple(
+                build.netlist.columns()[w] for w in build.netlist.primary_output_wires())
+        assert simulations == [BitVector(9, 0)]
+        assert sweeps == [build.netlist]
+
     @pytest.mark.parametrize("identity_first", [False, True])
     def test_tables_do_not_leak_between_builds(self, identity_first):
         builds = [build_conventional_reversible(),
