@@ -310,15 +310,20 @@ def naive_detection_terms(k: int, z: int) -> tuple[int, int, int]:
     return k, z3 & z2, z3 & z1
 
 
-def conventional_add(op: BcdOperands) -> tuple[BcdResult, ConventionalTrace]:
-    """Ripple binary stage, exclusive carry detection, add-six correction."""
-    z_bits, k = _ripple4(op.a_bits(), op.b_bits(), op.cin)
+def _correct(z_bits: Sequence[int], k: int) -> tuple[BcdResult, int]:
+    """Exclusive carry detection and the conditional add-six; also returns ``z``."""
     z = _pack(z_bits)
     t_k, t_high, t_mid = detection_terms(k, z)
     correct = t_k | t_high | t_mid
     sum_bits = _add_six(z_bits) if correct else z_bits
-    trace = ConventionalTrace(z=z, k=k, correct=correct)
-    return BcdResult(sum=_pack(sum_bits), cout=correct), trace
+    return BcdResult(sum=_pack(sum_bits), cout=correct), z
+
+
+def conventional_add(op: BcdOperands) -> tuple[BcdResult, ConventionalTrace]:
+    """Ripple binary stage, exclusive carry detection, add-six correction."""
+    z_bits, k = _ripple4(op.a_bits(), op.b_bits(), op.cin)
+    result, z = _correct(z_bits, k)
+    return result, ConventionalTrace(z=z, k=k, correct=result.cout)
 
 
 # ----------------------------------------------------------------------
@@ -423,13 +428,8 @@ def carry_skip_add(op: BcdOperands) -> tuple[BcdResult, SkipSignals]:
     z_bits, c4 = _ripple4(a, b, op.cin)
     p_bits = tuple(x ^ y for x, y in zip(a, b))
     big_p = p_bits[0] & p_bits[1] & p_bits[2] & p_bits[3]
-    k = op.cin if big_p else c4
-    z = _pack(z_bits)
-    t_k, t_high, t_mid = detection_terms(k, z)
-    correct = t_k | t_high | t_mid
-    sum_bits = _add_six(z_bits) if correct else z_bits
-    signals = SkipSignals(p_bits=p_bits, big_p=big_p, c4=c4, cout=correct)  # type: ignore[arg-type]
-    return BcdResult(sum=_pack(sum_bits), cout=correct), signals
+    result, _ = _correct(z_bits, op.cin if big_p else c4)
+    return result, SkipSignals(p_bits, big_p, c4, result.cout)  # type: ignore[arg-type]
 
 
 # ----------------------------------------------------------------------

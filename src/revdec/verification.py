@@ -15,12 +15,14 @@ answers four questions:
 :func:`verify_architecture` is the only place a design meets the oracle.
 The equation audits read its ``cla_verbatim`` report per column: bit ``i``
 of a mismatch's ``actual.code() ^ expected.code()`` is a failure of
-equation ``i``.
+equation ``i``.  The OR-to-XOR audit is one sweep over a table of its
+sites, which runs the conventional and carry-skip models once per valid input.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Mapping
+from itertools import product
 from typing import TYPE_CHECKING
 
 from ._record import record
@@ -239,51 +241,24 @@ class SubstitutionSite:
 
 
 def _or_differs_from_xor(terms: tuple[int, ...]) -> bool:
+    """OR and XOR of the terms disagree (three set terms agree on both)."""
     xor_value = 0
     for t in terms:
         xor_value ^= t
     return int(any(terms)) != xor_value
 
 
-def _audit_terms(
-    site: str,
-    term_names: tuple[str, ...],
-    valid_terms: Callable[[BcdOperands], tuple[int, ...]],
-    valuations: Iterable[tuple[tuple[tuple[str, int], ...], tuple[int, ...]]],
-) -> SubstitutionSite:
-    counterexamples = [
-        op for op in valid_operands() if _or_differs_from_xor(valid_terms(op))
-    ]
-    off_example = next(
-        (signals for signals, terms in valuations if _or_differs_from_xor(terms)),
-        None,
-    )
-    return SubstitutionSite(
-        site=site,
-        terms=term_names,
-        or_equals_xor_on_valid=not counterexamples,
-        first_valid_counterexample=counterexamples[0] if counterexamples else None,
-        valid_counterexample_count=len(counterexamples),
-        diverges_off_domain=off_example is not None,
-        off_domain_example=off_example,
-    )
-
-
-def _detection_site(
-    site: str,
-    term_names: tuple[str, ...],
-    terms: Callable[[int, int], tuple[int, int, int]],
-) -> SubstitutionSite:
-    """Audit one decimal-carry condition set over the conventional stage."""
-
-    def valid_terms(op: BcdOperands) -> tuple[int, ...]:
-        _, trace = conventional_add(op)
-        return terms(trace.k, trace.z)
-
-    valuations = (
-        ((("k", k), ("z", z)), terms(k, z)) for k in (0, 1) for z in range(16)
-    )
-    return _audit_terms(site, term_names, valid_terms, valuations)
+# The audited OR sites: name, term names, the signals the terms read with
+# each signal's off-domain range, and the term function of those signals.
+_SUBSTITUTION_SITES = (
+    ("decimal_carry_detection", ("k", "z3&z2", "z3&~z2&z1"),
+     (("k", range(2)), ("z", range(16))), detection_terms),
+    ("naive_detection", ("k", "z3&z2", "z3&z1"),
+     (("k", range(2)), ("z", range(16))), naive_detection_terms),
+    ("skip_mux_select", ("big_p&cin", "~big_p&c4"),
+     (("big_p", range(2)), ("cin", range(2)), ("c4", range(2))),
+     lambda big_p, cin, c4: (big_p & cin, (big_p ^ 1) & c4)),
+)
 
 
 def xor_substitution_audit() -> tuple[SubstitutionSite, ...]:
@@ -292,33 +267,25 @@ def xor_substitution_audit() -> tuple[SubstitutionSite, ...]:
     Three sites are audited: the decimal-carry detection layer with its
     exclusive condition set, the same layer with the textbook non-exclusive
     condition set (the negative control, which genuinely breaks), and the
-    carry-skip selection point.  Off-domain behavior is measured by letting
-    the underlying term signals range over every combination, including
-    those no valid digit pair can produce.
+    carry-skip selection point.  One sweep checks every site on each valid
+    input's model signals; off-domain, each site's term signals range over
+    every combination, including those no valid digit pair can produce.
     """
-
-    def mux_valid(op: BcdOperands) -> tuple[int, ...]:
-        _, signals = carry_skip_add(op)
-        return (
-            signals.big_p & op.cin,
-            (signals.big_p ^ 1) & signals.c4,
-        )
-
-    mux_all = (
-        ((("big_p", bp), ("cin", cin), ("c4", c4)), (bp & cin, (bp ^ 1) & c4))
-        for bp in (0, 1)
-        for cin in (0, 1)
-        for c4 in (0, 1)
-    )
-    return (
-        _detection_site(
-            "decimal_carry_detection", ("k", "z3&z2", "z3&~z2&z1"), detection_terms
-        ),
-        _detection_site("naive_detection", ("k", "z3&z2", "z3&z1"), naive_detection_terms),
-        _audit_terms(
-            "skip_mux_select", ("big_p&cin", "~big_p&c4"), mux_valid, mux_all
-        ),
-    )
+    found: list[list[BcdOperands]] = [[] for _ in _SUBSTITUTION_SITES]
+    for op in valid_operands():
+        (_, trace), (_, skip) = conventional_add(op), carry_skip_add(op)
+        signals = {"k": trace.k, "z": trace.z, "big_p": skip.big_p, "cin": op.cin, "c4": skip.c4}
+        for cex, (_, _, ranges, terms) in zip(found, _SUBSTITUTION_SITES):
+            if _or_differs_from_xor(terms(*(signals[name] for name, _ in ranges))):
+                cex.append(op)
+    sites = []
+    for cex, (site, term_names, ranges, terms) in zip(found, _SUBSTITUTION_SITES):
+        names, domains = zip(*ranges)
+        off = next((tuple(zip(names, values)) for values in product(*domains)
+                    if _or_differs_from_xor(terms(*values))), None)
+        sites.append(SubstitutionSite(site, term_names, not cex, cex[0] if cex else None,
+                                      len(cex), off is not None, off))
+    return tuple(sites)
 
 
 # ----------------------------------------------------------------------

@@ -493,6 +493,30 @@ class TestBuilder:
         with pytest.raises(MalformedNetlist):
             b.primary_input("")
 
+    def test_primary_output_marked_once(self):
+        b = NetlistBuilder("n")
+        a = b.primary_input("a")
+        b.primary_output(a)
+        with pytest.raises(MalformedNetlist, match="is already a primary output"):
+            b.primary_output(a)
+        assert b.build().primary_output_wires() == ("a",)
+
+    # The builder checks wires and consumption as gates are placed, but only
+    # build()'s validate() checks that the circuit has primary inputs and
+    # outputs; it also fills the analysis cache that every later export reads.
+    def test_build_without_primary_outputs(self):
+        b = NetlistBuilder("n")
+        b.gate(TS3, (b.primary_input("a"), b.ancilla(0), b.ancilla(0)), ("p", "q", "r"))
+        with pytest.raises(MalformedNetlist, match="^netlist declares no primary outputs$"):
+            b.build()
+
+    def test_build_with_only_ancilla_inputs(self):
+        b = NetlistBuilder("n")
+        b.gate(TS3, (b.ancilla(0), b.ancilla(1), b.ancilla(0)), ("p", "q", "r"))
+        b.primary_output("p")
+        with pytest.raises(MalformedNetlist, match="^netlist declares no primary inputs$"):
+            b.build()
+
 
 def started_builder() -> NetlistBuilder:
     """Inputs x, y, w and ancilla zero0; one gate consumed x, y and zero0."""

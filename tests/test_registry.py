@@ -107,6 +107,19 @@ class TestSinglePassAudits:
         assert (cla_agreement(report), cla_errata(report)) == expected
         assert len(calls) == 400
 
+    def test_xor_audit_runs_each_classical_model_once_per_input(self, monkeypatch):
+        # One sweep serves all three sites: each model the audit reads runs
+        # once per valid input, in canonical order.
+        expected = verification.xor_substitution_audit()
+        calls = {"conventional_add": [], "carry_skip_add": []}
+        for name, seen in calls.items():
+            model = getattr(verification, name)
+            monkeypatch.setattr(verification, name,
+                                lambda op, model=model, seen=seen: seen.append(op) or model(op))
+        assert verification.xor_substitution_audit() == expected
+        for seen in calls.values():
+            assert seen == list(classical.valid_operands())
+
 
 class TestDecimalAddTable:
     @pytest.mark.parametrize("name", DECIMAL_ARCHITECTURES)
