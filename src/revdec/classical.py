@@ -558,8 +558,8 @@ def decimal_add(
     as the inputs) and the final carry.  A row's first call fills its whole
     :func:`digit_table`; each digit is then a tuple read.  Raises
     :class:`LengthMismatch` for unequal lengths, :class:`InvalidBcd` for
-    out-of-range digits and ``ValueError`` for an unknown architecture or
-    carry bit.
+    out-of-range digits and ``ValueError`` for a carry bit or an architecture
+    outside :data:`DECIMAL_ARCHITECTURES`, saying why a registered one is.
     """
     if len(x_digits) != len(y_digits):
         raise LengthMismatch(
@@ -569,9 +569,13 @@ def decimal_add(
         raise ValueError("operands must have at least one digit")
     _check_carry(cin)
     if arch not in DECIMAL_ARCHITECTURES:
-        raise ValueError(
-            f"unknown architecture {arch!r}; choose from {DECIMAL_ARCHITECTURES}"
-        )
+        row = ARCHITECTURES.get(arch)
+        if row is None:
+            why = f"unknown architecture {arch!r}"
+        else:
+            reason = "is not exact" if not row.exact else "has no classical add"
+            why = f"architecture {arch!r} cannot chain digits: it {reason}"
+        raise ValueError(f"{why}; choose from {DECIMAL_ARCHITECTURES}")
     table = _digit_pairs(arch)
     carry = cin
     out: list[int] = []

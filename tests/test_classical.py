@@ -349,3 +349,19 @@ class TestDecimalAdd:
     def test_unknown_architecture(self):
         with pytest.raises(ValueError, match="architecture"):
             decimal_add([1], [2], 0, "ripple")
+
+    @pytest.mark.parametrize("arch, why", [
+        ("cla_verbatim", "architecture 'cla_verbatim' cannot chain digits: it is not exact"),
+        ("rev_conventional",
+         "architecture 'rev_conventional' cannot chain digits: it has no classical add"),
+        ("rev_carry_skip",
+         "architecture 'rev_carry_skip' cannot chain digits: it has no classical add"),
+        ("ripple", "unknown architecture 'ripple'"),
+    ])
+    def test_a_row_that_cannot_chain_says_why(self, arch, why):
+        # A registered row is not called unknown; every message lists the
+        # rows that can chain.
+        with pytest.raises(ValueError) as info:
+            decimal_add([1], [2], 0, arch)
+        assert str(info.value) == (
+            f"{why}; choose from ('conventional', 'cla_corrected', 'carry_skip')")

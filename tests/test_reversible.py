@@ -7,6 +7,8 @@ from functools import cached_property
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revdec import classical, gates, reversible
 from revdec.classical import (
@@ -32,13 +34,11 @@ from revdec.netlist import ROLE_ANCILLA, CostMetrics, Netlist, NetlistBuilder
 from revdec.reversible import (
     FIDELITY_RECONSTRUCTED,
     ReversibleAdderBuild,
-    and4_subcircuit,
     build_carry_skip_reversible,
     build_conventional_reversible,
     decode_primary,
     input_pattern,
     simulate_digit_add,
-    skip_mux_subcircuit,
 )
 from revdec.verification import table1_report, verify_architecture
 
@@ -228,40 +228,70 @@ class TestCarrySkipBuild:
         assert all(count == 1 for count in consumers.values())
 
 
-class TestSubcircuits:
-    def test_and4_is_a_four_way_and(self):
-        b = NetlistBuilder("and4_harness")
-        wires = [b.primary_input(f"i{k}") for k in range(4)]
-        out = and4_subcircuit(b, wires, builtin_catalog())
-        b.primary_output(out)
-        net = b.build()
-        assert Counter(i.gate.name for i in net.gates) == {"FREDKIN": 3}
-        assert net.metrics().garbage_count == 6
-        for pattern in range(16):
-            primary, _ = net.simulate(BitVector(4, pattern))
-            assert primary.value == (1 if pattern == 0b1111 else 0)
+class TestSkipPathWires:
+    """The block propagate and the skip multiplexer, read off the built
+    carry-skip netlist over all 512 input codes."""
 
-    def test_and4_needs_four_wires(self):
-        b = NetlistBuilder("short")
-        wires = [b.primary_input(f"i{k}") for k in range(3)]
-        with pytest.raises(ValueError):
-            and4_subcircuit(b, wires, builtin_catalog())
+    def test_and4_acc3_is_the_and_of_the_four_propagates(self):
+        lanes = CARRY_SKIP.netlist.columns()
+        assert lanes["and4_acc3"] == lanes["p0"] & lanes["p1"] & lanes["p2"] & lanes["p3"]
 
-    def test_skip_mux_selects_between_carries(self):
-        b = NetlistBuilder("mux_harness")
-        select = b.primary_input("select")
-        when_set = b.primary_input("when_set")
-        when_clear = b.primary_input("when_clear")
-        out = skip_mux_subcircuit(b, select, when_set, when_clear, builtin_catalog())
-        b.primary_output(out)
-        net = b.build()
-        assert Counter(i.gate.name for i in net.gates) == {"FREDKIN": 1}
-        assert net.metrics().garbage_count == 2
-        for s in (0, 1):
-            for hi in (0, 1):
-                for lo in (0, 1):
-                    primary, _ = net.simulate(BitVector(3, s | hi << 1 | lo << 2))
-                    assert primary.value == (hi if s else lo)
+    def test_skip_out_is_cin_thread_where_the_block_propagates(self):
+        lanes = CARRY_SKIP.netlist.columns()
+        select, everywhere = lanes["and4_acc3"], (1 << 512) - 1
+        assert 0 < select < everywhere
+        assert lanes["cin_thread"] == lanes["cin"]
+        assert lanes["skip_out"] == (
+            lanes["cin_thread"] & select | lanes["carry4"] & ~select & everywhere)
+
+    def test_each_and_stage_reads_a_fresh_zero_ancilla(self):
+        net = CARRY_SKIP.netlist
+        zeros = {d.wire for d in net.inputs if d.role == ROLE_ANCILLA and d.const == 0}
+        reads = Counter(w for inst in net.gates for w in inst.input_wires)
+        stages = [inst for inst in net.gates
+                  if inst.output_wires[-1] in ("and4_acc1", "and4_acc2", "and4_acc3")]
+        assert [inst.gate.name for inst in stages] == ["FREDKIN"] * 3
+        for inst in stages:
+            assert inst.input_wires[2] in zeros and reads[inst.input_wires[2]] == 1
+
+
+# The gate each builder names first for a catalog without the removed
+# built-ins (None: it builds), as a literal table.  The carry-skip build
+# reports TSG before TS3, although its first row places a TS3.
+FIRST_MISSING = [
+    # removed, conventional, carry-skip
+    ("FREDKIN", None, "FREDKIN"),
+    ("TOFFOLI", None, "TOFFOLI"),
+    ("TS3", None, "TS3"),
+    ("NEW_GATE", "NEW_GATE", "NEW_GATE"),
+    ("TSG", "TSG", "TSG"),
+    ("FREDKIN TOFFOLI", None, "TOFFOLI"),
+    ("FREDKIN TS3", None, "TS3"),
+    ("FREDKIN NEW_GATE", "NEW_GATE", "NEW_GATE"),
+    ("FREDKIN TSG", "TSG", "TSG"),
+    ("TOFFOLI TS3", None, "TS3"),
+    ("TOFFOLI NEW_GATE", "NEW_GATE", "TOFFOLI"),
+    ("TOFFOLI TSG", "TSG", "TSG"),
+    ("TS3 NEW_GATE", "NEW_GATE", "TS3"),
+    ("TS3 TSG", "TSG", "TSG"),
+    ("NEW_GATE TSG", "TSG", "TSG"),
+    ("FREDKIN TOFFOLI TS3", None, "TS3"),
+    ("FREDKIN TOFFOLI NEW_GATE", "NEW_GATE", "TOFFOLI"),
+    ("FREDKIN TOFFOLI TSG", "TSG", "TSG"),
+    ("FREDKIN TS3 NEW_GATE", "NEW_GATE", "TS3"),
+    ("FREDKIN TS3 TSG", "TSG", "TSG"),
+    ("FREDKIN NEW_GATE TSG", "TSG", "TSG"),
+    ("TOFFOLI TS3 NEW_GATE", "NEW_GATE", "TS3"),
+    ("TOFFOLI TS3 TSG", "TSG", "TSG"),
+    ("TOFFOLI NEW_GATE TSG", "TSG", "TSG"),
+    ("TS3 NEW_GATE TSG", "TSG", "TSG"),
+    ("FREDKIN TOFFOLI TS3 NEW_GATE", "NEW_GATE", "TS3"),
+    ("FREDKIN TOFFOLI TS3 TSG", "TSG", "TSG"),
+    ("FREDKIN TOFFOLI NEW_GATE TSG", "TSG", "TSG"),
+    ("FREDKIN TS3 NEW_GATE TSG", "TSG", "TSG"),
+    ("TOFFOLI TS3 NEW_GATE TSG", "TSG", "TSG"),
+    ("FREDKIN TOFFOLI TS3 NEW_GATE TSG", "TSG", "TSG"),
+]
 
 
 class TestEncodingAndCatalog:
@@ -319,6 +349,35 @@ class TestEncodingAndCatalog:
         assert catalog == {}
         with pytest.raises(UnknownGate, match="TSG"):
             build(catalog)
+
+    @pytest.mark.parametrize("build, removed, named", [
+        pytest.param(build, removed, named, id=f"{kind}-{removed.replace(' ', '+')}")
+        for removed, *named_by in FIRST_MISSING
+        for (kind, build), named in zip(
+            [("conventional", build_conventional_reversible),
+             ("carry_skip", build_carry_skip_reversible)], named_by)
+    ])
+    def test_the_first_missing_gate_is_named(self, build, removed, named):
+        catalog = {n: g for n, g in builtin_catalog().items() if n not in removed.split()}
+        if named is None:
+            assert build(catalog).netlist == build().netlist
+            return
+        with pytest.raises(UnknownGate) as info:
+            build(catalog)
+        assert str(info.value) == f"the adder builders need a gate named {named!r}"
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.fixed_dictionaries({name: st.permutations(range(1 << gate.width))
+                                  for name, gate in builtin_catalog().items()}))
+    def test_any_bijective_tables_build_valid_injective_netlists(self, tables):
+        # Every table wires each line exactly once, so no choice of the five
+        # gates' (bijective) tables can break validity or injectivity.
+        catalog = {name: GatePermutation(name, gate.width, tables[name])
+                   for name, gate in builtin_catalog().items()}
+        for build in (build_conventional_reversible, build_carry_skip_reversible):
+            net = build(catalog).netlist
+            net.validate()
+            assert net.check_injective() is None
 
     def test_replacement_tables_drive_behavior(self):
         # Swapping in a wrong (but reversible) adder gate must change the
@@ -401,9 +460,15 @@ class TestDigitTable:
         assert hash(build) == hash(fresh) == before
 
     def test_width_mismatch_raises_on_every_call_and_caches_nothing(self):
+        # Three controlled swaps conjoin four primary inputs: a valid
+        # netlist, but four inputs wide instead of nine.
+        fredkin = builtin_catalog()["FREDKIN"]
         b = NetlistBuilder("narrow")
-        wires = [b.primary_input(f"i{k}") for k in range(4)]
-        b.primary_output(and4_subcircuit(b, wires, builtin_catalog()))
+        i0, i1, i2, i3 = (b.primary_input(f"i{k}") for k in range(4))
+        b.gate(fredkin, (i0, i1, b.ancilla(0)), ("thru1", "skip1", "acc1"))
+        b.gate(fredkin, ("acc1", i2, b.ancilla(0)), ("thru2", "skip2", "acc2"))
+        b.gate(fredkin, ("acc2", i3, b.ancilla(0)), ("thru3", "skip3", "acc3"))
+        b.primary_output("acc3")
         build = ReversibleAdderBuild(b.build(), (0, 0))
         op = BcdOperands(9, 6, 1)
         with pytest.raises(WidthMismatch) as direct:
