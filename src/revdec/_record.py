@@ -2,14 +2,19 @@
 
 ``@record`` makes a class whose body annotates its fields an immutable
 value type.  The fields are the class's own annotations, in order, and a
-class attribute of the same name is that field's default.  The class gains
-an ``__init__`` that takes the fields by position or keyword and then calls
-``__post_init__`` if the class defines one; ``__eq__`` (same class only)
-and ``__hash__`` over the tuple of field values; a ``Name(field=value!r,
-...)`` ``__repr__``; ``__match_args__``; and ``__setattr__``/``__delattr__``
-that refuse every change.  ``object.__setattr__`` still stores a value, so
-``__post_init__`` can coerce a field.  Instances keep a ``__dict__``, which
-``functools.cached_property``, ``copy`` and ``pickle`` use.
+class attribute of the same name is that field's default.  The decorator
+returns a new class made from the body with ``__slots__``: one per field,
+plus ``__dict__`` (which ``functools.cached_property`` writes to) and
+``__weakref__``.  The class gains an ``__init__`` that takes the fields by
+position or keyword, stores each through its slot's descriptor and then
+calls ``__post_init__`` if the class defines one; ``__eq__`` (same class
+only) and ``__hash__`` over the tuple of field values; a
+``Name(field=value!r, ...)`` ``__repr__``; ``__match_args__``;
+``__setattr__``/``__delattr__`` that refuse every change; and a
+``__reduce__`` that rebuilds an instance from its field values, so
+``copy`` and ``pickle`` run ``__init__`` (and its checks) again and leave
+cached properties behind.  ``object.__setattr__`` still stores a value, so
+``__post_init__`` can coerce a field.
 
 Only ``__init__`` is generated source, compiled once per class.  Importing
 ``dataclasses`` would load ``inspect``, ``ast`` and ``dis``, and it compiles
@@ -22,12 +27,23 @@ from operator import attrgetter
 def record(cls):
     """Make ``cls`` a frozen record of its annotated fields (see above)."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    params = ", ".join(f"{n}=_cls.{n}" if n in cls.__dict__ else n for n in names)
-    body = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    # A slot cannot share its name with a class attribute, so the defaults
+    # leave the body and live in the generated __init__'s signature.
+    body = {k: v for k, v in cls.__dict__.items()
+            if k not in defaults and k not in ("__dict__", "__weakref__")}
+    body["__slots__"] = (*names, "__dict__", "__weakref__")
+    qualname = cls.__qualname__
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+    cls.__qualname__ = qualname
+
+    params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
+    source = "".join(f"\n _set{i}(self, {n})" for i, n in enumerate(names))
     if hasattr(cls, "__post_init__"):
-        body += "\n self.__post_init__()"
-    namespace = {"_cls": cls, "_set": object.__setattr__}
-    exec(f"def __init__(self, {params}):{body}", namespace)
+        source += "\n self.__post_init__()"
+    namespace = {f"_set{i}": cls.__dict__[n].__set__ for i, n in enumerate(names)}
+    namespace["_defaults"] = defaults
+    exec(f"def __init__(self, {params}):{source}", namespace)
     get = attrgetter(*names)
     values = get if len(names) > 1 else lambda self: (get(self),)
 
@@ -49,9 +65,12 @@ def record(cls):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    methods = (__eq__, __hash__, __repr__, __setattr__, __delattr__)
+    def __reduce__(self):
+        return self.__class__, values(self)
+
+    methods = (__eq__, __hash__, __repr__, __setattr__, __delattr__, __reduce__)
     for method in (namespace["__init__"], *methods):
-        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        method.__qualname__ = f"{qualname}.{method.__name__}"
         setattr(cls, method.__name__, method)
     cls.__match_args__ = names
     return cls

@@ -663,8 +663,10 @@ class Netlist:
         """
         self.validate()
         # Escaping is per character, so each wire's escaped name is wrapped
-        # as is for its node ids, labels and edges.
-        escaped = {wire: _dot_escape(wire) for wire in self._analysis.wires}
+        # as is for its node ids, labels and edges.  Wire names hold no
+        # whitespace, so all of them escape at once joined by newlines.
+        wires = self._analysis.wires
+        escaped = dict(zip(wires, _dot_escape("\n".join(wires)).split("\n")))
         source = {wire: f'"g{g}"' if g >= 0 else f'"in:{escaped[wire]}"'
                   for wire, g in zip(escaped, self._analysis.drivers)}
         lines = [f"digraph {_dot_quote(self.name)} {{", "  rankdir=LR;"]

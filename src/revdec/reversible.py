@@ -8,8 +8,11 @@ operand ``b`` on lines 4..7, carry-in on line 8) and five primary outputs
 declared garbage.
 
 A build is one table of placed gates, one ``(gate, input wires, output
-wires)`` row per gate in the order ``revdec export`` writes them, which a
-single placement loop turns into its netlist.
+wires)`` row per gate in the order ``revdec export`` writes them.  One
+placement pass turns the table straight into the netlist's input, gate and
+output records, naming ancillas and ordering garbage as
+:class:`~revdec.netlist.NetlistBuilder` would, and one
+:meth:`~revdec.netlist.Netlist.validate` call checks the wiring.
 
 The circuits follow the reference structure for each architecture: four
 four-line full-adder gates form the binary stage, a detection layer builds
@@ -31,7 +34,17 @@ from functools import cached_property
 from ._record import record
 from .classical import BcdOperands, BcdResult, digit_table
 from .gates import BitVector, GatePermutation, UnknownGate, builtin_catalog
-from .netlist import CostMetrics, Netlist, NetlistBuilder
+from .netlist import (
+    ROLE_ANCILLA,
+    ROLE_GARBAGE,
+    ROLE_PRIMARY_INPUT,
+    ROLE_PRIMARY_OUTPUT,
+    CostMetrics,
+    GateInstance,
+    InputDecl,
+    Netlist,
+    OutputDecl,
+)
 
 __all__ = [
     "FIDELITY_RECONSTRUCTED",
@@ -45,6 +58,7 @@ __all__ = [
 
 FIDELITY_RECONSTRUCTED = "RECONSTRUCTED"
 
+PRIMARY_INPUT_ORDER = ("a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3", "cin")
 PRIMARY_OUTPUT_ORDER = ("s0", "s1", "s2", "s3", "cout")
 
 
@@ -153,24 +167,50 @@ _CARRY_SKIP = ("bcd_adder_carry_skip", (15, 27),
 ))
 
 
+def _place(name: str, rows: tuple, gates: Mapping[str, GatePermutation]) -> Netlist:
+    """A design's rows placed between the primary inputs and outputs.
+
+    Every ``0`` or ``1`` input becomes a fresh ancilla named ``zero{k}`` or
+    ``one{k}``, ``k`` counting the ancillas in placement order, and every
+    wire left unconsumed other than a primary output is garbage in creation
+    order: the netlist :class:`~revdec.netlist.NetlistBuilder` builds from
+    the same calls.  Each record checks its own fields, and one
+    :meth:`~revdec.netlist.Netlist.validate` checks the wiring.
+    """
+    inputs = [InputDecl(wire, ROLE_PRIMARY_INPUT) for wire in PRIMARY_INPUT_ORDER]
+    placed = []
+    created = list(PRIMARY_INPUT_ORDER)  # every wire but the ancillas, in creation order
+    consumed: set[str] = set()
+    for gate, ins, outs in rows:
+        wires = []
+        for wire in ins:
+            if type(wire) is int:
+                serial = len(inputs) - len(PRIMARY_INPUT_ORDER)
+                decl = InputDecl(f"{'one' if wire else 'zero'}{serial}", ROLE_ANCILLA, wire)
+                inputs.append(decl)
+                wire = decl.wire
+            wires.append(wire)
+        placed.append(GateInstance(gates[gate], tuple(wires), outs))
+        consumed.update(wires)
+        created += outs
+    outputs = [OutputDecl(wire, ROLE_PRIMARY_OUTPUT) for wire in PRIMARY_OUTPUT_ORDER]
+    outputs += [OutputDecl(wire, ROLE_GARBAGE) for wire in created
+                if wire not in consumed and wire not in PRIMARY_OUTPUT_ORDER]
+    net = Netlist(name, tuple(inputs), tuple(outputs), tuple(placed))
+    net.validate()
+    return net
+
+
 def _build(design: tuple,
            catalog: Mapping[str, GatePermutation] | None) -> ReversibleAdderBuild:
-    """Place a design's rows between the primary inputs and outputs."""
+    """Look a design's gates up in ``catalog`` and place its rows."""
     name, target, lookup, rows = design
     catalog = builtin_catalog() if catalog is None else catalog
     gates = {gate: catalog.get(gate) for gate in lookup}
     for gate, table in gates.items():
         if table is None:
             raise UnknownGate(f"the adder builders need a gate named {gate!r}")
-    builder = NetlistBuilder(name)
-    for wire in ("a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3", "cin"):
-        builder.primary_input(wire)
-    for gate, inputs, outputs in rows:
-        wires = [builder.ancilla(w) if type(w) is int else w for w in inputs]
-        builder.gate(gates[gate], wires, outputs)
-    for wire in PRIMARY_OUTPUT_ORDER:
-        builder.primary_output(wire)
-    return ReversibleAdderBuild(builder.build(), target)
+    return ReversibleAdderBuild(_place(name, rows, gates), target)
 
 
 def build_conventional_reversible(

@@ -27,6 +27,7 @@ from revdec.netlist import (
     NetlistBuilder,
     OutputDecl,
     TraceStep,
+    _dot_escape,
     _lane_function,
     _lane_source,
 )
@@ -373,11 +374,18 @@ GATE_TEXT = WIRE_TEXT.map(str.upper).filter(
     lambda s: s.split() == [s] and s.upper() == s and s not in BUILTINS)
 
 
+# Wire names that DOT must escape, or pass as they are: quotes, backslashes,
+# non-ASCII letters and ordinary characters.
+DOT_WIRE_TEXT = st.text(st.sampled_from('"\\aZ_0\u00e9\u00df\u03a9\u0436'),
+                        min_size=1, max_size=6)
+
+
 @st.composite
-def awkward_netlists(draw) -> Netlist:
+def awkward_netlists(draw, wire_text=WIRE_TEXT) -> Netlist:
     """A valid builder-made netlist of 0-5 gates with awkward netlist, wire
-    and gate names.  Wire ``k`` is ``f"{piece}#{k}"``, so names never clash."""
-    pieces = draw(st.lists(WIRE_TEXT, min_size=1, max_size=4))
+    and gate names.  Wire ``k`` is ``f"{piece}#{k}"`` for a ``piece`` drawn
+    from ``wire_text``, so names never clash."""
+    pieces = draw(st.lists(wire_text, min_size=1, max_size=4))
     serial = iter(range(1 << 30))
 
     def fresh() -> str:
@@ -1298,6 +1306,14 @@ class TestInterchangeBytes:
 
     @given(awkward_netlists())
     def test_dot_is_the_reference_rendering(self, net):
+        assert net.to_dot() == reference_dot(net)
+
+    @given(awkward_netlists(DOT_WIRE_TEXT))
+    def test_dot_escapes_all_wires_as_each_one_alone(self, net):
+        # to_dot escapes every wire name in one pass over their
+        # newline-joined text; the reference escapes each name on its own.
+        wires = net._analysis.wires
+        assert _dot_escape("\n".join(wires)).split("\n") == list(map(_dot_escape, wires))
         assert net.to_dot() == reference_dot(net)
 
     def test_zero_gate_netlist(self):

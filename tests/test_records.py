@@ -1,10 +1,11 @@
 """Record-type tests: construction, value equality, hashing, immutability,
-copying and ``repr`` of every frozen record class in the package."""
+slots, copying and ``repr`` of every frozen record class in the package."""
 
 from __future__ import annotations
 
 import copy
 import pickle
+import weakref
 
 import pytest
 
@@ -23,6 +24,7 @@ from revdec.netlist import (
     CostMetrics,
     GateInstance,
     InputDecl,
+    MalformedNetlist,
     Netlist,
     OutputDecl,
     TraceStep,
@@ -175,6 +177,45 @@ class TestRecords:
         record = cls(*SAMPLES[cls][0])
         assert copy.copy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
+
+    @CLASSES
+    def test_fields_are_slots_beside_a_dict_and_weakrefs(self, cls):
+        # cached_property writes to the instance __dict__; every field lives
+        # in its own slot, so no default is left behind as a class attribute.
+        assert cls.__slots__ == (*cls.__match_args__, "__dict__", "__weakref__")
+        record = cls(*SAMPLES[cls][0])
+        assert vars(record) == {}
+        assert weakref.ref(record)() is record
+
+
+class TestReduce:
+    """``copy`` and ``pickle`` rebuild a record through ``__init__``."""
+
+    def test_unpickling_runs_post_init_again(self):
+        inst = GateInstance(NOT, ["a"], ["b"])
+        assert (inst.input_wires, inst.output_wires) == (("a",), ("b",))
+        # Stored raw, past __post_init__'s coercion: unpickling coerces again.
+        object.__setattr__(inst, "input_wires", ["a"])
+        object.__setattr__(inst, "output_wires", ["b"])
+        again = pickle.loads(pickle.dumps(inst))
+        assert again == GateInstance(NOT, ("a",), ("b",))
+        assert type(again.input_wires) is tuple and type(again.output_wires) is tuple
+
+    def test_unpickling_checks_the_fields_again(self):
+        inst = GateInstance(NOT, ("a",), ("b",))
+        object.__setattr__(inst, "output_wires", ("a",))
+        data = pickle.dumps(inst)
+        with pytest.raises(MalformedNetlist, match="drive its own input"):
+            pickle.loads(data)
+        with pytest.raises(MalformedNetlist, match="drive its own input"):
+            copy.copy(inst)
+
+    def test_copies_leave_cached_properties_behind(self):
+        net = Netlist(NET.name, NET.inputs, NET.outputs, NET.gates)
+        net.validate()
+        assert "_analysis" in vars(net)
+        for again in (copy.copy(net), copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+            assert again == net and vars(again) == {}
 
 
 class TestRepr:

@@ -30,7 +30,7 @@ from revdec.gates import (
     builtin_catalog,
     parse_gate_defs,
 )
-from revdec.netlist import ROLE_ANCILLA, CostMetrics, Netlist, NetlistBuilder
+from revdec.netlist import ROLE_ANCILLA, CostMetrics, MalformedNetlist, Netlist, NetlistBuilder
 from revdec.reversible import (
     FIDELITY_RECONSTRUCTED,
     ReversibleAdderBuild,
@@ -63,6 +63,40 @@ def cone(net: Netlist, wire: str) -> set[int]:
             seen.add(g)
             frontier.extend(net.gates[g].input_wires)
     return seen
+
+
+def replayed(design: tuple, catalog) -> ReversibleAdderBuild:
+    """The reference build of a design: its rows replayed through
+    :class:`NetlistBuilder`, which names the ancillas and classifies the
+    garbage as it goes."""
+    name, target, lookup, rows = design
+    catalog = builtin_catalog() if catalog is None else catalog
+    gates = {gate: catalog.get(gate) for gate in lookup}
+    for gate, table in gates.items():
+        if table is None:
+            raise UnknownGate(f"the adder builders need a gate named {gate!r}")
+    builder = NetlistBuilder(name)
+    for wire in ("a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3", "cin"):
+        builder.primary_input(wire)
+    for gate, inputs, outputs in rows:
+        wires = [builder.ancilla(w) if type(w) is int else w for w in inputs]
+        builder.gate(gates[gate], wires, outputs)
+    for wire in ("s0", "s1", "s2", "s3", "cout"):
+        builder.primary_output(wire)
+    return ReversibleAdderBuild(builder.build(), target)
+
+
+DESIGNS = pytest.mark.parametrize("design", [reversible._CONVENTIONAL, reversible._CARRY_SKIP],
+                                  ids=["conventional", "carry_skip"])
+
+
+def assert_placed_as_replayed(design: tuple, catalog) -> Netlist:
+    """``_build`` gives the reference build, byte for byte in both exports."""
+    build, reference = reversible._build(design, catalog), replayed(design, catalog)
+    assert build == reference
+    assert build.netlist.to_json() == reference.netlist.to_json()
+    assert build.netlist.to_dot() == reference.netlist.to_dot()
+    return build.netlist
 
 
 def identity_tsg_catalog() -> dict[str, GatePermutation]:
@@ -372,10 +406,11 @@ class TestEncodingAndCatalog:
     def test_any_bijective_tables_build_valid_injective_netlists(self, tables):
         # Every table wires each line exactly once, so no choice of the five
         # gates' (bijective) tables can break validity or injectivity.
+        # _build places them exactly as the builder replay does.
         catalog = {name: GatePermutation(name, gate.width, tables[name])
                    for name, gate in builtin_catalog().items()}
-        for build in (build_conventional_reversible, build_carry_skip_reversible):
-            net = build(catalog).netlist
+        for design in (reversible._CONVENTIONAL, reversible._CARRY_SKIP):
+            net = assert_placed_as_replayed(design, catalog)
             net.validate()
             assert net.check_injective() is None
 
@@ -392,6 +427,36 @@ class TestEncodingAndCatalog:
         again = build_conventional_reversible()
         assert again.netlist == CONVENTIONAL.netlist
         assert build_carry_skip_reversible().netlist == CARRY_SKIP.netlist
+
+
+class TestPlacement:
+    """``_build`` places a design's rows straight into records; the
+    :class:`NetlistBuilder` replay of the same rows is its reference."""
+
+    @DESIGNS
+    @pytest.mark.parametrize("catalog", [
+        None,
+        parse_gate_defs(GATE_DEFS.read_text(encoding="utf-8")),
+        identity_tsg_catalog(),
+    ], ids=["builtin", "gate_defs", "identity_tsg"])
+    def test_placement_is_the_builder_replay(self, design, catalog):
+        assert_placed_as_replayed(design, catalog)
+
+    @DESIGNS
+    @pytest.mark.parametrize("gate", list(builtin_catalog()))
+    def test_a_gate_of_the_wrong_width_fails_as_in_the_replay(self, design, gate):
+        width = builtin_catalog()[gate].width
+        wrong = width + 1 if width < 4 else width - 1
+        catalog = {**builtin_catalog(), gate: GatePermutation(gate, wrong, range(1 << wrong))}
+        if gate not in design[2]:  # the design never looks the gate up
+            assert_placed_as_replayed(design, catalog)
+            return
+        with pytest.raises(MalformedNetlist) as reference:
+            replayed(design, catalog)
+        with pytest.raises(MalformedNetlist) as placed:
+            reversible._build(design, catalog)
+        assert type(placed.value) is type(reference.value)
+        assert str(placed.value) == str(reference.value)
 
 
 class TestDigitTable:
