@@ -242,6 +242,11 @@ class _Analysis:
     order, then each gate's output wires in placement order.  ``steps``
     holds ``(gate index, input wires, output wires)`` per gate in dependency
     order; every other wire here is an index.
+
+    The walk reads wire names and roles, never a gate's table; a gate's name
+    appears only in ``fault``'s message.  So a netlist that places other
+    gates on the same wires has an equal analysis whenever ``fault`` is
+    ``None``, and :meth:`Netlist._with_gates` shares it then.
     """
 
     wires: tuple[str, ...]
@@ -375,6 +380,22 @@ class Netlist:
                          tuple((g, ins_of[g], outs_of[g]) for g in order),
                          primary_inputs, primary_outputs, outputs, fault)
 
+    def _with_gates(self, gates: Iterable[GatePermutation]) -> Netlist:
+        """This netlist with ``gates`` placed on its gates' wires, in order.
+
+        Each new :class:`GateInstance` checks its wires against its gate.
+        The result shares :attr:`inputs` and :attr:`outputs`, and it shares
+        the analysis only once a walk has found no fault (see
+        :class:`_Analysis`); otherwise it walks its own wires when used.
+        """
+        placed = tuple([GateInstance(gate, inst.input_wires, inst.output_wires)
+                        for gate, inst in zip(gates, self.gates, strict=True)])
+        net = Netlist(self.name, self.inputs, self.outputs, placed)
+        analysis = self.__dict__.get("_analysis")
+        if analysis is not None and analysis.fault is None:
+            net.__dict__["_analysis"] = analysis
+        return net
+
     def validate(self) -> None:
         """Check every structural invariant; raise :class:`MalformedNetlist`.
 
@@ -485,21 +506,14 @@ class Netlist:
     # ------------------------------------------------------------------
 
     def _depths(self) -> list[int]:
-        """Each wire's number of gates on its longest driving path, by index."""
+        """Each wire's number of gates on its longest driving path, by index:
+        0 for a circuit input, else one past the deepest input of its gate."""
         depth = [0] * len(self._analysis.wires)
         for _, ins, outs in self._analysis.steps:
             level = 1 + max([depth[w] for w in ins])
             for wire in outs:
                 depth[wire] = level
         return depth
-
-    def wire_depths(self) -> dict[str, int]:
-        """Map each wire to the number of gates on its longest driving path.
-
-        Circuit input wires sit at depth 0; a gate's output wires sit one
-        past the deepest of its input wires.
-        """
-        return dict(zip(self._analysis.wires, self._depths()))
 
     def metrics(self) -> CostMetrics:
         """Gate count, garbage count, ancilla count and depth."""

@@ -7,12 +7,16 @@ operand ``b`` on lines 4..7, carry-in on line 8) and five primary outputs
 (sum bits then carry-out).  Everything else the circuit produces is
 declared garbage.
 
-A build is one table of placed gates, one ``(gate, input wires, output
-wires)`` row per gate in the order ``revdec export`` writes them.  One
-placement pass turns the table straight into the netlist's input, gate and
-output records, naming ancillas and ordering garbage as
+A design is one table of placed gates, one ``(gate, input wires, output
+wires)`` row per gate in the order ``revdec export`` writes them.  A catalog
+changes only the gates' tables, never the wiring, so each design is placed
+and validated once per process, on its first build: one placement pass
+turns the table straight into the netlist's input, gate and output records,
+naming ancillas and ordering garbage as
 :class:`~revdec.netlist.NetlistBuilder` would, and one
-:meth:`~revdec.netlist.Netlist.validate` call checks the wiring.
+:meth:`~revdec.netlist.Netlist.validate` call checks the wiring.  Each build
+then makes only its gate records from its catalog and shares the rest of
+that netlist: its declarations and its validated analysis.
 
 The circuits follow the reference structure for each architecture: four
 four-line full-adder gates form the binary stage, a detection layer builds
@@ -29,7 +33,7 @@ next to the design targets instead of being asserted equal to them.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import cached_property
+from functools import cache, cached_property
 
 from ._record import record
 from .classical import BcdOperands, BcdResult, digit_table
@@ -175,7 +179,8 @@ def _place(name: str, rows: tuple, gates: Mapping[str, GatePermutation]) -> Netl
     wire left unconsumed other than a primary output is garbage in creation
     order: the netlist :class:`~revdec.netlist.NetlistBuilder` builds from
     the same calls.  Each record checks its own fields, and one
-    :meth:`~revdec.netlist.Netlist.validate` checks the wiring.
+    :meth:`~revdec.netlist.Netlist.validate` checks the wiring.  It runs once
+    per design and process, from :func:`_template`.
     """
     inputs = [InputDecl(wire, ROLE_PRIMARY_INPUT) for wire in PRIMARY_INPUT_ORDER]
     placed = []
@@ -201,16 +206,30 @@ def _place(name: str, rows: tuple, gates: Mapping[str, GatePermutation]) -> Netl
     return net
 
 
+@cache
+def _template(design: tuple) -> Netlist:
+    """A design placed with the built-in gates, on its first build: the
+    wiring and validated analysis that every build of it shares."""
+    name, _, _, rows = design
+    return _place(name, rows, builtin_catalog())
+
+
 def _build(design: tuple,
            catalog: Mapping[str, GatePermutation] | None) -> ReversibleAdderBuild:
-    """Look a design's gates up in ``catalog`` and place its rows."""
-    name, target, lookup, rows = design
+    """Look a design's gates up in ``catalog`` and put them on its wiring.
+
+    Each row's new :class:`~revdec.netlist.GateInstance` checks its wires
+    against the catalog's gate, so a gate of the wrong width raises what
+    :func:`_place` would raise for that catalog, in the same row.
+    """
+    _, target, lookup, rows = design
     catalog = builtin_catalog() if catalog is None else catalog
     gates = {gate: catalog.get(gate) for gate in lookup}
     for gate, table in gates.items():
         if table is None:
             raise UnknownGate(f"the adder builders need a gate named {gate!r}")
-    return ReversibleAdderBuild(_place(name, rows, gates), target)
+    net = _template(design)._with_gates([gates[gate] for gate, _, _ in rows])
+    return ReversibleAdderBuild(net, target)
 
 
 def build_conventional_reversible(

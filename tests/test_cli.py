@@ -192,6 +192,14 @@ class TestExport:
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [["verify", "--json"], ["errata", "--json"]],
+                         ids=["verify", "errata"])
+def test_an_unwritable_json_report_is_one_error_line(capsys, argv):
+    code, _, err = run(capsys, *argv, "/nonexistent/dir/r.json")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestTruthtable:
     def test_ts3_parity_column(self, capsys):
         code, out, _ = run(capsys, "truthtable", "--gate", "ts3")

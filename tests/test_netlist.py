@@ -1135,6 +1135,86 @@ class TestAnalysisCache:
         assert not {"_analysis", "_columns"} & set(vars(net))
 
 
+def random_tables(rng: random.Random, net: Netlist) -> list[GatePermutation]:
+    """One random bijective table per placed gate, of its width, each under
+    a fresh name."""
+    return [GatePermutation(f"R{g}", inst.gate.width,
+                            rng.sample(range(1 << inst.gate.width), 1 << inst.gate.width))
+            for g, inst in enumerate(net.gates)]
+
+
+def placed_afresh(net: Netlist, gates) -> Netlist:
+    """``net`` with ``gates`` placed on its wires, built from scratch."""
+    return Netlist(net.name, net.inputs, net.outputs,
+                   tuple(GateInstance(gate, inst.input_wires, inst.output_wires)
+                         for gate, inst in zip(gates, net.gates)))
+
+
+class TestWithGates:
+    """``_with_gates`` puts other tables on a netlist's wires: it shares the
+    declarations, and the analysis only once a walk has found no fault."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_other_tables_share_the_fresh_walk(self, rng):
+        net = random_net(rng, "r", rng.randint(1, 3), (2, 6), (1, 10))
+        net.validate()
+        gates = random_tables(rng, net)
+        swapped, fresh = net._with_gates(gates), placed_afresh(net, gates)
+        assert swapped == fresh
+        assert swapped.inputs is net.inputs and swapped.outputs is net.outputs
+        assert swapped._analysis is net._analysis
+        assert swapped._analysis == fresh._analysis
+        assert swapped.columns() == fresh.columns()
+        assert swapped.to_json() == fresh.to_json() and swapped.to_dot() == fresh.to_dot()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_a_wrong_width_gate_raises_its_instance_message(self, rng):
+        net = random_net(rng, "r", rng.randint(1, 3))
+        net.validate()
+        gates = random_tables(rng, net)
+        g = rng.randrange(len(gates))
+        width = gates[g].width + (1 if gates[g].width < 4 else -1)
+        gates[g] = GatePermutation("WRONG", width, range(1 << width))
+        with pytest.raises(MalformedNetlist) as reference:
+            GateInstance(gates[g], net.gates[g].input_wires, net.gates[g].output_wires)
+        with pytest.raises(MalformedNetlist) as swapped:
+            net._with_gates(gates)
+        assert str(swapped.value) == str(reference.value)
+        with pytest.raises(ValueError):
+            net._with_gates(gates[:-1])
+
+    # A seeded Random, as for the three-pass reference: most mutants break
+    # a rule, and a fault may name a gate, so the tables get fresh names.
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2))
+    def test_a_netlist_with_a_fault_shares_no_analysis(self, seed, n_mutations):
+        rng = random.Random(seed)
+        net = mutated_net(rng, n_mutations)
+        unevaluable, invalid = reference_faults(net)
+        if unevaluable is None:
+            assert net._analysis.fault == invalid
+        gates = random_tables(rng, net)
+        swapped, fresh = net._with_gates(gates), placed_afresh(net, gates)
+        assert swapped == fresh
+        assert ("_analysis" in vars(swapped)) == (invalid is None)
+        assert reference_faults(swapped) == reference_faults(fresh)
+        if unevaluable is None:
+            assert swapped._analysis == fresh._analysis
+            assert swapped._analysis.fault == reference_faults(fresh)[1]
+
+    @pytest.mark.parametrize("make", [undriven_net, cyclic_net, lambda: Netlist(
+        "dangling", (InputDecl("a", ROLE_PRIMARY_INPUT), InputDecl("z", ROLE_ANCILLA, 0)),
+        (OutputDecl("a", ROLE_PRIMARY_OUTPUT),), ())], ids=["undriven", "cyclic", "dangling"])
+    def test_a_rejected_netlist_shares_nothing_it_walked(self, make):
+        net = make()
+        with pytest.raises(MalformedNetlist):
+            net.validate()
+        swapped = net._with_gates([inst.gate for inst in net.gates])
+        assert swapped == net and "_analysis" not in vars(swapped)
+
+
 ONE_PATTERN_NETS = {
     "conventional": lambda: build_conventional_reversible().netlist,
     "carry_skip": lambda: build_carry_skip_reversible().netlist,
@@ -1211,7 +1291,7 @@ class TestMetrics:
     @given(st.one_of(st.randoms(use_true_random=False).map(shuffled_net), awkward_netlists()))
     def test_depth_is_the_reference_longest_path(self, net):
         depths = reference_depths(net)
-        assert net.wire_depths() == depths
+        assert dict(zip(net._analysis.wires, net._depths())) == depths
         assert net.metrics().depth == max(depths.values())
 
     def test_gate_free_netlist_has_depth_zero(self):
@@ -1219,7 +1299,8 @@ class TestMetrics:
         for wire in ("x", "y"):
             b.primary_output(b.primary_input(wire))
         net = b.build()
-        assert net.wire_depths() == {"x": 0, "y": 0}
+        assert dict(zip(net._analysis.wires, net._depths())) == reference_depths(net)
+        assert reference_depths(net) == {"x": 0, "y": 0}
         assert net.metrics() == CostMetrics(gate_count=0, garbage_count=0,
                                             ancilla_count=0, depth=0)
 
@@ -1243,7 +1324,9 @@ class TestMetrics:
         assert net.metrics().depth == 3
 
     def test_wire_depths(self):
-        depths = full_adder_net().wire_depths()
+        net = full_adder_net()
+        depths = dict(zip(net._analysis.wires, net._depths()))
+        assert depths == reference_depths(net)
         assert depths["x"] == 0 and depths["s"] == 1
 
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
@@ -9,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_netlist import reference_depths
 
 from revdec import classical, gates, reversible
 from revdec.classical import (
@@ -91,12 +96,25 @@ DESIGNS = pytest.mark.parametrize("design", [reversible._CONVENTIONAL, reversibl
 
 
 def assert_placed_as_replayed(design: tuple, catalog) -> Netlist:
-    """``_build`` gives the reference build, byte for byte in both exports."""
+    """``_build`` gives the reference build, byte for byte in both exports,
+    and shares its design's declarations and analysis, which equals a fresh
+    walk of its wires."""
     build, reference = reversible._build(design, catalog), replayed(design, catalog)
     assert build == reference
     assert build.netlist.to_json() == reference.netlist.to_json()
     assert build.netlist.to_dot() == reference.netlist.to_dot()
-    return build.netlist
+    net, template = build.netlist, reversible._template(design)
+    assert net._analysis == Netlist(net.name, net.inputs, net.outputs, net.gates)._analysis
+    assert net.inputs is template.inputs and net.outputs is template.outputs
+    assert net._analysis is template._analysis
+    return net
+
+
+def bijective_catalog(rng: random.Random) -> dict[str, GatePermutation]:
+    """The built-in gate names, each with a random table of its width."""
+    return {name: GatePermutation(name, gate.width, rng.sample(range(1 << gate.width),
+                                                               1 << gate.width))
+            for name, gate in builtin_catalog().items()}
 
 
 def identity_tsg_catalog() -> dict[str, GatePermutation]:
@@ -227,7 +245,8 @@ class TestCarrySkipBuild:
         assert len(muxes) == 1
         mux = muxes[0]
         early_leg, late_leg = mux.input_wires[1], mux.input_wires[2]
-        depths = net.wire_depths()
+        depths = dict(zip(net._analysis.wires, net._depths()))
+        assert depths == reference_depths(net)
         assert depths[early_leg] < depths[late_leg]
         assert depths[early_leg] == 2 and depths[late_leg] == 5
         late_driver = next(
@@ -457,6 +476,37 @@ class TestPlacement:
             reversible._build(design, catalog)
         assert type(placed.value) is type(reference.value)
         assert str(placed.value) == str(reference.value)
+        # The failed build leaves the design's shared template intact.
+        assert_placed_as_replayed(design, None)
+
+
+class TestTemplate:
+    """Each design is placed once per process, on its first build; every
+    build makes its own gate records on that wiring."""
+
+    def test_each_design_is_placed_once_across_catalogs(self, monkeypatch):
+        reversible._template.cache_clear()
+        real, placed = reversible._place, []
+        monkeypatch.setattr(reversible, "_place",
+                            lambda name, *args: placed.append(name) or real(name, *args))
+        rng = random.Random(26)
+        catalogs = [None, parse_gate_defs(GATE_DEFS.read_text(encoding="utf-8")),
+                    identity_tsg_catalog(), *(bijective_catalog(rng) for _ in range(5))]
+        designs = (reversible._CONVENTIONAL, reversible._CARRY_SKIP)
+        builds = [[assert_placed_as_replayed(design, catalog) for design in designs]
+                  for catalog in catalogs]
+        assert placed == [design[0] for design in designs]
+        # Builds share the wiring, never their gate records.
+        for k, design in enumerate(designs):
+            nets = [row[k] for row in builds]
+            records = {id(inst) for net in nets for inst in net.gates}
+            assert len(records) == len(nets) * len(design[3])
+
+    def test_import_places_nothing(self):
+        code = ("import revdec, revdec.cli, revdec.reversible as r\n"
+                "assert r._template.cache_info().currsize == 0")
+        env = dict(os.environ, PYTHONPATH=str(Path(reversible.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestDigitTable:
