@@ -114,7 +114,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # fails only a sweep that builds a netlist, and fails it before any output.
     catalog = catalog_from_env() if any(arch.build for arch in archs) else None
     failed = False
-    reports = []
+    reports, lines = [], []
     for arch in archs:
         report = verify_architecture(arch.name, catalog)
         reports.append(report)
@@ -131,10 +131,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             line += " FAIL"
             failed = True
-        print(line)
+        lines.append(line)
+    # The report prints only once its --json file is written, so a failed
+    # write leaves stdout empty.
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump([r.to_json_dict() for r in reports], handle, indent=2)
+    print(*lines, sep="\n")
     return 1 if failed else 0
 
 
@@ -195,7 +198,7 @@ def _cmd_errata(args: argparse.Namespace) -> int:
     entries = cla_errata(report)
     sites = xor_substitution_audit()
     first_by_equation = {e.equation: e for e in entries}
-    print("equation agreement over the 200 valid inputs:")
+    lines = ["equation agreement over the 200 valid inputs:"]
     for name, (ok, total) in agreement.items():
         line = f"  {name}: {ok}/{total}"
         entry = first_by_equation.get(name)
@@ -204,8 +207,8 @@ def _cmd_errata(args: argparse.Namespace) -> int:
                 f"  first failure {_assignments(entry.first_failing_input.as_dict().items())}:"
                 f" observed {entry.observed}, expected {entry.expected}"
             )
-        print(line)
-    print("or-to-xor substitution sites:")
+        lines.append(line)
+    lines.append("or-to-xor substitution sites:")
     for site in sites:
         if site.or_equals_xor_on_valid:
             status = "exclusive on all valid inputs"
@@ -219,7 +222,8 @@ def _cmd_errata(args: argparse.Namespace) -> int:
             status += f"; off-domain divergence at {_assignments(site.off_domain_example)}"
         else:
             status += "; structurally exclusive (no divergence anywhere)"
-        print(f"  {site.site} [{' , '.join(site.terms)}]: {status}")
+        lines.append(f"  {site.site} [{' , '.join(site.terms)}]: {status}")
+    # As in verify, a failed --json write leaves stdout empty.
     if args.json:
         doc = {
             "agreement": {
@@ -239,6 +243,7 @@ def _cmd_errata(args: argparse.Namespace) -> int:
         }
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(doc, handle, indent=2)
+    print(*lines, sep="\n")
     return 0
 
 

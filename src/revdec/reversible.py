@@ -10,13 +10,12 @@ declared garbage.
 A design is one table of placed gates, one ``(gate, input wires, output
 wires)`` row per gate in the order ``revdec export`` writes them.  A catalog
 changes only the gates' tables, never the wiring, so each design is placed
-and validated once per process, on its first build: one placement pass
-turns the table straight into the netlist's input, gate and output records,
-naming ancillas and ordering garbage as
-:class:`~revdec.netlist.NetlistBuilder` would, and one
-:meth:`~revdec.netlist.Netlist.validate` call checks the wiring.  Each build
-then makes only its gate records from its catalog and shares the rest of
-that netlist: its declarations and its validated analysis.
+and validated once per process, on its first build, by replaying its rows
+through :class:`~revdec.netlist.NetlistBuilder`: the builder names the
+ancillas, checks each row as it is placed, lists the garbage and validates
+the finished netlist.  Each build then makes only its gate records from its
+catalog and shares the rest of that netlist: its declarations and its
+validated analysis.
 
 The circuits follow the reference structure for each architecture: four
 four-line full-adder gates form the binary stage, a detection layer builds
@@ -38,17 +37,7 @@ from functools import cache, cached_property
 from ._record import record
 from .classical import BcdOperands, BcdResult, digit_table
 from .gates import BitVector, GatePermutation, UnknownGate, builtin_catalog
-from .netlist import (
-    ROLE_ANCILLA,
-    ROLE_GARBAGE,
-    ROLE_PRIMARY_INPUT,
-    ROLE_PRIMARY_OUTPUT,
-    CostMetrics,
-    GateInstance,
-    InputDecl,
-    Netlist,
-    OutputDecl,
-)
+from .netlist import CostMetrics, Netlist, NetlistBuilder
 
 __all__ = [
     "FIDELITY_RECONSTRUCTED",
@@ -171,39 +160,23 @@ _CARRY_SKIP = ("bcd_adder_carry_skip", (15, 27),
 ))
 
 
-def _place(name: str, rows: tuple, gates: Mapping[str, GatePermutation]) -> Netlist:
-    """A design's rows placed between the primary inputs and outputs.
-
-    Every ``0`` or ``1`` input becomes a fresh ancilla named ``zero{k}`` or
-    ``one{k}``, ``k`` counting the ancillas in placement order, and every
-    wire left unconsumed other than a primary output is garbage in creation
-    order: the netlist :class:`~revdec.netlist.NetlistBuilder` builds from
-    the same calls.  Each record checks its own fields, and one
-    :meth:`~revdec.netlist.Netlist.validate` checks the wiring.  It runs once
-    per design and process, from :func:`_template`.
+def _place(name: str, inputs: tuple[str, ...], rows: tuple, outputs: tuple[str, ...],
+           gates: Mapping[str, GatePermutation]) -> Netlist:
+    """A design's rows placed between ``inputs`` and ``outputs``: each row
+    replayed through :class:`~revdec.netlist.NetlistBuilder`, whose ancilla
+    names, garbage order and call-time checks it therefore has.  Every
+    ``0`` or ``1`` input becomes a fresh ancilla.  It runs once per design
+    and process, from :func:`_template`.
     """
-    inputs = [InputDecl(wire, ROLE_PRIMARY_INPUT) for wire in PRIMARY_INPUT_ORDER]
-    placed = []
-    created = list(PRIMARY_INPUT_ORDER)  # every wire but the ancillas, in creation order
-    consumed: set[str] = set()
+    builder = NetlistBuilder(name)
+    for wire in inputs:
+        builder.primary_input(wire)
     for gate, ins, outs in rows:
-        wires = []
-        for wire in ins:
-            if type(wire) is int:
-                serial = len(inputs) - len(PRIMARY_INPUT_ORDER)
-                decl = InputDecl(f"{'one' if wire else 'zero'}{serial}", ROLE_ANCILLA, wire)
-                inputs.append(decl)
-                wire = decl.wire
-            wires.append(wire)
-        placed.append(GateInstance(gates[gate], tuple(wires), outs))
-        consumed.update(wires)
-        created += outs
-    outputs = [OutputDecl(wire, ROLE_PRIMARY_OUTPUT) for wire in PRIMARY_OUTPUT_ORDER]
-    outputs += [OutputDecl(wire, ROLE_GARBAGE) for wire in created
-                if wire not in consumed and wire not in PRIMARY_OUTPUT_ORDER]
-    net = Netlist(name, tuple(inputs), tuple(outputs), tuple(placed))
-    net.validate()
-    return net
+        wires = [builder.ancilla(w) if type(w) is int else w for w in ins]
+        builder.gate(gates[gate], wires, outs)
+    for wire in outputs:
+        builder.primary_output(wire)
+    return builder.build()
 
 
 @cache
@@ -211,7 +184,7 @@ def _template(design: tuple) -> Netlist:
     """A design placed with the built-in gates, on its first build: the
     wiring and validated analysis that every build of it shares."""
     name, _, _, rows = design
-    return _place(name, rows, builtin_catalog())
+    return _place(name, PRIMARY_INPUT_ORDER, rows, PRIMARY_OUTPUT_ORDER, builtin_catalog())
 
 
 def _build(design: tuple,

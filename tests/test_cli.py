@@ -195,8 +195,9 @@ class TestExport:
 @pytest.mark.parametrize("argv", [["verify", "--json"], ["errata", "--json"]],
                          ids=["verify", "errata"])
 def test_an_unwritable_json_report_is_one_error_line(capsys, argv):
-    code, _, err = run(capsys, *argv, "/nonexistent/dir/r.json")
+    code, out, err = run(capsys, *argv, "/nonexistent/dir/r.json")
     assert code == 2
+    assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 

@@ -35,7 +35,16 @@ from revdec.gates import (
     builtin_catalog,
     parse_gate_defs,
 )
-from revdec.netlist import ROLE_ANCILLA, CostMetrics, MalformedNetlist, Netlist, NetlistBuilder
+from revdec.netlist import (
+    ROLE_ANCILLA,
+    CostMetrics,
+    GateInstance,
+    InputDecl,
+    MalformedNetlist,
+    Netlist,
+    NetlistBuilder,
+    OutputDecl,
+)
 from revdec.reversible import (
     FIDELITY_RECONSTRUCTED,
     ReversibleAdderBuild,
@@ -449,8 +458,9 @@ class TestEncodingAndCatalog:
 
 
 class TestPlacement:
-    """``_build`` places a design's rows straight into records; the
-    :class:`NetlistBuilder` replay of the same rows is its reference."""
+    """``_build`` puts a catalog's gates on its design's template, which
+    ``_place`` replays through :class:`NetlistBuilder`; ``replayed``, the
+    same rows replayed with the catalog's own gates, is its reference."""
 
     @DESIGNS
     @pytest.mark.parametrize("catalog", [
@@ -507,6 +517,72 @@ class TestTemplate:
                 "assert r._template.cache_info().currsize == 0")
         env = dict(os.environ, PYTHONPATH=str(Path(reversible.__file__).parents[1]))
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def place_rows(rows: tuple,
+               outputs: tuple[str, ...] = reversible.PRIMARY_OUTPUT_ORDER) -> Netlist:
+    """Rows placed between the adders' primary inputs and ``outputs``."""
+    return reversible._place("t", reversible.PRIMARY_INPUT_ORDER, rows, outputs,
+                             builtin_catalog())
+
+
+class TestPlace:
+    """``_place`` puts a design's rows between the inputs and outputs it is
+    given, with the builder's ancilla names and call-time checks."""
+
+    @DESIGNS
+    def test_a_renamed_table_places_as_the_renamed_netlist(self, design):
+        def d3(wire):
+            return wire if type(wire) is int else f"d3_{wire}"
+
+        name, _, _, rows = design
+        moved = reversible._place(
+            name, tuple(map(d3, reversible.PRIMARY_INPUT_ORDER)),
+            tuple((gate, tuple(map(d3, ins)), tuple(map(d3, outs))) for gate, ins, outs in rows),
+            tuple(map(d3, reversible.PRIMARY_OUTPUT_ORDER)), builtin_catalog())
+        net = reversible._template(design)
+        ancillas = ancilla_wires(net)
+
+        def m(wire):  # ancillas keep their zero{k} / one{k} names
+            return wire if wire in ancillas else f"d3_{wire}"
+
+        assert moved.inputs == tuple(InputDecl(m(d.wire), d.role, d.const) for d in net.inputs)
+        assert moved.outputs == tuple(OutputDecl(m(d.wire), d.role) for d in net.outputs)
+        assert moved.gates == tuple(
+            GateInstance(inst.gate, tuple(map(m, inst.input_wires)),
+                         tuple(map(m, inst.output_wires)))
+            for inst in net.gates)
+        assert moved.columns() == {m(wire): lane for wire, lane in net.columns().items()}
+
+    def spy(self, monkeypatch) -> list:
+        """The outputs of every ``NetlistBuilder.gate`` call, failed or not."""
+        calls, real = [], NetlistBuilder.gate
+        monkeypatch.setattr(NetlistBuilder, "gate",
+                            lambda self, gate, ins, outs: calls.append(outs)
+                            or real(self, gate, ins, outs))
+        return calls
+
+    def test_a_row_reading_an_undriven_wire_fails_in_that_row(self, monkeypatch):
+        rows = list(reversible._CONVENTIONAL[3])
+        rows[4], rows[5] = rows[5], rows[4]  # the or12 reader before its driver
+        calls = self.spy(monkeypatch)
+        with pytest.raises(MalformedNetlist, match="wire 'or12' does not exist yet"):
+            place_rows(tuple(rows))
+        assert calls == [outs for _, _, outs in rows[:5]]
+
+    def test_a_wire_two_rows_consume_fails_in_the_second(self, monkeypatch):
+        rows = list(reversible._CONVENTIONAL[3])
+        rows[2] = ("TSG", ("a2", "b2", 0, "carry1"), rows[2][2])  # row 1 consumed carry1
+        calls = self.spy(monkeypatch)
+        with pytest.raises(MalformedNetlist, match="wire 'carry1' was already consumed; "
+                                                   "reversible wires cannot fan out"):
+            place_rows(tuple(rows))
+        assert calls == [outs for _, _, outs in rows[:3]]
+
+    def test_an_output_already_consumed_fails(self):
+        outputs = ("s0", "s1", "s2", "s3", "carry1")
+        with pytest.raises(MalformedNetlist, match="^wire 'carry1' was already consumed$"):
+            place_rows(reversible._CONVENTIONAL[3], outputs)
 
 
 class TestDigitTable:
