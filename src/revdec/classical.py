@@ -535,15 +535,20 @@ ARCHITECTURES: dict[str, Architecture] = {
 # multi-digit addition
 # ----------------------------------------------------------------------
 
-# The exact rows with an ``add``: the ones decimal_add may ripple across digits.
-DECIMAL_ARCHITECTURES = tuple(n for n, arch in ARCHITECTURES.items() if arch.exact and arch.add)
+# The exact rows: the ones decimal_add may ripple across digits.
+DECIMAL_ARCHITECTURES = tuple(n for n, arch in ARCHITECTURES.items() if arch.exact)
 
 
-@lru_cache(maxsize=None)
-def _digit_pairs(arch: str) -> tuple[tuple[int, int], ...]:
+@lru_cache(maxsize=16)
+def _digit_pairs(
+    arch: str, gates: frozenset[tuple[str, GatePermutation]] | None = None
+) -> tuple[tuple[int, int], ...]:
     """A row's ``(sum, cout)`` for every valid input, from its whole
-    :func:`digit_table`, at slot ``a*20 + b*2 + cin``."""
-    return tuple((r.sum, r.cout) for r in digit_table(ARCHITECTURES[arch].columns()))
+    :func:`digit_table`, at slot ``a*20 + b*2 + cin``; a row with a build
+    reads the build of catalog content ``gates`` (``None`` is the built-in
+    catalog).  A failed build caches nothing."""
+    catalog = None if gates is None else dict(gates)
+    return tuple((r.sum, r.cout) for r in digit_table(ARCHITECTURES[arch].columns(catalog)))
 
 
 def decimal_add(
@@ -551,11 +556,14 @@ def decimal_add(
     y_digits: Sequence[int],
     cin: int = 0,
     arch: str = "conventional",
+    catalog: Mapping[str, GatePermutation] | None = None,
 ) -> tuple[list[int], int]:
     """Add two equal-length little-endian BCD digit strings.
 
     Digit 0 is the least significant.  Returns the sum digits (same length
-    as the inputs) and the final carry.  A row's first call fills its whole
+    as the inputs) and the final carry.  A row with a build adds through
+    the build of ``catalog`` (by default the built-in one); a classical row
+    ignores it.  The first call per row and catalog content fills its whole
     :func:`digit_table`; each digit is then a tuple read.  Raises
     :class:`LengthMismatch` for unequal lengths, :class:`InvalidBcd` for
     out-of-range digits and ``ValueError`` for a carry bit or an architecture
@@ -569,14 +577,13 @@ def decimal_add(
         raise ValueError("operands must have at least one digit")
     _check_carry(cin)
     if arch not in DECIMAL_ARCHITECTURES:
-        row = ARCHITECTURES.get(arch)
-        if row is None:
-            why = f"unknown architecture {arch!r}"
-        else:
-            reason = "is not exact" if not row.exact else "has no classical add"
-            why = f"architecture {arch!r} cannot chain digits: it {reason}"
+        why = (f"architecture {arch!r} cannot chain digits: it is not exact"
+               if arch in ARCHITECTURES else f"unknown architecture {arch!r}")
         raise ValueError(f"{why}; choose from {DECIMAL_ARCHITECTURES}")
-    table = _digit_pairs(arch)
+    if catalog is None or not ARCHITECTURES[arch].build:
+        table = _digit_pairs(arch)
+    else:
+        table = _digit_pairs(arch, frozenset(catalog.items()))
     carry = cin
     out: list[int] = []
     for x, y in zip(x_digits, y_digits):

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 
 from .classical import (
     ARCHITECTURES,
-    DECIMAL_ARCHITECTURES,
     BcdOperands,
     BcdResult,
     InvalidBcd,
@@ -80,14 +79,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             if given:
                 print(f"error: --digits cannot be combined with {flag}", file=sys.stderr)
                 return 2
-        if args.arch not in DECIMAL_ARCHITECTURES:
-            print(
-                f"error: --digits requires one of {DECIMAL_ARCHITECTURES}",
-                file=sys.stderr,
-            )
-            return 2
         x_digits, y_digits = _parse_digit_pair(args.digits)
-        digits, cout = decimal_add(x_digits, y_digits, args.cin, args.arch)
+        # As in verify, only a row with a build reads the catalog.
+        catalog = catalog_from_env() if ARCHITECTURES[args.arch].build else None
+        digits, cout = decimal_add(x_digits, y_digits, args.cin, args.arch, catalog)
         rendered = "".join(str(d) for d in reversed(digits))
         print(f"sum={rendered} cout={cout}")
         return 0
@@ -134,7 +129,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lines.append(line)
     # The report prints only once its --json file is written, so a failed
     # write leaves stdout empty.
-    if args.json:
+    if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump([r.to_json_dict() for r in reports], handle, indent=2)
     print(*lines, sep="\n")
@@ -224,7 +219,7 @@ def _cmd_errata(args: argparse.Namespace) -> int:
             status += "; structurally exclusive (no divergence anywhere)"
         lines.append(f"  {site.site} [{' , '.join(site.terms)}]: {status}")
     # As in verify, a failed --json write leaves stdout empty.
-    if args.json:
+    if args.json is not None:
         doc = {
             "agreement": {
                 name: {"ok": ok, "total": total}
@@ -264,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--digits",
         default=None,
         metavar="X,Y",
-        help="two multi-digit decimal numbers (classical architectures only)",
+        help="two multi-digit decimal numbers (exact architectures only)",
     )
     p_sim.add_argument(
         "--trace", action="store_true", help="print intermediate signals or gate steps"

@@ -34,7 +34,6 @@ __all__ = [
     "GatePermutation",
     "builtin_catalog",
     "catalog_from_env",
-    "format_gate",
     "parse_gate_defs",
 ]
 
@@ -106,7 +105,7 @@ class GatePermutation:
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # parse_gate_defs must read a format_gate name back as one field.
+        # parse_gate_defs must read the name back as one field of a line.
         if not isinstance(self.name, str) or self.name.split() != [self.name]:
             raise ValueError(
                 "gate name must be a non-empty string without whitespace, "
@@ -205,11 +204,6 @@ def builtin_catalog() -> dict[str, GatePermutation]:
     One gate is read as ``builtin_catalog()[name]`` with an upper-case name.
     """
     return dict(_BUILTINS)
-
-
-def format_gate(gate: GatePermutation) -> str:
-    """Render a gate in the catalog text format: ``NAME WIDTH P0 P1 ...``."""
-    return " ".join([gate.name, str(gate.width), *map(str, gate.table)])
 
 
 def parse_gate_defs(text: str) -> dict[str, GatePermutation]:

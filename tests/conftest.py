@@ -2,8 +2,8 @@
 
 The acceptance tests record one verdict line per criterion; this plugin
 re-prints them in the terminal summary so the pass/fail lines stay visible
-even when stdout capture is active.  It also holds two small readers that
-several test modules share.
+even when stdout capture is active.  It also holds the small readers and
+writers that several test modules share.
 """
 
 from revdec.verification import EQUATION_NAMES
@@ -37,3 +37,8 @@ def equation_bit(result, equation: str) -> int:
     """The bit of ``result`` that one as-given equation (``S0_VERBATIM`` ..
     ``COUT_VERBATIM``) computes: sum bits 0-3, then the carry."""
     return (*result.sum_bits(), result.cout)[EQUATION_NAMES.index(equation)]
+
+
+def gate_line(gate) -> str:
+    """``gate`` as one line of a gate-definition file: ``NAME WIDTH P0 P1 ...``."""
+    return " ".join([gate.name, str(gate.width), *map(str, gate.table)])

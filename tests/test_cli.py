@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from conftest import gate_line
 
 from revdec import cli
 from revdec.cli import main
-from revdec.gates import builtin_catalog, format_gate
+from revdec.gates import builtin_catalog
 from revdec.netlist import Netlist
 from revdec.reversible import build_conventional_reversible
 
@@ -69,12 +70,28 @@ class TestSimulate:
         assert code == 0
         assert out.strip() == "sum=000 cout=1"
 
-    def test_multi_digit_needs_a_classical_architecture(self, capsys):
-        code, _, err = run(
-            capsys, "simulate", "--arch", "rev_conventional", "--digits", "9,1"
+    def test_multi_digit_on_a_reversible_build(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--arch", "rev_carry_skip", "--digits", "999,1"
         )
-        assert code == 2
-        assert "--digits" in err
+        assert (code, out, err) == (0, "sum=000 cout=1\n", "")
+
+    def test_multi_digit_needs_an_exact_architecture(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--arch", "cla_verbatim", "--digits", "1,2"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: architecture 'cla_verbatim' cannot chain digits: it is not exact; "
+            "choose from ('conventional', 'cla_corrected', 'carry_skip', "
+            "'rev_conventional', 'rev_carry_skip')\n")
+
+    def test_the_digits_are_parsed_before_the_architecture_is_checked(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--arch", "cla_verbatim", "--digits", "1,x"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --digits expects two comma-separated")
 
     @pytest.mark.parametrize(
         "extra", [["--a", "0"], ["--b", "0"], ["--trace"]], ids=["a", "b", "trace"]
@@ -195,10 +212,11 @@ class TestExport:
 @pytest.mark.parametrize("argv", [["verify", "--json"], ["errata", "--json"]],
                          ids=["verify", "errata"])
 def test_an_unwritable_json_report_is_one_error_line(capsys, argv):
-    code, out, err = run(capsys, *argv, "/nonexistent/dir/r.json")
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    for path in ("/nonexistent/dir/r.json", ""):
+        code, out, err = run(capsys, *argv, path)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestTruthtable:
@@ -241,7 +259,7 @@ class TestGateDefsOverride:
 
     def test_faithful_override_changes_nothing(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "defs.txt"
-        path.write_text(format_gate(builtin_catalog()["TSG"]) + "\n")
+        path.write_text(gate_line(builtin_catalog()["TSG"]) + "\n")
         monkeypatch.setenv("REVDEC_GATE_DEFS", str(path))
         code, out, _ = run(capsys, "verify", "--arch", "rev_conventional")
         assert code == 0
@@ -249,10 +267,12 @@ class TestGateDefsOverride:
 
     def test_missing_defs_file(self, capsys, monkeypatch):
         monkeypatch.setenv("REVDEC_GATE_DEFS", "/nonexistent/defs.txt")
-        code, out, err = run(capsys, "verify", "--arch", "rev_conventional")
-        assert code == 2
-        assert "error:" in err
-        assert out == ""
+        for argv in (["verify", "--arch", "rev_conventional"],
+                     ["simulate", "--arch", "rev_carry_skip", "--digits", "999,1"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+            assert out == ""
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from conftest import gate_outputs
+from conftest import gate_line, gate_outputs
 
 from revdec.gates import (
     ENV_GATE_DEFS,
@@ -13,7 +13,6 @@ from revdec.gates import (
     ParseError,
     builtin_catalog,
     catalog_from_env,
-    format_gate,
     parse_gate_defs,
 )
 
@@ -153,7 +152,7 @@ class TestTsgFullAdder:
 
 class TestTextFormat:
     def test_round_trip_all_builtins(self):
-        text = "\n".join(format_gate(gate) for gate in BUILTINS.values())
+        text = "\n".join(gate_line(gate) for gate in BUILTINS.values())
         parsed = parse_gate_defs(text)
         assert parsed == builtin_catalog()
 
@@ -187,7 +186,7 @@ class TestTextFormat:
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "defs.txt"
         swap = GatePermutation("SWAP", 2, (0, 2, 1, 3))
-        path.write_text(format_gate(swap) + "\n")
+        path.write_text(gate_line(swap) + "\n")
         assert catalog_from_env({ENV_GATE_DEFS: str(path)}) == {**BUILTINS, "SWAP": swap}
 
 

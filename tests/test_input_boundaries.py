@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from conftest import gate_line
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,6 @@ from revdec.gates import (
     ParseError,
     GatePermutation,
     builtin_catalog,
-    format_gate,
     parse_gate_defs,
 )
 from revdec.netlist import (
@@ -166,7 +166,7 @@ class TestGateNamesAndWidths:
 
     def test_accepted_names_read_back_from_the_catalog_format(self):
         gate = GatePermutation('T"S3\\', 1, [1, 0])
-        assert parse_gate_defs(format_gate(gate)) == {gate.name: gate}
+        assert parse_gate_defs(gate_line(gate)) == {gate.name: gate}
 
     @pytest.mark.parametrize("name", [7, "A B", "", "ts3"])
     def test_bad_gate_def_name_in_json_is_a_parse_error(self, name):

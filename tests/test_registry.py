@@ -9,6 +9,7 @@ import pytest
 from revdec import classical, cli, verification
 from revdec.classical import ARCHITECTURES, DECIMAL_ARCHITECTURES, Architecture
 from revdec.cli import build_parser
+from revdec.gates import builtin_catalog
 from revdec.verification import cla_agreement, cla_errata
 
 ORDER = [
@@ -43,10 +44,11 @@ class TestRegistry:
         assert with_build == ["rev_conventional", "rev_carry_skip"]
         assert arch_choices(command) == with_build
 
-    def test_chainable_rows(self):
-        chainable = [name for name, arch in ARCHITECTURES.items() if arch.exact and arch.add]
-        assert chainable == ["conventional", "cla_corrected", "carry_skip"]
-        assert list(DECIMAL_ARCHITECTURES) == chainable
+    def test_every_exact_row_chains(self):
+        exact = [name for name, arch in ARCHITECTURES.items() if arch.exact]
+        assert exact == ["conventional", "cla_corrected", "carry_skip",
+                         "rev_conventional", "rev_carry_skip"]
+        assert list(DECIMAL_ARCHITECTURES) == exact
 
     def test_verification_does_not_reexport_the_registry(self):
         assert verification.ARCHITECTURES is ARCHITECTURES
@@ -122,7 +124,7 @@ class TestSinglePassAudits:
 
 
 class TestDecimalAddTable:
-    @pytest.mark.parametrize("name", DECIMAL_ARCHITECTURES)
+    @pytest.mark.parametrize("name", [n for n in DECIMAL_ARCHITECTURES if ARCHITECTURES[n].add])
     def test_first_call_makes_200_adds_and_later_calls_none(self, monkeypatch, name):
         row, calls = ARCHITECTURES[name], []
         monkeypatch.setitem(ARCHITECTURES, name, Architecture(
@@ -134,5 +136,20 @@ class TestDecimalAddTable:
             for cin in (0, 1):
                 assert classical.decimal_add([5, 9, 9], [5, 0, 0], cin, name)[1] == 1
             assert len(calls) == 200
+        finally:  # the next caller must not read the counting row's table
+            classical._digit_pairs.cache_clear()
+
+    @pytest.mark.parametrize("name", [n for n in DECIMAL_ARCHITECTURES if ARCHITECTURES[n].build])
+    def test_first_call_per_catalog_reads_one_build_and_later_calls_none(self, monkeypatch, name):
+        row, calls = ARCHITECTURES[name], []
+        monkeypatch.setitem(ARCHITECTURES, name, Architecture(
+            name, build=lambda catalog=None: calls.append(catalog) or row.build(catalog)))
+        classical._digit_pairs.cache_clear()
+        try:
+            for catalog in (None, builtin_catalog(), None, builtin_catalog()):
+                assert classical.decimal_add([9], [1], 0, name, catalog) == ([0], 1)
+                for cin in (0, 1):
+                    assert classical.decimal_add([5, 9, 9], [5, 0, 0], cin, name, catalog)[1] == 1
+            assert calls == [None, builtin_catalog()]
         finally:  # the next caller must not read the counting row's table
             classical._digit_pairs.cache_clear()

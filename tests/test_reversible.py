@@ -18,10 +18,12 @@ from test_netlist import reference_depths
 from revdec import classical, gates, reversible
 from revdec.classical import (
     ARCHITECTURES,
+    DECIMAL_ARCHITECTURES,
     BcdOperands,
     BcdResult,
     carry_skip_add,
     conventional_add,
+    decimal_add,
     digit_table,
     oracle,
     oracle_sweep,
@@ -763,3 +765,65 @@ class TestBuildCache:
             with pytest.raises(UnknownGate, match="TSG"):
                 ARCHITECTURES["rev_conventional"].build({})
         assert classical._cached_build.cache_info().currsize == before
+
+
+def ripple(add, x_digits, y_digits, cin):
+    """``(sum digits, carry)`` of ``add`` applied digit by digit, least significant first."""
+    out = []
+    for x, y in zip(x_digits, y_digits):
+        result = add(BcdOperands(x, y, cin))
+        out.append(result.sum)
+        cin = result.cout
+    return out, cin
+
+
+def chain_cases(rng: random.Random) -> list[tuple[list[int], list[int], int]]:
+    """Every valid one-digit input, then 50 random eight-digit ones."""
+    def digits() -> list[int]:
+        return [rng.randrange(10) for _ in range(8)]
+
+    return [*(([op.a], [op.b], op.cin) for op in ALL_OPS),
+            *((digits(), digits(), rng.randrange(2)) for _ in range(50))]
+
+
+class TestDecimalChain:
+    """``decimal_add`` ripples a row's digits through the build of its
+    catalog, and a classical row's through its ``add``."""
+
+    CASES = chain_cases(random.Random(20261020))
+
+    @pytest.mark.parametrize("order", ["broken-first", "builtin-first"])
+    @pytest.mark.parametrize("arch", TestBuildCache.BUILDERS)
+    def test_each_catalog_chains_through_its_own_build(self, arch, order):
+        classical._digit_pairs.cache_clear()
+        row, catalogs = ARCHITECTURES[arch], {"broken": identity_tsg_catalog(), "builtin": None}
+        got = {}
+        for key in sorted(catalogs, reverse=order == "builtin-first"):
+            build, catalog = row.build(catalogs[key]), catalogs[key]
+            got[key] = [decimal_add(x, y, cin, arch, catalog) for x, y, cin in self.CASES]
+            assert got[key] == [ripple(lambda op: simulate_digit_add(build, op), *case)
+                                for case in self.CASES]
+        assert got["builtin"] == [ripple(oracle, *case) for case in self.CASES] != got["broken"]
+
+    @pytest.mark.parametrize("arch", [n for n in DECIMAL_ARCHITECTURES if ARCHITECTURES[n].add])
+    def test_a_classical_row_ignores_the_catalog(self, arch):
+        classical._digit_pairs.cache_clear()
+        # An empty catalog would fail any build, so none is made.
+        for catalog in ({}, identity_tsg_catalog(), None):
+            assert decimal_add([5, 9, 9], [5, 0, 0], 1, arch, catalog) == ([1, 0, 0], 1)
+        assert classical._digit_pairs.cache_info().currsize == 1
+
+    def test_digit_tables_never_outgrow_their_bound(self):
+        bound = classical._digit_pairs.cache_info().maxsize
+        for k in range(2 * bound + 1):
+            spare = GatePermutation(f"SPARE{k}", 1, [1, 0])
+            catalog = {**builtin_catalog(), spare.name: spare}
+            assert decimal_add([9, 9], [1, 0], 0, "rev_carry_skip", catalog) == ([0, 0], 1)
+            assert classical._digit_pairs.cache_info().currsize <= bound
+
+    def test_a_failed_build_caches_no_digit_table(self):
+        before = classical._digit_pairs.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(UnknownGate, match="TSG"):
+                decimal_add([1], [2], 0, "rev_conventional", {})
+        assert classical._digit_pairs.cache_info().currsize == before
