@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING
 
 from .classical import (
     ARCHITECTURES,
@@ -33,9 +32,6 @@ from .verification import (
     verify_architecture,
     xor_substitution_audit,
 )
-
-if TYPE_CHECKING:
-    from .reversible import ReversibleAdderBuild
 
 __all__ = ["main", "main_entry"]
 
@@ -57,21 +53,6 @@ def _assignments(pairs: Iterable[tuple[str, object]]) -> str:
     return " ".join(f"{name}={value}" for name, value in pairs)
 
 
-def _simulate_reversible(
-    build: ReversibleAdderBuild, op: BcdOperands, trace: bool
-) -> BcdResult:
-    from .reversible import input_pattern, simulate_digit_add
-
-    # The digit table fills the netlist's columns, which the trace then reads.
-    result = simulate_digit_add(build, op)
-    if trace:
-        _, _, steps = build.netlist.simulate_trace(input_pattern(op))
-        for step in steps:
-            print(f"g{step.index} {step.gate_name}: "
-                  f"{_assignments(step.inputs)} -> {_assignments(step.outputs)}")
-    return result
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.digits is not None:
         for flag, given in (("--a", args.a is not None), ("--b", args.b is not None),
@@ -83,7 +64,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # As in verify, only a row with a build reads the catalog.
         catalog = catalog_from_env() if ARCHITECTURES[args.arch].build else None
         digits, cout = decimal_add(x_digits, y_digits, args.cin, args.arch, catalog)
-        rendered = "".join(str(d) for d in reversed(digits))
+        # One hex nibble per digit keeps a sum digit above 9, which only a
+        # non-faithful gate catalog gives, inside its own place.
+        rendered = "".join(f"{d:X}" for d in reversed(digits))
         print(f"sum={rendered} cout={cout}")
         return 0
     if args.a is None or args.b is None:
@@ -92,7 +75,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     op = BcdOperands(args.a, args.b, args.cin)
     arch = ARCHITECTURES[args.arch]
     if arch.build is not None:
-        result = _simulate_reversible(arch.build(catalog_from_env()), op, args.trace)
+        from .reversible import input_pattern
+
+        build = arch.build(catalog_from_env())
+        primary, _, steps = build.netlist.simulate_trace(input_pattern(op))
+        if args.trace:
+            for step in steps:
+                print(f"g{step.index} {step.gate_name}: "
+                      f"{_assignments(step.inputs)} -> {_assignments(step.outputs)}")
+        result = BcdResult.from_code(primary.value)
     else:
         if args.trace:
             print(arch.trace(op))
@@ -137,10 +128,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    catalog = catalog_from_env()
     if not args.arch and not args.table1:
         print("error: provide --arch and/or --table1", file=sys.stderr)
         return 2
+    catalog = catalog_from_env()
     if args.arch:
         build = ARCHITECTURES[args.arch].build(catalog)
         m = build.metrics
@@ -259,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--digits",
         default=None,
         metavar="X,Y",
-        help="two multi-digit decimal numbers (exact architectures only)",
+        help="two multi-digit decimal numbers (exact architectures only); "
+        "each sum digit prints as one hex digit, so a digit above 9 shows as A-F",
     )
     p_sim.add_argument(
         "--trace", action="store_true", help="print intermediate signals or gate steps"

@@ -20,8 +20,7 @@ under primary input pattern ``p``.  Each distinct gate table compiles once
 per process to a function over lanes built from each output column's
 :func:`~revdec.sop.derive_sop` cover.  One pass computes every wire's lane
 over the whole input domain for :meth:`Netlist.columns` and the injectivity
-sweep, and is cached; simulation reads single bits of it when it is there,
-and otherwise evaluates its one pattern over 1-bit lanes.
+sweep, and is cached; simulation evaluates its one pattern over 1-bit lanes.
 """
 
 from __future__ import annotations
@@ -449,50 +448,43 @@ class Netlist:
             columns.append(column)
         return self._lanes(columns, (1 << (1 << width)) - 1)
 
-    def _lanes_at(self, x: BitVector) -> tuple[list[int], int]:
-        """Validate; every wire's lane and the bit for ``x`` in it: the cached
-        columns when :meth:`columns` or :meth:`check_injective` filled them,
-        else one pass over 1-bit lanes."""
+    def _lanes_at(self, x: BitVector) -> list[int]:
+        """Validate; every wire's value under ``x``, from one pass over 1-bit lanes."""
         self.validate()
         width = len(self._analysis.primary_inputs)
         if x.width != width:
             raise WidthMismatch(f"netlist {self.name!r} has {width} primary inputs "
                                 f"but the pattern has {x.width} bits")
-        columns = self.__dict__.get("_columns")
-        if columns is None:
-            return self._lanes([(x.value >> i) & 1 for i in range(width)]), 0
-        return columns, x.value
+        return self._lanes([(x.value >> i) & 1 for i in range(width)])
 
     def simulate(self, x: BitVector) -> tuple[BitVector, BitVector]:
         """Evaluate the circuit on one primary input pattern.
 
         Bit ``i`` of ``x`` feeds the ``i``-th declared primary input.  Returns
         ``(primary, full)``: the primary output bits, then every declared
-        output (primary and garbage), each in declaration order.  It reads
-        bit ``x`` of the cached columns when :meth:`columns` or
-        :meth:`check_injective` has filled them; otherwise it runs one gate
-        pass for this pattern and caches nothing, so a loop over many
-        patterns should call :meth:`columns` first.
+        output (primary and garbage), each in declaration order.  Each call
+        runs one gate pass for its pattern and caches nothing; a loop over
+        many patterns reads :meth:`columns` instead.
         """
-        return self._outputs(*self._lanes_at(x))
+        return self._outputs(self._lanes_at(x))
 
     def simulate_trace(self, x: BitVector) -> tuple[BitVector, BitVector, tuple[TraceStep, ...]]:
         """Like :meth:`simulate` but also report every gate evaluation."""
-        lanes, p = self._lanes_at(x)
+        values = self._lanes_at(x)
         trace = tuple(
             TraceStep(g, self.gates[g].gate.name,
-                      tuple(zip(self.gates[g].input_wires, [lanes[w] >> p & 1 for w in ins])),
-                      tuple(zip(self.gates[g].output_wires, [lanes[w] >> p & 1 for w in outs])))
+                      tuple(zip(self.gates[g].input_wires, [values[w] for w in ins])),
+                      tuple(zip(self.gates[g].output_wires, [values[w] for w in outs])))
             for g, ins, outs in self._analysis.steps)
-        return (*self._outputs(lanes, p), trace)
+        return (*self._outputs(values), trace)
 
-    def _outputs(self, lanes: list[int], p: int) -> tuple[BitVector, BitVector]:
-        """The primary and the full output vector at bit ``p`` of ``lanes``."""
+    def _outputs(self, values: list[int]) -> tuple[BitVector, BitVector]:
+        """The primary and the full output vector of one pattern's wire values."""
         vectors = []
         for wires in (self._analysis.primary_outputs, self._analysis.outputs):
             value = 0
             for i, wire in enumerate(wires):
-                value |= (lanes[wire] >> p & 1) << i
+                value |= values[wire] << i
             vectors.append(BitVector(len(wires), value))
         return tuple(vectors)
 

@@ -79,7 +79,7 @@ class ReversibleAdderBuild:
 
         :meth:`Netlist.columns` validates the netlist and fills its cached
         lanes (a netlist too wide to sweep raises there); then one
-        :meth:`Netlist.simulate` call, which reads a bit of them, raises its
+        :meth:`Netlist.simulate` call, a gate pass for pattern 0, raises its
         :class:`~revdec.gates.WidthMismatch` unless the netlist has nine
         primary inputs.
         """

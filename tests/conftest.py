@@ -6,9 +6,14 @@ even when stdout capture is active.  It also holds the small readers and
 writers that several test modules share.
 """
 
+from pathlib import Path
+
 from revdec.verification import EQUATION_NAMES
 
 ACCEPTANCE_LINES: list[str] = []
+
+# The five built-in gate tables restated in the catalog text format.
+GATE_DEFS = Path(__file__).resolve().parents[1] / "revbench" / "gate_defs.txt"
 
 
 def record_criterion(line: str) -> None:

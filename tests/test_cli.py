@@ -5,13 +5,23 @@ from __future__ import annotations
 import json
 
 import pytest
-from conftest import gate_line
+from conftest import GATE_DEFS, gate_line
 
-from revdec import cli
+from revdec import classical, cli
+from revdec.classical import ARCHITECTURES, valid_operands
 from revdec.cli import main
-from revdec.gates import builtin_catalog
+from revdec.gates import builtin_catalog, catalog_from_env
 from revdec.netlist import Netlist
-from revdec.reversible import build_conventional_reversible
+from revdec.reversible import (
+    build_carry_skip_reversible,
+    build_conventional_reversible,
+    simulate_digit_add,
+)
+
+# NEW_GATE with its table reversed: the adders then give sums above 9.
+REVERSED_NEW_GATE = "NEW_GATE 3 7 6 5 4 3 2 1 0\n"
+REVERSIBLE_BUILDERS = {"rev_conventional": build_conventional_reversible,
+                       "rev_carry_skip": build_carry_skip_reversible}
 
 
 def run(capsys, *argv):
@@ -131,6 +141,39 @@ class TestSimulate:
         assert len(gate_lines) == 9
         assert gate_lines[0].startswith("g0 TSG:")
 
+    @pytest.mark.parametrize("catalog", ["builtin", "gate_defs", "reversed_new_gate"])
+    @pytest.mark.parametrize("arch", REVERSIBLE_BUILDERS)
+    def test_one_digit_on_a_build_is_simulate_digit_add(
+            self, capsys, monkeypatch, tmp_path, arch, catalog):
+        if catalog == "gate_defs":
+            monkeypatch.setenv("REVDEC_GATE_DEFS", str(GATE_DEFS))
+        elif catalog == "reversed_new_gate":
+            path = tmp_path / "defs.txt"
+            path.write_text(REVERSED_NEW_GATE)
+            monkeypatch.setenv("REVDEC_GATE_DEFS", str(path))
+        build = REVERSIBLE_BUILDERS[arch](catalog_from_env())
+        gates = build.metrics.gate_count
+        for op in valid_operands():
+            want = simulate_digit_add(build, op)
+            argv = ["simulate", "--arch", arch, "--a", str(op.a), "--b", str(op.b)]
+            if op.cin:
+                argv += ["--cin", "1"]
+            line = f"sum={want.sum} cout={want.cout}"
+            assert run(capsys, *argv) == (0, line + "\n", "")
+            code, out, err = run(capsys, *argv, "--trace")
+            assert (code, err) == (0, "")
+            assert out.splitlines()[gates:] == [line]
+
+    @pytest.mark.parametrize("arch", REVERSIBLE_BUILDERS)
+    def test_one_digit_on_a_build_fills_no_digit_table(self, capsys, arch):
+        classical._cached_build.cache_clear()
+        assert run(capsys, "simulate", "--arch", arch, "--a", "9", "--b", "6",
+                   "--trace")[0] == 0
+        build = ARCHITECTURES[arch].build()
+        assert "columns" not in vars(build)
+        assert "_digit_table" not in vars(build)
+        assert "_columns" not in vars(build.netlist)
+
 
 class TestVerify:
     def test_all_architectures(self, capsys):
@@ -180,6 +223,11 @@ class TestMetrics:
     def test_requires_something_to_do(self, capsys):
         code, _, err = run(capsys, "metrics")
         assert code == 2
+
+    def test_usage_is_checked_before_the_defs_file(self, capsys, monkeypatch):
+        monkeypatch.setenv("REVDEC_GATE_DEFS", "/nonexistent/defs.txt")
+        assert run(capsys, "metrics") == (
+            2, "", "error: provide --arch and/or --table1\n")
 
 
 class TestExport:
@@ -273,6 +321,20 @@ class TestGateDefsOverride:
             assert code == 2
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
             assert out == ""
+
+    def test_digits_print_one_hex_digit_per_sum_digit(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "defs.txt"
+        path.write_text(REVERSED_NEW_GATE)
+        monkeypatch.setenv("REVDEC_GATE_DEFS", str(path))
+        arch = ("--arch", "rev_conventional")
+        assert run(capsys, "simulate", *arch, "--digits", "0,0") == (0, "sum=E cout=0\n", "")
+        assert run(capsys, "simulate", *arch, "--a", "0", "--b", "0") == (
+            0, "sum=14 cout=0\n", "")
+        digits, cout = classical.decimal_add([0, 0], [0, 0], 0, "rev_conventional",
+                                             catalog_from_env())
+        assert digits == [14, 14]
+        assert run(capsys, "simulate", *arch, "--digits", "00,00") == (
+            0, f"sum=EE cout={cout}\n", "")
 
     @pytest.mark.parametrize(
         "argv",

@@ -1234,8 +1234,9 @@ def counted_passes(monkeypatch) -> list:
 
 
 class TestOnePatternSimulation:
-    """Without cached columns, simulate and simulate_trace run one gate pass
-    for their one pattern and cache nothing; with them, no pass at all."""
+    """simulate and simulate_trace always run one gate pass for their one
+    pattern and cache nothing, whether or not columns() has filled the
+    cached columns; a loop over many patterns reads columns() instead."""
 
     @pytest.mark.parametrize("make", ONE_PATTERN_NETS.values(), ids=ONE_PATTERN_NETS.keys())
     def test_fresh_netlist_runs_one_pass_per_call(self, monkeypatch, make):
@@ -1255,17 +1256,29 @@ class TestOnePatternSimulation:
 
     @pytest.mark.parametrize("make", [build_conventional_reversible,
                                       build_carry_skip_reversible])
-    def test_cached_columns_serve_every_pattern(self, monkeypatch, make):
+    def test_cached_columns_leave_one_pass_per_call(self, monkeypatch, make):
         net = make().netlist
-        net.columns()
+        columns = net.columns()
         passes = counted_passes(monkeypatch)
+
+        def at(wires, pattern):
+            return BitVector(len(wires), sum((columns[w] >> pattern & 1) << i
+                                             for i, w in enumerate(wires)))
+
         for pattern in range(512):
             *want, steps = reference_simulate(net, pattern)
+            want = tuple(want)
+            assert want == (at(net.primary_output_wires(), pattern),
+                            at([d.wire for d in net.outputs], pattern))
             x = BitVector(9, pattern)
-            assert net.simulate(x) == tuple(want)
-            assert net.simulate_trace(x) == (*want, steps)
-        assert passes == []
-
+            assert net.simulate(x) == want
+            assert len(passes) == 2 * pattern + 1
+            primary, full, trace = net.simulate_trace(x)
+            assert len(passes) == 2 * pattern + 2
+            assert (primary, full, trace) == (*want, steps)
+            for step in trace:
+                for wire, value in step.inputs + step.outputs:
+                    assert value == columns[wire] >> pattern & 1
 
 def reference_depths(net: Netlist) -> dict[str, int]:
     """Each wire's longest driving path in gates, walking gates in

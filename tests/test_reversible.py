@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import GATE_DEFS
 from test_netlist import reference_depths
 
 from revdec import classical, gates, reversible
@@ -58,8 +59,6 @@ from revdec.reversible import (
 )
 from revdec.verification import table1_report, verify_architecture
 
-# The five built-in gate tables restated in the catalog text format.
-GATE_DEFS = Path(__file__).resolve().parents[1] / "revbench" / "gate_defs.txt"
 ALL_OPS = tuple(valid_operands())
 CONVENTIONAL = build_conventional_reversible()
 CARRY_SKIP = build_carry_skip_reversible()
@@ -615,8 +614,8 @@ class TestDigitTable:
     )
     def test_columns_simulate_once_and_sweep_once(self, monkeypatch, make):
         # The benchmark's traced run times Netlist.simulate inside the digit
-        # table's first fill, so columns keeps its one simulate call; it reads
-        # the lanes that one sweep over all 512 input codes filled.
+        # table's first fill, so columns keeps its one simulate call, a gate
+        # pass for pattern 0, beside its one sweep over all 512 input codes.
         build = make()
         simulations, sweeps = [], []
         real_simulate = Netlist.simulate
