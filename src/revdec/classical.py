@@ -25,12 +25,15 @@ in how they obtain the binary stage result and the decimal-carry decision:
 plain integer arithmetic and nothing from the circuit models.  This module
 owns the :data:`ARCHITECTURES` registry of every design, classical and
 reversible, and :func:`oracle_sweep`, the process's one oracle truth table.
+A classical row's ``model`` returns its digit and its signal record
+(:class:`ConventionalTrace`, :class:`ClaSignals` or :class:`SkipSignals`)
+from one evaluation.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Any
 
 from ._record import record
@@ -349,8 +352,9 @@ def cla_signals(op: BcdOperands) -> ClaSignals:
     return ClaSignals(g=g, p=p, h=h, m=m, n=n, c1=c1)  # type: ignore[arg-type]
 
 
-def _cla_verbatim_bits(op: BcdOperands) -> tuple[tuple[int, int, int, int], int]:
-    """The as-given direct sum equations, transcribed without repair.
+def _cla_verbatim(op: BcdOperands) -> tuple[BcdResult, ClaSignals]:
+    """The as-given direct sum equations, transcribed without repair, and
+    the signal layer they read.
 
     These are measured equations, not trusted ones: two of the four sum
     columns disagree with the decimal truth table (see
@@ -372,8 +376,7 @@ def _cla_verbatim_bits(op: BcdOperands) -> tuple[tuple[int, int, int, int], int]
         ^ (((inv(p[3]) & inv(p[2]) & p[1]) ^ (g[2] & g[1]) ^ (p[3] & p[2])) & c1)
     )
     s3 = ((inv(m) & n) & inv(c1)) ^ (((g[3] & inv(h[3])) ^ (inv(h[3]) & h[2] & h[1])) & c1)
-    cout = m | (n & c1)
-    return (s0, s1, s2, s3), cout
+    return BcdResult(sum=_pack((s0, s1, s2, s3)), cout=m | (n & c1)), s
 
 
 @lru_cache(maxsize=1)
@@ -398,8 +401,7 @@ def cla_add(op: BcdOperands, variant: str = CLA_CORRECTED) -> BcdResult:
     covers.  Both share the same :func:`cla_signals` layer.
     """
     if variant == CLA_VERBATIM:
-        bits, cout = _cla_verbatim_bits(op)
-        return BcdResult(sum=_pack(bits), cout=cout)
+        return _cla_verbatim(op)[0]
     if variant == CLA_CORRECTED:
         x = op.code()
         y = sum(eval_sop(cover, x) << i for i, cover in enumerate(_corrected_covers()))
@@ -441,32 +443,26 @@ def carry_skip_add(op: BcdOperands) -> tuple[BcdResult, SkipSignals]:
 class Architecture:
     """One named digit-adder design: the single record every caller looks up.
 
-    A classical row computes a digit with ``add`` and renders its
-    intermediate signals as one line with ``trace``.  A reversible row
-    instead has a ``build`` that assembles its netlist from an optional
-    gate catalog; nothing is built until it is called.  Every row answers
-    through :meth:`columns`.  ``exact`` is false only for a design whose
-    disagreements with :func:`oracle` are documented errata, not failures.
+    A classical row's ``model`` computes a digit together with the record
+    of its intermediate signals.  A reversible row instead has a ``build``
+    that assembles its netlist from an optional gate catalog; nothing is
+    built until it is called.  Every row answers through :meth:`columns`.
+    ``exact`` is false only for a design whose disagreements with
+    :func:`oracle` are documented errata, not failures.
     """
 
     name: str
-    add: Callable[[BcdOperands], BcdResult] | None = None
-    trace: Callable[[BcdOperands], str] | None = None
+    model: Callable[[BcdOperands], tuple[BcdResult, Any]] | None = None
     build: Callable[..., Any] | None = None
     exact: bool = True
 
     def columns(self, catalog: Mapping[str, GatePermutation] | None = None) -> tuple[int, ...]:
         """The row's five :func:`output_columns`: a reversible row's from its
         build (of ``catalog``, by default the built-in one), cached on the
-        build; a classical row's from ``add`` over :func:`oracle_sweep`."""
+        build; a classical row's from ``model`` over :func:`oracle_sweep`."""
         if self.build:
             return self.build(catalog).columns
-        return tuple(output_columns((op, self.add(op)) for op in valid_operands()))
-
-
-def _render_signals(signals: object) -> str:
-    """``name=value`` for every field of a signal record, in field order."""
-    return " ".join(f"{n}={getattr(signals, n)}" for n in signals.__match_args__)
+        return tuple(output_columns((op, self.model(op)[0]) for op in valid_operands()))
 
 
 @lru_cache(maxsize=8)
@@ -485,48 +481,29 @@ def _builtin_gates() -> frozenset[tuple[str, GatePermutation]]:
     return frozenset(builtin_catalog().items())
 
 
-def _reversible_row(name: str, builder: str) -> Architecture:
-    """A netlist row whose first build imports :mod:`revdec.reversible`.
+def _build_row(builder: str, catalog: Mapping[str, GatePermutation] | None = None) -> Any:
+    """A netlist row's build; the first one imports :mod:`revdec.reversible`.
 
     Commands that never build a netlist then never load the netlist layer.
     Equal catalogs share one build (``None`` is the built-in catalog), and
     with it the build's digit table and cost metrics.
     """
-
-    def build(catalog: Mapping[str, GatePermutation] | None = None):
-        gates = _builtin_gates() if catalog is None else frozenset(catalog.items())
-        return _cached_build(builder, gates)
-
-    return Architecture(name, build=build)
+    gates = _builtin_gates() if catalog is None else frozenset(catalog.items())
+    return _cached_build(builder, gates)
 
 
 # Every architecture by name, in the order sweeps and reports list them.
 ARCHITECTURES: dict[str, Architecture] = {
     arch.name: arch
     for arch in (
-        Architecture(
-            "conventional",
-            add=lambda op: conventional_add(op)[0],
-            trace=lambda op: _render_signals(conventional_add(op)[1]),
-        ),
-        Architecture(
-            "cla_verbatim",
-            add=lambda op: cla_add(op, CLA_VERBATIM),
-            trace=lambda op: _render_signals(cla_signals(op)),
-            exact=False,
-        ),
-        Architecture(
-            "cla_corrected",
-            add=lambda op: cla_add(op, CLA_CORRECTED),
-            trace=lambda op: _render_signals(cla_signals(op)),
-        ),
-        Architecture(
-            "carry_skip",
-            add=lambda op: carry_skip_add(op)[0],
-            trace=lambda op: _render_signals(carry_skip_add(op)[1]),
-        ),
-        _reversible_row("rev_conventional", "build_conventional_reversible"),
-        _reversible_row("rev_carry_skip", "build_carry_skip_reversible"),
+        Architecture("conventional", conventional_add),
+        Architecture("cla_verbatim", _cla_verbatim, exact=False),
+        Architecture("cla_corrected", lambda op: (cla_add(op, CLA_CORRECTED), cla_signals(op))),
+        Architecture("carry_skip", carry_skip_add),
+        Architecture("rev_conventional",
+                     build=partial(_build_row, "build_conventional_reversible")),
+        Architecture("rev_carry_skip",
+                     build=partial(_build_row, "build_carry_skip_reversible")),
     )
 }
 

@@ -85,9 +85,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                       f"{_assignments(step.inputs)} -> {_assignments(step.outputs)}")
         result = BcdResult.from_code(primary.value)
     else:
+        result, signals = arch.model(op)
         if args.trace:
-            print(arch.trace(op))
-        result = arch.add(op)
+            print(_assignments((n, getattr(signals, n)) for n in signals.__match_args__))
     print(f"sum={result.sum} cout={result.cout}")
     return 0
 

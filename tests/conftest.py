@@ -8,12 +8,29 @@ writers that several test modules share.
 
 from pathlib import Path
 
+from revdec.classical import (
+    CLA_CORRECTED,
+    CLA_VERBATIM,
+    carry_skip_add,
+    cla_add,
+    cla_signals,
+    conventional_add,
+)
 from revdec.verification import EQUATION_NAMES
 
 ACCEPTANCE_LINES: list[str] = []
 
 # The five built-in gate tables restated in the catalog text format.
 GATE_DEFS = Path(__file__).resolve().parents[1] / "revbench" / "gate_defs.txt"
+
+# Each classical registry row's digit and signal record, from the public
+# functions.
+PUBLIC_MODELS = {
+    "conventional": conventional_add,
+    "cla_verbatim": lambda op: (cla_add(op, CLA_VERBATIM), cla_signals(op)),
+    "cla_corrected": lambda op: (cla_add(op, CLA_CORRECTED), cla_signals(op)),
+    "carry_skip": carry_skip_add,
+}
 
 
 def record_criterion(line: str) -> None:

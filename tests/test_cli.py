@@ -5,10 +5,10 @@ from __future__ import annotations
 import json
 
 import pytest
-from conftest import GATE_DEFS, gate_line
+from conftest import GATE_DEFS, PUBLIC_MODELS, gate_line
 
 from revdec import classical, cli
-from revdec.classical import ARCHITECTURES, valid_operands
+from revdec.classical import ARCHITECTURES, Architecture, BcdOperands, valid_operands
 from revdec.cli import main
 from revdec.gates import builtin_catalog, catalog_from_env
 from revdec.netlist import Netlist
@@ -128,6 +128,31 @@ class TestSimulate:
         assert code == 0
         assert "z=12 k=0 correct=1" in out
         assert "sum=2 cout=1" in out
+
+    @pytest.mark.parametrize("arch", PUBLIC_MODELS)
+    def test_classical_trace_renders_the_signal_record(self, capsys, arch):
+        # The record's name=value pairs in field order, then the digit.
+        for op in valid_operands():
+            result, signals = PUBLIC_MODELS[arch](op)
+            names = type(signals).__match_args__
+            line = f"sum={result.sum} cout={result.cout}\n"
+            trace = " ".join(f"{n}={getattr(signals, n)}" for n in names) + "\n"
+            argv = ["simulate", "--arch", arch, "--a", str(op.a), "--b", str(op.b),
+                    "--cin", str(op.cin)]
+            assert run(capsys, *argv) == (0, line, "")
+            assert run(capsys, *argv, "--trace") == (0, trace + line, "")
+
+    @pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
+    @pytest.mark.parametrize("arch", PUBLIC_MODELS)
+    def test_a_classical_row_runs_its_model_once(self, capsys, monkeypatch, arch, trace):
+        row, calls = ARCHITECTURES[arch], []
+        monkeypatch.setitem(classical.ARCHITECTURES, arch, Architecture(
+            arch, model=lambda op: calls.append(op) or row.model(op), exact=row.exact))
+        code, out, err = run(capsys, "simulate", "--arch", arch, "--a", "9", "--b", "6",
+                             "--cin", "1", *trace)
+        assert (code, err) == (0, "")
+        assert out.endswith(" cout=1\n")
+        assert calls == [BcdOperands(9, 6, 1)]
 
     def test_reversible_trace_lists_every_gate(self, capsys):
         code, out, _ = run(

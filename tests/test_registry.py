@@ -5,9 +5,10 @@ from __future__ import annotations
 import argparse
 
 import pytest
+from conftest import PUBLIC_MODELS
 
 from revdec import classical, cli, verification
-from revdec.classical import ARCHITECTURES, DECIMAL_ARCHITECTURES, Architecture
+from revdec.classical import ARCHITECTURES, DECIMAL_ARCHITECTURES, Architecture, valid_operands
 from revdec.cli import build_parser
 from revdec.gates import builtin_catalog
 from revdec.verification import cla_agreement, cla_errata
@@ -57,9 +58,16 @@ class TestRegistry:
     def test_each_row_is_either_classical_or_a_netlist(self):
         for arch in ARCHITECTURES.values():
             if arch.build is None:
-                assert arch.add is not None and arch.trace is not None
+                assert arch.model is not None
             else:
-                assert arch.add is None and arch.trace is None
+                assert arch.model is None
+        assert [n for n, arch in ARCHITECTURES.items() if arch.model] == list(PUBLIC_MODELS)
+
+    @pytest.mark.parametrize("name", PUBLIC_MODELS)
+    def test_a_classical_model_is_its_public_functions(self, name):
+        model = ARCHITECTURES[name].model
+        for op in valid_operands():
+            assert model(op) == PUBLIC_MODELS[name](op)
 
     def test_build_targets(self):
         targets = {
@@ -77,15 +85,15 @@ def count_verbatim_adds(monkeypatch) -> list:
     calls = []
     row = ARCHITECTURES["cla_verbatim"]
 
-    def counting_add(op):
+    def counting_model(op):
         calls.append(op)
-        return row.add(op)
+        return row.model(op)
 
     def no_oracle(op):
         raise AssertionError("the oracle table is computed once per process")
 
     monkeypatch.setitem(ARCHITECTURES, "cla_verbatim",
-                        Architecture("cla_verbatim", add=counting_add, exact=False))
+                        Architecture("cla_verbatim", model=counting_model, exact=False))
     monkeypatch.setattr(classical, "oracle", no_oracle)
     return calls
 
@@ -124,11 +132,11 @@ class TestSinglePassAudits:
 
 
 class TestDecimalAddTable:
-    @pytest.mark.parametrize("name", [n for n in DECIMAL_ARCHITECTURES if ARCHITECTURES[n].add])
+    @pytest.mark.parametrize("name", [n for n in DECIMAL_ARCHITECTURES if ARCHITECTURES[n].model])
     def test_first_call_makes_200_adds_and_later_calls_none(self, monkeypatch, name):
         row, calls = ARCHITECTURES[name], []
         monkeypatch.setitem(ARCHITECTURES, name, Architecture(
-            name, add=lambda op: calls.append(op) or row.add(op), trace=row.trace))
+            name, model=lambda op: calls.append(op) or row.model(op)))
         classical._digit_pairs.cache_clear()
         try:
             assert classical.decimal_add([9], [1], 0, name) == ([0], 1)

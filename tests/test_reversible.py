@@ -684,7 +684,7 @@ class TestOneDigitPath:
     def test_digit_table_of_the_columns_is_the_rows_results(self, name, catalog):
         row = ARCHITECTURES[name]
         if row.build is None:
-            want = [row.add(op) for op in ALL_OPS]
+            want = [row.model(op)[0] for op in ALL_OPS]
         else:
             build = row.build(catalog)
             want = [simulated(build, op) for op in ALL_OPS]
@@ -787,7 +787,7 @@ def chain_cases(rng: random.Random) -> list[tuple[list[int], list[int], int]]:
 
 class TestDecimalChain:
     """``decimal_add`` ripples a row's digits through the build of its
-    catalog, and a classical row's through its ``add``."""
+    catalog, and a classical row's through its ``model``."""
 
     CASES = chain_cases(random.Random(20261020))
 
@@ -804,7 +804,7 @@ class TestDecimalChain:
                                 for case in self.CASES]
         assert got["builtin"] == [ripple(oracle, *case) for case in self.CASES] != got["broken"]
 
-    @pytest.mark.parametrize("arch", [n for n in DECIMAL_ARCHITECTURES if ARCHITECTURES[n].add])
+    @pytest.mark.parametrize("arch", [n for n in DECIMAL_ARCHITECTURES if ARCHITECTURES[n].model])
     def test_a_classical_row_ignores_the_catalog(self, arch):
         classical._digit_pairs.cache_clear()
         # An empty catalog would fail any build, so none is made.

@@ -123,7 +123,7 @@ class TestVerifyArchitecture:
             return BcdResult(total & 15, total >> 4)
 
         monkeypatch.setitem(ARCHITECTURES, "conventional",
-                            Architecture("conventional", add=binary_add))
+                            Architecture("conventional", model=lambda op: (binary_add(op), None)))
         report = verify_architecture("conventional")
         expected = [Mismatch(op, oracle(op), binary_add(op))
                     for op in valid_operands() if op.a + op.b + op.cin >= 10]
@@ -139,7 +139,7 @@ class TestVerifyArchitecture:
             build = arch.build() if arch.build else None
             mismatches = []
             for op in valid_operands():
-                actual = arch.add(op) if build is None else simulate_digit_add(build, op)
+                actual = arch.model(op)[0] if build is None else simulate_digit_add(build, op)
                 if actual != oracle(op):
                     mismatches.append(Mismatch(op, oracle(op), actual))
             expected[name] = VerificationReport(
@@ -233,8 +233,8 @@ class TestClaErrata:
                 want_errata.append(ErrataEntry(name, op, equation_bit(add(op), name),
                                                equation_bit(oracle(op), name)))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setitem(ARCHITECTURES, "cla_verbatim",
-                          Architecture("cla_verbatim", add=add, exact=False))
+            patch.setitem(ARCHITECTURES, "cla_verbatim", Architecture(
+                "cla_verbatim", model=lambda op: (add(op), None), exact=False))
             assert cla_agreement() == want_agreement
             assert cla_errata() == tuple(want_errata)
 
