@@ -25,19 +25,23 @@ in how they obtain the binary stage result and the decimal-carry decision:
 plain integer arithmetic and nothing from the circuit models.  This module
 owns the :data:`ARCHITECTURES` registry of every design, classical and
 reversible, and :func:`oracle_sweep`, the process's one oracle truth table.
-A classical row's ``model`` returns its digit and its signal record
-(:class:`ConventionalTrace`, :class:`ClaSignals` or :class:`SkipSignals`)
-from one evaluation.
+
+Each classical design is one branch-free function over *lanes*, ints whose
+bit ``p`` is a signal's value under input pattern ``p``: ``(a lanes, b
+lanes, cin, ones) -> (sum lanes, cout lane, signal lanes)``, where ``ones``
+has every lane bit in use set.  Over the lanes of all 512 input codes
+(:func:`code_lanes`) one call gives a row's output columns; over 1-bit lanes
+it adds one digit, whose signals fill the row's signal record.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Any
 
 from ._record import record
-from .sop import derive_sop, eval_sop
+from .sop import compile_lanes, derive_sop, input_lanes
 
 if TYPE_CHECKING:
     from .gates import GatePermutation
@@ -58,7 +62,7 @@ __all__ = [
     "valid_operands",
     "oracle",
     "oracle_sweep",
-    "output_columns",
+    "code_lanes",
     "digit_table",
     "conventional_add",
     "detection_terms",
@@ -225,28 +229,29 @@ def oracle(op: BcdOperands) -> BcdResult:
     return BcdResult(sum=total % 10, cout=total // 10)
 
 
-def output_columns(results: Iterable[tuple[BcdOperands, BcdResult]]) -> list[int]:
-    """The five output columns of a sweep: bit ``op.code()`` of column ``i``
-    is bit ``i`` of ``result.code()``."""
-    by_code = [0] * 32
-    for op, result in results:
-        by_code[result.code()] |= 1 << op.code()
-    return [sum(ops for code, ops in enumerate(by_code) if code >> i & 1) for i in range(5)]
-
-
 @lru_cache(maxsize=1)
 def oracle_sweep() -> tuple[tuple[tuple[BcdOperands, BcdResult], ...], tuple[int, ...], int]:
     """Every valid input with its oracle result in canonical order, the
-    oracle's five :func:`output_columns` and the mask of the valid input
-    codes; computed once per process."""
+    oracle's five output columns (bit ``op.code()`` of column ``i`` is bit
+    ``i`` of ``result.code()``) and the mask of the valid input codes;
+    computed once per process."""
     ops = (BcdOperands(a, b, cin) for a in range(10) for b in range(10) for cin in (0, 1))
     pairs = tuple((op, oracle(op)) for op in ops)
-    return pairs, tuple(output_columns(pairs)), sum(1 << op.code() for op, _ in pairs)
+    columns = tuple(sum((r.code() >> i & 1) << op.code() for op, r in pairs) for i in range(5))
+    return pairs, columns, sum(1 << op.code() for op, _ in pairs)
+
+
+@lru_cache(maxsize=1)
+def code_lanes() -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """A lane design's ``(a lanes, b lanes, cin, ones)`` over all 512 input
+    codes: bit ``x`` of a lane is that input bit of :meth:`BcdOperands.code` ``x``."""
+    lanes = input_lanes(9)
+    return tuple(lanes[:4]), tuple(lanes[4:8]), lanes[8], (1 << 512) - 1
 
 
 def digit_table(columns: Sequence[int]) -> tuple[BcdResult, ...]:
-    """The inverse of :func:`output_columns` over the valid inputs: the result
-    of each, at slot ``a*20 + b*2 + cin`` (the order of :func:`oracle_sweep`)."""
+    """A row's result for each valid input, read from its five output columns
+    (laid out as :func:`oracle_sweep`'s), at slot ``a*20 + b*2 + cin``."""
     return tuple(
         BcdResult.from_code(sum((col >> x & 1) << i for i, col in enumerate(columns)))
         for x in (op.code() for op in valid_operands())
@@ -258,23 +263,14 @@ def digit_table(columns: Sequence[int]) -> tuple[BcdResult, ...]:
 # ----------------------------------------------------------------------
 
 
-def _ripple4(
-    a_bits: Sequence[int], b_bits: Sequence[int], cin: int
-) -> tuple[tuple[int, int, int, int], int]:
-    """Four chained full adders; returns (sum bits, carry out)."""
+def _ripple4(a: Sequence[int], b: Sequence[int], cin: int) -> tuple[list[int], int]:
+    """Four chained full adders over lanes; returns (sum lanes, carry out)."""
     carry = cin
     out = []
-    for x, y in zip(a_bits, b_bits):
+    for x, y in zip(a, b):
         out.append(x ^ y ^ carry)
         carry = (x & y) | (carry & (x ^ y))
-    return tuple(out), carry  # type: ignore[return-value]
-
-
-def _add_six(z_bits: Sequence[int]) -> tuple[int, int, int, int]:
-    """Add the constant 0110 to a four-bit value, discarding the carry."""
-    six = (0, 1, 1, 0)
-    out, _ = _ripple4(z_bits, six, 0)
-    return out
+    return out, carry
 
 
 def _pack(bits: Sequence[int]) -> int:
@@ -289,44 +285,46 @@ def _pack(bits: Sequence[int]) -> int:
 # ----------------------------------------------------------------------
 
 
-def detection_terms(k: int, z: int) -> tuple[int, int, int]:
+def detection_terms(k: int, z: Sequence[int]) -> tuple[int, int, int]:
     """The three mutually exclusive decimal-carry conditions.
 
-    Given the binary stage carry ``k`` and packed sum ``z``, the terms are
-    ``k`` (total is 16 or more), ``z3 & z2`` (total 12..15) and
-    ``z3 & ~z2 & z1`` (total 10..11).  At most one term fires for any
-    reachable ``(k, z)``, which is what makes OR and XOR interchangeable
-    when combining them.
+    Given the binary stage carry ``k`` and the four sum bits (or lanes)
+    ``z``, the terms are ``k`` (total is 16 or more), ``z3 & z2`` (total
+    12..15) and ``z3 & ~z2 & z1`` (total 10..11).  At most one term fires
+    for any reachable ``(k, z)``, which is what makes OR and XOR
+    interchangeable when combining them.
     """
-    z1, z2, z3 = (z >> 1) & 1, (z >> 2) & 1, (z >> 3) & 1
-    return k, z3 & z2, z3 & (z2 ^ 1) & z1
+    return k, z[3] & z[2], z[3] & ~z[2] & z[1]
 
 
-def naive_detection_terms(k: int, z: int) -> tuple[int, int, int]:
+def naive_detection_terms(k: int, z: Sequence[int]) -> tuple[int, int, int]:
     """The textbook non-exclusive carry conditions ``(k, z3&z2, z3&z1)``.
 
     Correct when combined with OR, wrong when combined with XOR: both
     pair terms fire at once for binary totals 14 and 15.  Kept as the
     negative control for the OR-to-XOR substitution audit.
     """
-    z1, z2, z3 = (z >> 1) & 1, (z >> 2) & 1, (z >> 3) & 1
-    return k, z3 & z2, z3 & z1
+    return k, z[3] & z[2], z[3] & z[1]
 
 
-def _correct(z_bits: Sequence[int], k: int) -> tuple[BcdResult, int]:
-    """Exclusive carry detection and the conditional add-six; also returns ``z``."""
-    z = _pack(z_bits)
+def _correct(z: Sequence[int], k: int, ones: int) -> tuple[list[int], int]:
+    """Exclusive carry detection and the add-six correction it selects."""
     t_k, t_high, t_mid = detection_terms(k, z)
     correct = t_k | t_high | t_mid
-    sum_bits = _add_six(z_bits) if correct else z_bits
-    return BcdResult(sum=_pack(sum_bits), cout=correct), z
+    plus_six, _ = _ripple4(z, (0, ones, ones, 0), 0)
+    return [(correct & x) | (~correct & y) for x, y in zip(plus_six, z)], correct
+
+
+def _conventional(a: Sequence[int], b: Sequence[int], cin: int, ones: int) -> tuple:
+    """The conventional design; its signals are ``(z lanes, k, correct)``."""
+    z, k = _ripple4(a, b, cin)
+    sum_lanes, correct = _correct(z, k, ones)
+    return sum_lanes, correct, (z, k, correct)
 
 
 def conventional_add(op: BcdOperands) -> tuple[BcdResult, ConventionalTrace]:
     """Ripple binary stage, exclusive carry detection, add-six correction."""
-    z_bits, k = _ripple4(op.a_bits(), op.b_bits(), op.cin)
-    result, z = _correct(z_bits, k)
-    return result, ConventionalTrace(z=z, k=k, correct=result.cout)
+    return ARCHITECTURES["conventional"].model(op)
 
 
 # ----------------------------------------------------------------------
@@ -334,25 +332,28 @@ def conventional_add(op: BcdOperands) -> tuple[BcdResult, ConventionalTrace]:
 # ----------------------------------------------------------------------
 
 
-def cla_signals(op: BcdOperands) -> ClaSignals:
-    """Compute the look-ahead signal layer for one digit addition.
+def _cla_layer(a: Sequence[int], b: Sequence[int], cin: int) -> tuple:
+    """The look-ahead signal lanes ``(g, p, h, m, n, c1)`` of :class:`ClaSignals`.
 
     The aggregates ``m`` and ``n`` are disjunctions of their product
     terms: each product identifies one way the upper positions reach the
     required weight, and several can hold at once (for example both
     operands equal to 9), so combining them exclusively would be wrong.
     """
-    a, b = op.a_bits(), op.b_bits()
     g = tuple(x & y for x, y in zip(a, b))
     p = tuple(x | y for x, y in zip(a, b))
     h = tuple(x ^ y for x, y in zip(a, b))
     m = g[3] | (p[3] & p[2]) | (p[3] & p[1]) | (g[2] & p[1])
     n = p[3] | g[2] | (p[2] & g[1])
-    c1 = g[0] | (p[0] & op.cin)
-    return ClaSignals(g=g, p=p, h=h, m=m, n=n, c1=c1)  # type: ignore[arg-type]
+    return g, p, h, m, n, g[0] | (p[0] & cin)
 
 
-def _cla_verbatim(op: BcdOperands) -> tuple[BcdResult, ClaSignals]:
+def cla_signals(op: BcdOperands) -> ClaSignals:
+    """Compute the look-ahead signal layer for one digit addition."""
+    return ClaSignals(*_cla_layer(op.a_bits(), op.b_bits(), op.cin))
+
+
+def _cla_verbatim(a: Sequence[int], b: Sequence[int], cin: int, ones: int) -> tuple:
     """The as-given direct sum equations, transcribed without repair, and
     the signal layer they read.
 
@@ -361,25 +362,19 @@ def _cla_verbatim(op: BcdOperands) -> tuple[BcdResult, ClaSignals]:
     ``revdec.verification.cla_errata`` for the exact failure set).  The
     carry-out and the remaining columns are exact.
     """
-    s = cla_signals(op)
-    g, p, h, m, n, c1 = s.g, s.p, s.h, s.m, s.n, s.c1
-
-    def inv(x: int) -> int:
-        return x ^ 1
-
-    s0 = h[0] ^ op.cin
-    s1 = ((h[1] ^ m) & c1) | (inv(h[1] ^ n) & c1)
+    signals = g, p, h, m, n, c1 = _cla_layer(a, b, cin)
+    s0 = h[0] ^ cin
+    s1 = ((h[1] ^ m) & c1) | (~(h[1] ^ n) & c1)
     s2 = (
-        (inv(p[2]) & g[1])
-        ^ (inv(p[3]) & h[2] & inv(p[1]))
-        ^ ((g[3] ^ (h[2] & h[1])) & inv(c1))
-        ^ (((inv(p[3]) & inv(p[2]) & p[1]) ^ (g[2] & g[1]) ^ (p[3] & p[2])) & c1)
+        (~p[2] & g[1])
+        ^ (~p[3] & h[2] & ~p[1])
+        ^ ((g[3] ^ (h[2] & h[1])) & ~c1)
+        ^ (((~p[3] & ~p[2] & p[1]) ^ (g[2] & g[1]) ^ (p[3] & p[2])) & c1)
     )
-    s3 = ((inv(m) & n) & inv(c1)) ^ (((g[3] & inv(h[3])) ^ (inv(h[3]) & h[2] & h[1])) & c1)
-    return BcdResult(sum=_pack((s0, s1, s2, s3)), cout=m | (n & c1)), s
+    s3 = (~m & n & ~c1) ^ (((g[3] & ~h[3]) ^ (~h[3] & h[2] & h[1])) & c1)
+    return (s0, s1, s2, s3), m | (n & c1), signals
 
 
-@lru_cache(maxsize=1)
 def _corrected_covers() -> tuple[tuple[tuple[int, int], ...], ...]:
     """Derive exact sum-of-products covers for the five output columns.
 
@@ -392,6 +387,18 @@ def _corrected_covers() -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(derive_sop(9, [x for x in range(1 << 9) if c >> x & 1], dc) for c in columns)
 
 
+@lru_cache(maxsize=1)
+def _corrected_lanes() -> Callable[..., tuple[int, ...]]:
+    """The derived covers as one lane function, compiled once per process."""
+    return compile_lanes(9, _corrected_covers())
+
+
+def _cla_corrected(a: Sequence[int], b: Sequence[int], cin: int, ones: int) -> tuple:
+    """The derived exact covers, beside the look-ahead signal layer."""
+    *sum_lanes, cout = _corrected_lanes()(ones, *a, *b, cin)
+    return sum_lanes, cout, _cla_layer(a, b, cin)
+
+
 def cla_add(op: BcdOperands, variant: str = CLA_CORRECTED) -> BcdResult:
     """Carry-look-ahead digit addition.
 
@@ -400,15 +407,11 @@ def cla_add(op: BcdOperands, variant: str = CLA_CORRECTED) -> BcdResult:
     always right).  ``variant="corrected"`` evaluates the derived exact
     covers.  Both share the same :func:`cla_signals` layer.
     """
-    if variant == CLA_VERBATIM:
-        return _cla_verbatim(op)[0]
-    if variant == CLA_CORRECTED:
-        x = op.code()
-        y = sum(eval_sop(cover, x) << i for i, cover in enumerate(_corrected_covers()))
-        return BcdResult.from_code(y)
-    raise ValueError(
-        f"unknown variant {variant!r}; use {CLA_VERBATIM!r} or {CLA_CORRECTED!r}"
-    )
+    if variant not in (CLA_VERBATIM, CLA_CORRECTED):
+        raise ValueError(
+            f"unknown variant {variant!r}; use {CLA_VERBATIM!r} or {CLA_CORRECTED!r}"
+        )
+    return ARCHITECTURES[f"cla_{variant}"].model(op)[0]
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +419,7 @@ def cla_add(op: BcdOperands, variant: str = CLA_CORRECTED) -> BcdResult:
 # ----------------------------------------------------------------------
 
 
-def carry_skip_add(op: BcdOperands) -> tuple[BcdResult, SkipSignals]:
+def _carry_skip(a: Sequence[int], b: Sequence[int], cin: int, ones: int) -> tuple:
     """Conventional datapath plus a block-propagate carry-skip path.
 
     When every bit position propagates (``big_p``), the carry out of the
@@ -426,12 +429,16 @@ def carry_skip_add(op: BcdOperands) -> tuple[BcdResult, SkipSignals]:
     mux branches (``big_p & cin`` and ``~big_p & c4``) can never both be
     true, which again licenses an exclusive combination.
     """
-    a, b = op.a_bits(), op.b_bits()
-    z_bits, c4 = _ripple4(a, b, op.cin)
+    z, c4 = _ripple4(a, b, cin)
     p_bits = tuple(x ^ y for x, y in zip(a, b))
     big_p = p_bits[0] & p_bits[1] & p_bits[2] & p_bits[3]
-    result, _ = _correct(z_bits, op.cin if big_p else c4)
-    return result, SkipSignals(p_bits, big_p, c4, result.cout)  # type: ignore[arg-type]
+    sum_lanes, cout = _correct(z, (big_p & cin) | (~big_p & c4), ones)
+    return sum_lanes, cout, (p_bits, big_p, c4, cout)
+
+
+def carry_skip_add(op: BcdOperands) -> tuple[BcdResult, SkipSignals]:
+    """Conventional datapath plus a block-propagate carry-skip path."""
+    return ARCHITECTURES["carry_skip"].model(op)
 
 
 # ----------------------------------------------------------------------
@@ -443,26 +450,35 @@ def carry_skip_add(op: BcdOperands) -> tuple[BcdResult, SkipSignals]:
 class Architecture:
     """One named digit-adder design: the single record every caller looks up.
 
-    A classical row's ``model`` computes a digit together with the record
-    of its intermediate signals.  A reversible row instead has a ``build``
-    that assembles its netlist from an optional gate catalog; nothing is
-    built until it is called.  Every row answers through :meth:`columns`.
-    ``exact`` is false only for a design whose disagreements with
-    :func:`oracle` are documented errata, not failures.
+    A classical row has ``lanes``, its design's lane function, and
+    ``signals``, which fills its signal record from 1-bit signal values.  A
+    reversible row instead has a ``build`` that assembles its netlist from
+    an optional gate catalog; nothing is built until it is called.  Every
+    row answers through :meth:`columns`.  ``exact`` is false only for a
+    design whose disagreements with :func:`oracle` are documented errata, not failures.
     """
 
     name: str
-    model: Callable[[BcdOperands], tuple[BcdResult, Any]] | None = None
+    lanes: Callable[..., tuple] | None = None
+    signals: Callable[..., Any] | None = None
     build: Callable[..., Any] | None = None
     exact: bool = True
 
+    def model(self, op: BcdOperands) -> tuple[BcdResult, Any]:
+        """A classical row's digit for ``op`` and its signal record, from one
+        pass of ``lanes`` over 1-bit lanes."""
+        sum_bits, cout, signals = self.lanes(op.a_bits(), op.b_bits(), op.cin, 1)
+        return BcdResult(_pack(sum_bits), cout), self.signals(*signals)
+
     def columns(self, catalog: Mapping[str, GatePermutation] | None = None) -> tuple[int, ...]:
-        """The row's five :func:`output_columns`: a reversible row's from its
-        build (of ``catalog``, by default the built-in one), cached on the
-        build; a classical row's from ``model`` over :func:`oracle_sweep`."""
+        """The row's five output columns over all 512 input codes, laid out
+        as :func:`oracle_sweep`'s: a reversible row's from its build (of
+        ``catalog``, by default the built-in one), cached on the build; a
+        classical row's from one ``lanes`` pass over :func:`code_lanes`."""
         if self.build:
             return self.build(catalog).columns
-        return tuple(output_columns((op, self.model(op)[0]) for op in valid_operands()))
+        sum_lanes, cout, _ = self.lanes(*code_lanes())
+        return (*sum_lanes, cout)
 
 
 @lru_cache(maxsize=8)
@@ -496,10 +512,11 @@ def _build_row(builder: str, catalog: Mapping[str, GatePermutation] | None = Non
 ARCHITECTURES: dict[str, Architecture] = {
     arch.name: arch
     for arch in (
-        Architecture("conventional", conventional_add),
-        Architecture("cla_verbatim", _cla_verbatim, exact=False),
-        Architecture("cla_corrected", lambda op: (cla_add(op, CLA_CORRECTED), cla_signals(op))),
-        Architecture("carry_skip", carry_skip_add),
+        Architecture("conventional", _conventional,
+                     lambda z, k, correct: ConventionalTrace(_pack(z), k, correct)),
+        Architecture("cla_verbatim", _cla_verbatim, ClaSignals, exact=False),
+        Architecture("cla_corrected", _cla_corrected, ClaSignals),
+        Architecture("carry_skip", _carry_skip, SkipSignals),
         Architecture("rev_conventional",
                      build=partial(_build_row, "build_conventional_reversible")),
         Architecture("rev_carry_skip",

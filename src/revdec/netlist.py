@@ -17,7 +17,8 @@ serialization.
 
 Evaluation is lane-parallel: bit ``p`` of a wire's *lane* int is its value
 under primary input pattern ``p``.  Each distinct gate table compiles once
-per process to a function over lanes built from each output column's
+per process, keyed by the table, to a function over lanes:
+:func:`~revdec.sop.compile_lanes` of each output column's
 :func:`~revdec.sop.derive_sop` cover.  One pass computes every wire's lane
 over the whole input domain for :meth:`Netlist.columns` and the injectivity
 sweep, and is cached; simulation evaluates its one pattern over 1-bit lanes.
@@ -32,7 +33,7 @@ from json.encoder import encode_basestring_ascii
 
 from ._record import record
 from .gates import BitVector, GatePermutation, NotBijective, ParseError, WidthMismatch
-from .sop import derive_sop
+from .sop import compile_lanes, derive_sop, input_lanes
 
 __all__ = [
     "ROLE_PRIMARY_INPUT",
@@ -66,27 +67,13 @@ class MalformedNetlist(ValueError):
     """The netlist breaks a structural rule (drivers, consumers, cycles)."""
 
 
-def _lane_source(name: str, width: int, table: Sequence[int]) -> str:
-    """Source of ``name(ones, x0, ..)``: every output line's lane, from input
-    line ``i``'s lane ``x{i}`` and ``ones``, which has every lane bit set."""
-    xs = [f"x{i}" for i in range(width)]
-    columns = []
-    for j in range(width):
-        terms = []
-        for mask, value in derive_sop(width, [p for p, out in enumerate(table) if out >> j & 1]):
-            literals = [xs[i] for i in range(width) if (mask & value) >> i & 1] or ["ones"]
-            literals += [f"~{xs[i]}" for i in range(width) if (mask & ~value) >> i & 1]
-            terms.append(" & ".join(literals))
-        columns.append(" | ".join(terms) or "0")
-    return f"def {name}(ones, {', '.join(xs)}):\n    return {', '.join(columns)},\n"
-
-
 @lru_cache(maxsize=256)
 def _lane_function(width: int, table: tuple[int, ...]) -> Callable[..., tuple]:
-    """One gate table's lane function, compiled once per process."""
-    namespace: dict = {}
-    exec(_lane_source("f", width, table), namespace)
-    return namespace["f"]
+    """One gate table's lane function, compiled once per process from each
+    output line's cover."""
+    return compile_lanes(width, [
+        derive_sop(width, [p for p, out in enumerate(table) if out >> j & 1])
+        for j in range(width)])
 
 
 _WORD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
@@ -432,21 +419,13 @@ class Netlist:
 
     @cached_property
     def _columns(self) -> list[int]:
-        """Every wire's lane over all ``2**n`` primary patterns, by wire index.
-
-        Input ``i``'s column doubles a period of ``2**i`` zeros, ``2**i`` ones.
-        """
+        """Every wire's lane over all ``2**n`` primary patterns, by wire index,
+        with :func:`~revdec.sop.input_lanes` on the primary inputs."""
         width = len(self._analysis.primary_inputs)
         if width > _MAX_INJECTIVITY_INPUTS:
             raise MalformedNetlist(f"refusing to enumerate 2**{width} input patterns "
                                    f"(limit is 2**{_MAX_INJECTIVITY_INPUTS})")
-        columns = []
-        for i in range(width):
-            column = ((1 << (1 << i)) - 1) << (1 << i)
-            for k in range(i + 1, width):
-                column |= column << (1 << k)
-            columns.append(column)
-        return self._lanes(columns, (1 << (1 << width)) - 1)
+        return self._lanes(input_lanes(width), (1 << (1 << width)) - 1)
 
     def _lanes_at(self, x: BitVector) -> list[int]:
         """Validate; every wire's value under ``x``, from one pass over 1-bit lanes."""

@@ -75,7 +75,7 @@ class ReversibleAdderBuild:
     @cached_property
     def columns(self) -> tuple[int, ...]:
         """The primary-output lanes over all 512 input codes, in the layout of
-        :func:`~revdec.classical.output_columns`.
+        :func:`~revdec.classical.oracle_sweep`'s columns.
 
         :meth:`Netlist.columns` validates the netlist and fills its cached
         lanes (a netlist too wide to sweep raises there); then one

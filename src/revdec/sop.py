@@ -14,13 +14,17 @@ runs always return the same result.
 A product term (cube) is a ``(mask, value)`` pair over the input bits:
 input ``x`` satisfies the cube when ``x & mask == value``.  An empty mask is
 the constant-true term.
+
+:func:`compile_lanes` is the one cover-to-lane compiler, for the netlist
+gates and the corrected carry-look-ahead adder: bitslicing, as in Biham's
+"A fast new DES implementation in software" (FSE 1997).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
-__all__ = ["Cube", "derive_sop", "eval_sop"]
+__all__ = ["Cube", "derive_sop", "eval_sop", "compile_lanes", "input_lanes"]
 
 Cube = tuple[int, int]
 
@@ -28,12 +32,9 @@ Cube = tuple[int, int]
 def _prime_implicants(n_vars: int, care: int) -> list[Cube]:
     """All prime implicants of the function that is 1 on the ``care`` bitmap."""
     full = (1 << n_vars) - 1
-    # zero[b]: the values 0..full with bit b clear, as runs of b ones every 2b.
+    # zero[b]: the values 0..full with bit b clear.
     every = (1 << full + 1) - 1
-    zero = {
-        1 << p: every // ((1 << (2 << p)) - 1) * ((1 << (1 << p)) - 1)
-        for p in range(n_vars)
-    }
+    zero = {1 << p: every ^ lane for p, lane in enumerate(input_lanes(n_vars))}
     table = [0] * (full + 1)
     table[full] = care
     for mask in range(full - 1, -1, -1):
@@ -98,3 +99,34 @@ def derive_sop(
 def eval_sop(cubes: Iterable[Cube], x: int) -> int:
     """Evaluate a sum-of-products cover at input ``x`` (1 when any cube hits)."""
     return int(any(x & mask == value for mask, value in cubes))
+
+
+def compile_lanes(n_vars: int, covers: Iterable[Iterable[Cube]]) -> Callable[..., tuple]:
+    """Compile covers to ``f(ones, x0, ..)``, which returns each cover's lane:
+    bit ``p`` of a lane is its value under input pattern ``p``, input ``i``'s
+    lane is ``x{i}`` and ``ones`` has every lane bit in use set.  A
+    complement is ANDed with ``ones`` or a positive literal."""
+    xs = [f"x{i}" for i in range(n_vars)]
+    columns = []
+    for cover in covers:
+        terms = []
+        for mask, value in cover:
+            literals = [xs[i] for i in range(n_vars) if (mask & value) >> i & 1] or ["ones"]
+            literals += [f"~{xs[i]}" for i in range(n_vars) if (mask & ~value) >> i & 1]
+            terms.append(" & ".join(literals))
+        columns.append(" | ".join(terms) or "0")
+    namespace: dict = {}
+    exec(f"def f(ones, {', '.join(xs)}):\n    return {', '.join(columns)},\n", namespace)
+    return namespace["f"]
+
+
+def input_lanes(n_vars: int) -> list[int]:
+    """Each input's lane over all ``2**n_vars`` patterns: bit ``x`` of lane
+    ``i`` is bit ``i`` of ``x``, so it repeats ``2**i`` zeros, ``2**i`` ones."""
+    lanes = []
+    for i in range(n_vars):
+        lane = ((1 << (1 << i)) - 1) << (1 << i)
+        for k in range(i + 1, n_vars):
+            lane |= lane << (1 << k)
+        lanes.append(lane)
+    return lanes

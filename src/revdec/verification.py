@@ -15,14 +15,17 @@ answers four questions:
 :func:`verify_architecture` is the only place a design meets the oracle.
 The equation audits read its ``cla_verbatim`` report per column: bit ``i``
 of a mismatch's ``actual.code() ^ expected.code()`` is a failure of
-equation ``i``.  The OR-to-XOR audit is one sweep over a table of its
-sites, which runs the conventional and carry-skip models once per valid input.
+equation ``i``.  The OR-to-XOR audit reads every site's term signals from
+one lane pass each of the conventional and carry-skip designs over all 512
+input codes; a site's failures are the set bits of one OR-versus-XOR lane.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import reduce
 from itertools import product
+from operator import or_, xor
 from typing import TYPE_CHECKING
 
 from ._record import record
@@ -30,8 +33,7 @@ from .classical import (
     ARCHITECTURES,
     BcdOperands,
     BcdResult,
-    carry_skip_add,
-    conventional_add,
+    code_lanes,
     detection_terms,
     naive_detection_terms,
     digit_table,
@@ -240,24 +242,28 @@ class SubstitutionSite:
         }
 
 
-def _or_differs_from_xor(terms: tuple[int, ...]) -> bool:
-    """OR and XOR of the terms disagree (three set terms agree on both)."""
-    xor_value = 0
-    for t in terms:
-        xor_value ^= t
-    return int(any(terms)) != xor_value
+def _or_differs_from_xor(terms: tuple[int, ...]) -> int:
+    """Where OR and XOR of the term bits (or lanes) disagree: an even number
+    of set terms, at least two (three set terms agree on both)."""
+    return reduce(or_, terms) ^ reduce(xor, terms)
+
+
+def _signal(value: int, width: int) -> int | tuple[int, ...]:
+    """An off-domain signal value as a term function reads it: a 1-bit
+    signal as itself, a wider one as its bits, low bit first."""
+    return value if width == 1 else tuple(value >> i & 1 for i in range(width))
 
 
 # The audited OR sites: name, term names, the signals the terms read with
-# each signal's off-domain range, and the term function of those signals.
+# each signal's width in bits, and the term function of those signals.
 _SUBSTITUTION_SITES = (
     ("decimal_carry_detection", ("k", "z3&z2", "z3&~z2&z1"),
-     (("k", range(2)), ("z", range(16))), detection_terms),
+     (("k", 1), ("z", 4)), detection_terms),
     ("naive_detection", ("k", "z3&z2", "z3&z1"),
-     (("k", range(2)), ("z", range(16))), naive_detection_terms),
+     (("k", 1), ("z", 4)), naive_detection_terms),
     ("skip_mux_select", ("big_p&cin", "~big_p&c4"),
-     (("big_p", range(2)), ("cin", range(2)), ("c4", range(2))),
-     lambda big_p, cin, c4: (big_p & cin, (big_p ^ 1) & c4)),
+     (("big_p", 1), ("cin", 1), ("c4", 1)),
+     lambda big_p, cin, c4: (big_p & cin, ~big_p & c4)),
 )
 
 
@@ -267,24 +273,26 @@ def xor_substitution_audit() -> tuple[SubstitutionSite, ...]:
     Three sites are audited: the decimal-carry detection layer with its
     exclusive condition set, the same layer with the textbook non-exclusive
     condition set (the negative control, which genuinely breaks), and the
-    carry-skip selection point.  One sweep checks every site on each valid
-    input's model signals; off-domain, each site's term signals range over
-    every combination, including those no valid digit pair can produce.
+    carry-skip selection point.  One lane pass each of the conventional and
+    carry-skip designs gives every site's term signals on all valid inputs;
+    off-domain, each site's term signals range over every combination,
+    including those no valid digit pair can produce.
     """
-    found: list[list[BcdOperands]] = [[] for _ in _SUBSTITUTION_SITES]
-    for op in valid_operands():
-        (_, trace), (_, skip) = conventional_add(op), carry_skip_add(op)
-        signals = {"k": trace.k, "z": trace.z, "big_p": skip.big_p, "cin": op.cin, "c4": skip.c4}
-        for cex, (_, _, ranges, terms) in zip(found, _SUBSTITUTION_SITES):
-            if _or_differs_from_xor(terms(*(signals[name] for name, _ in ranges))):
-                cex.append(op)
+    a, b, cin, ones = code_lanes()
+    _, _, (z, k, _) = ARCHITECTURES["conventional"].lanes(a, b, cin, ones)
+    _, _, (_, big_p, c4, _) = ARCHITECTURES["carry_skip"].lanes(a, b, cin, ones)
+    signals = {"k": k, "z": z, "big_p": big_p, "cin": cin, "c4": c4}
+    valid = oracle_sweep()[2]
     sites = []
-    for cex, (site, term_names, ranges, terms) in zip(found, _SUBSTITUTION_SITES):
-        names, domains = zip(*ranges)
-        off = next((tuple(zip(names, values)) for values in product(*domains)
-                    if _or_differs_from_xor(terms(*values))), None)
-        sites.append(SubstitutionSite(site, term_names, not cex, cex[0] if cex else None,
-                                      len(cex), off is not None, off))
+    for site, term_names, signal_widths, terms in _SUBSTITUTION_SITES:
+        names, widths = zip(*signal_widths)
+        differ = _or_differs_from_xor(terms(*map(signals.get, names))) & valid
+        first = next((op for op in valid_operands() if differ >> op.code() & 1), None)
+        off = next((tuple(zip(names, values))
+                    for values in product(*(range(1 << w) for w in widths))
+                    if _or_differs_from_xor(terms(*map(_signal, values, widths)))), None)
+        sites.append(SubstitutionSite(site, term_names, not differ, first,
+                                      differ.bit_count(), off is not None, off))
     return tuple(sites)
 
 

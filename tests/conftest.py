@@ -11,6 +11,8 @@ from pathlib import Path
 from revdec.classical import (
     CLA_CORRECTED,
     CLA_VERBATIM,
+    Architecture,
+    BcdOperands,
     carry_skip_add,
     cla_add,
     cla_signals,
@@ -31,6 +33,39 @@ PUBLIC_MODELS = {
     "cla_corrected": lambda op: (cla_add(op, CLA_CORRECTED), cla_signals(op)),
     "carry_skip": carry_skip_add,
 }
+
+
+# The ``ones`` of a lane pass over all 512 input codes.
+ALL_CODES = (1 << 512) - 1
+
+
+def counting_row(row: Architecture, calls: list) -> Architecture:
+    """``row`` with a lane function that appends each pass's ``ones`` to
+    ``calls``: ``ALL_CODES`` for a sweep, 1 for one digit."""
+
+    def lanes(a, b, cin, ones):
+        calls.append(ones)
+        return row.lanes(a, b, cin, ones)
+
+    return Architecture(row.name, lanes, row.signals, exact=row.exact)
+
+
+def scalar_lanes(add):
+    """A lane design with no signals whose bit ``p`` is ``add(op)`` for the
+    valid operands ``op`` that pattern ``p`` encodes (0 at invalid codes)."""
+
+    def lanes(a, b, cin, ones):
+        sums, cout = [0] * 4, 0
+        for p in range(ones.bit_length()):
+            x = sum((lane >> p & 1) << i for i, lane in enumerate((*a, *b, cin)))
+            if x & 15 <= 9 and x >> 4 & 15 <= 9:
+                result = add(BcdOperands(x & 15, x >> 4 & 15, x >> 8))
+                for i in range(4):
+                    sums[i] |= (result.sum >> i & 1) << p
+                cout |= result.cout << p
+        return sums, cout, ()
+
+    return lanes
 
 
 def record_criterion(line: str) -> None:

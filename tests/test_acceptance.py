@@ -77,7 +77,7 @@ def test_criterion_1_gate_validity():
 
 
 def test_criterion_2_single_digit_correctness():
-    classical._corrected_covers.cache_clear()
+    classical._corrected_lanes.cache_clear()
     architectures = (
         "conventional",
         "cla_corrected",

@@ -23,11 +23,15 @@ from revdec.classical import (
     digit_table,
     naive_detection_terms,
     oracle,
-    output_columns,
     valid_operands,
 )
 
 ALL_OPS = tuple(valid_operands())
+
+
+def z_bits(trace) -> tuple[int, ...]:
+    """The binary stage sum of a conventional trace as its four bits."""
+    return tuple(trace.z >> i & 1 for i in range(4))
 
 # The five exact covers (s0..s3, cout) that _corrected_covers derives, as
 # (mask, value) cubes over x = a | b << 4 | cin << 8.
@@ -133,10 +137,12 @@ class TestBcdResult:
             BcdResult.from_code(code)
 
     @pytest.mark.parametrize("variant", [CLA_VERBATIM, CLA_CORRECTED])
-    def test_digit_table_inverts_output_columns(self, variant):
+    def test_digit_table_inverts_the_column_layout(self, variant):
         # The verbatim equations reach sums above 9, so every sum bit is used.
+        # Bit op.code() of column i is bit i of the result's code.
         results = [(op, cla_add(op, variant)) for op in ALL_OPS]
-        assert list(digit_table(output_columns(results))) == [r for _, r in results]
+        columns = [sum((r.code() >> i & 1) << op.code() for op, r in results) for i in range(5)]
+        assert list(digit_table(columns)) == [r for _, r in results]
 
 
 class TestConventional:
@@ -162,27 +168,27 @@ class TestDetectionTerms:
     def test_exclusive_terms_never_overlap_on_reachable_states(self):
         for op in ALL_OPS:
             _, trace = conventional_add(op)
-            terms = detection_terms(trace.k, trace.z)
+            terms = detection_terms(trace.k, z_bits(trace))
             assert sum(terms) <= 1
 
     def test_or_equals_xor_for_exclusive_terms(self):
         for op in ALL_OPS:
             _, trace = conventional_add(op)
-            t = detection_terms(trace.k, trace.z)
+            t = detection_terms(trace.k, z_bits(trace))
             assert (t[0] | t[1] | t[2]) == (t[0] ^ t[1] ^ t[2])
 
     def test_naive_terms_break_under_xor_at_binary_total_14(self):
         op = BcdOperands(4, 9, 1)  # 4 + 9 + 1 = 14, binary 1110
         _, trace = conventional_add(op)
         assert trace.z == 14 and trace.k == 0
-        t = naive_detection_terms(trace.k, trace.z)
+        t = naive_detection_terms(trace.k, z_bits(trace))
         assert (t[0] | t[1] | t[2]) == 1
         assert (t[0] ^ t[1] ^ t[2]) == 0
 
     def test_naive_or_still_correct_everywhere(self):
         for op in ALL_OPS:
             _, trace = conventional_add(op)
-            t = naive_detection_terms(trace.k, trace.z)
+            t = naive_detection_terms(trace.k, z_bits(trace))
             assert (t[0] | t[1] | t[2]) == oracle(op).cout
 
 
@@ -253,12 +259,10 @@ class TestClaCorrected:
     def test_derived_cover_sizes_are_stable(self):
         # Regression pin: the derivation is deterministic, so the per-column
         # cube counts must not drift.
-        _corrected_covers.cache_clear()
         assert [len(c) for c in _corrected_covers()] == [4, 45, 35, 30, 22]
 
     def test_derived_covers_are_pinned_exactly(self):
         # Golden pin: any faster derivation must reproduce these cubes.
-        _corrected_covers.cache_clear()
         assert _corrected_covers() == CORRECTED_COVERS
         assert sum(map(len, CORRECTED_COVERS)) == 136
 

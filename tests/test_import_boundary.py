@@ -124,8 +124,11 @@ class TestModuleLoading:
         "argv",
         [["errata"], ["simulate", "--arch", "cla_corrected", "--digits", "999,1"],
          ["verify", "--arch", "conventional"],
-         ["simulate", "--arch", "carry_skip", "--a", "1", "--b", "2"]],
-        ids=["errata", "simulate-digits", "verify-classical", "simulate-classical"],
+         ["simulate", "--arch", "carry_skip", "--a", "1", "--b", "2"],
+         ["verify", "--arch", "cla_corrected"],
+         ["simulate", "--arch", "cla_corrected", "--a", "9", "--b", "6", "--trace"]],
+        ids=["errata", "simulate-digits", "verify-classical", "simulate-classical",
+             "verify-compiled-covers", "simulate-compiled-covers"],
     )
     def test_classical_commands_skip_the_netlist_layer(self, argv):
         loaded = loaded_after(

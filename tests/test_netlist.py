@@ -29,7 +29,6 @@ from revdec.netlist import (
     TraceStep,
     _dot_escape,
     _lane_function,
-    _lane_source,
 )
 from revdec.reversible import build_carry_skip_reversible, build_conventional_reversible
 
@@ -995,9 +994,10 @@ class TestReferenceEvaluator:
         outs = lane_function((1 << size) - 1, *ins)
         for p in range(size):
             assert sum(((lane >> p) & 1) << j for j, lane in enumerate(outs)) == table[p]
-        # The generated source names only the engine's own identifiers.
-        names = set(re.findall(r"[A-Za-z_]\w*", _lane_source("f0", width, table)))
-        assert names <= {"def", "return", "f0", "ones"} | {f"x{i}" for i in range(width)}
+        # The compiled code reads only its own arguments: no global name.
+        code = lane_function.__code__
+        assert not code.co_names and not code.co_freevars
+        assert code.co_varnames == ("ones", *(f"x{i}" for i in range(width)))
 
     def test_lane_function_cache_stays_bounded(self):
         # Netlists drawn from more distinct random tables than the cache

@@ -103,7 +103,7 @@ SAMPLES = {
 
 # Classes with defaulted fields: the required arguments, then every default.
 DEFAULTS = {
-    Architecture: (("x",), (None, None, True)),
+    Architecture: (("x",), (None, None, None, True)),
     InputDecl: (("a", "primary_input"), (None,)),
     VerificationReport: (("conventional", 200, ()), (None, None)),
     Table1Row: (("baseline", 11, 22), (None, None)),

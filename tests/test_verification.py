@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from conftest import equation_bit
+from conftest import equation_bit, scalar_lanes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -123,7 +123,7 @@ class TestVerifyArchitecture:
             return BcdResult(total & 15, total >> 4)
 
         monkeypatch.setitem(ARCHITECTURES, "conventional",
-                            Architecture("conventional", model=lambda op: (binary_add(op), None)))
+                            Architecture("conventional", scalar_lanes(binary_add), tuple))
         report = verify_architecture("conventional")
         expected = [Mismatch(op, oracle(op), binary_add(op))
                     for op in valid_operands() if op.a + op.b + op.cin >= 10]
@@ -155,7 +155,7 @@ class TestVerifyArchitecture:
         # From a cold start, the oracle table is built once and serves every
         # row, both audits and the corrected covers behind cla_corrected.
         classical.oracle_sweep.cache_clear()
-        classical._corrected_covers.cache_clear()
+        classical._corrected_lanes.cache_clear()
         monkeypatch.setattr(classical, "oracle", counting_oracle)
         reports = {name: verify_architecture(name) for name in ARCHITECTURES}
         assert (cla_agreement(), cla_errata()) == audits
@@ -234,7 +234,7 @@ class TestClaErrata:
                                                equation_bit(oracle(op), name)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setitem(ARCHITECTURES, "cla_verbatim", Architecture(
-                "cla_verbatim", model=lambda op: (add(op), None), exact=False))
+                "cla_verbatim", scalar_lanes(add), tuple, exact=False))
             assert cla_agreement() == want_agreement
             assert cla_errata() == tuple(want_errata)
 
