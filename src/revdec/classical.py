@@ -37,7 +37,7 @@ it adds one digit, whose signals fill the row's signal record.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import TYPE_CHECKING, Any
 
 from ._record import record
@@ -400,18 +400,18 @@ def _cla_corrected(a: Sequence[int], b: Sequence[int], cin: int, ones: int) -> t
 
 
 def cla_add(op: BcdOperands, variant: str = CLA_CORRECTED) -> BcdResult:
-    """Carry-look-ahead digit addition.
+    """Carry-look-ahead digit addition, read from its row's ``digit_pairs``.
 
-    ``variant="verbatim"`` evaluates the as-given direct sum equations
-    exactly as printed and can return a wrong digit (the carry-out is
-    always right).  ``variant="corrected"`` evaluates the derived exact
-    covers.  Both share the same :func:`cla_signals` layer.
+    ``variant="verbatim"`` gives what the as-given direct sum equations
+    compute exactly as printed and can return a wrong digit (the carry-out
+    is always right).  ``variant="corrected"`` gives what the derived exact
+    covers compute.  Both share the same :func:`cla_signals` layer.
     """
     if variant not in (CLA_VERBATIM, CLA_CORRECTED):
         raise ValueError(
             f"unknown variant {variant!r}; use {CLA_VERBATIM!r} or {CLA_CORRECTED!r}"
         )
-    return ARCHITECTURES[f"cla_{variant}"].model(op)[0]
+    return BcdResult(*ARCHITECTURES[f"cla_{variant}"].digit_pairs[op.a * 20 + op.b * 2 + op.cin])
 
 
 # ----------------------------------------------------------------------
@@ -480,6 +480,11 @@ class Architecture:
         sum_lanes, cout, _ = self.lanes(*code_lanes())
         return (*sum_lanes, cout)
 
+    @cached_property
+    def digit_pairs(self) -> tuple[tuple[int, int], ...]:
+        """A classical row's ``(sum, cout)`` per valid input from its :func:`digit_table`."""
+        return tuple((r.sum, r.cout) for r in digit_table(self.columns()))
+
 
 @lru_cache(maxsize=8)
 def _cached_build(builder: str, gates: frozenset[tuple[str, GatePermutation]]) -> Any:
@@ -502,7 +507,7 @@ def _build_row(builder: str, catalog: Mapping[str, GatePermutation] | None = Non
 
     Commands that never build a netlist then never load the netlist layer.
     Equal catalogs share one build (``None`` is the built-in catalog), and
-    with it the build's digit table and cost metrics.
+    with it the build's digit tables and cost metrics.
     """
     gates = _builtin_gates() if catalog is None else frozenset(catalog.items())
     return _cached_build(builder, gates)
@@ -529,20 +534,8 @@ ARCHITECTURES: dict[str, Architecture] = {
 # multi-digit addition
 # ----------------------------------------------------------------------
 
-# The exact rows: the ones decimal_add may ripple across digits.
+# The rows exact at import; decimal_add lists them when it refuses a row.
 DECIMAL_ARCHITECTURES = tuple(n for n, arch in ARCHITECTURES.items() if arch.exact)
-
-
-@lru_cache(maxsize=16)
-def _digit_pairs(
-    arch: str, gates: frozenset[tuple[str, GatePermutation]] | None = None
-) -> tuple[tuple[int, int], ...]:
-    """A row's ``(sum, cout)`` for every valid input, from its whole
-    :func:`digit_table`, at slot ``a*20 + b*2 + cin``; a row with a build
-    reads the build of catalog content ``gates`` (``None`` is the built-in
-    catalog).  A failed build caches nothing."""
-    catalog = None if gates is None else dict(gates)
-    return tuple((r.sum, r.cout) for r in digit_table(ARCHITECTURES[arch].columns(catalog)))
 
 
 def decimal_add(
@@ -555,13 +548,14 @@ def decimal_add(
     """Add two equal-length little-endian BCD digit strings.
 
     Digit 0 is the least significant.  Returns the sum digits (same length
-    as the inputs) and the final carry.  A row with a build adds through
-    the build of ``catalog`` (by default the built-in one); a classical row
-    ignores it.  The first call per row and catalog content fills its whole
-    :func:`digit_table`; each digit is then a tuple read.  Raises
+    as the inputs) and the final carry.  Each call reads the row's current
+    :data:`ARCHITECTURES` entry: a row with a build adds through the
+    ``digit_pairs`` of the build of ``catalog`` (by default the built-in
+    one); a classical row ignores it and reads its own.  A table is filled
+    whole on first use; each digit is then a tuple read.  Raises
     :class:`LengthMismatch` for unequal lengths, :class:`InvalidBcd` for
     out-of-range digits and ``ValueError`` for a carry bit or an architecture
-    outside :data:`DECIMAL_ARCHITECTURES`, saying why a registered one is.
+    that is unknown or not ``exact``, saying why a registered one is refused.
     """
     if len(x_digits) != len(y_digits):
         raise LengthMismatch(
@@ -570,14 +564,12 @@ def decimal_add(
     if not x_digits:
         raise ValueError("operands must have at least one digit")
     _check_carry(cin)
-    if arch not in DECIMAL_ARCHITECTURES:
+    row = ARCHITECTURES.get(arch)
+    if row is None or not row.exact:
         why = (f"architecture {arch!r} cannot chain digits: it is not exact"
-               if arch in ARCHITECTURES else f"unknown architecture {arch!r}")
+               if row is not None else f"unknown architecture {arch!r}")
         raise ValueError(f"{why}; choose from {DECIMAL_ARCHITECTURES}")
-    if catalog is None or not ARCHITECTURES[arch].build:
-        table = _digit_pairs(arch)
-    else:
-        table = _digit_pairs(arch, frozenset(catalog.items()))
+    table = (row.build(catalog) if row.build else row).digit_pairs
     carry = cin
     out: list[int] = []
     for x, y in zip(x_digits, y_digits):

@@ -19,7 +19,7 @@ without touching code (see :func:`parse_gate_defs` and
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping
+from collections.abc import Sequence
 
 from ._record import record
 
@@ -96,8 +96,8 @@ class GatePermutation:
     Construction fails with :class:`NotBijective` if any output pattern
     repeats, so holding an instance is proof the gate loses no information;
     other problems (a name that is not a non-empty upper-case string
-    without whitespace, a width that is not an ``int`` in range, a wrong
-    table length, entries out of range) raise ``ValueError``.
+    without whitespace, a width that is not an ``int`` in range, a table
+    that is no sequence or has a wrong length, entries out of range) raise ``ValueError``.
     """
 
     name: str
@@ -119,6 +119,10 @@ class GatePermutation:
             raise ValueError(
                 f"gate width must be between 1 and {MAX_WIDTH}, got {self.width!r}"
             )
+        # A dict or a set would iterate as its keys, not as the table it spells.
+        if not isinstance(self.table, Sequence):
+            raise ValueError(f"gate {self.name!r} table must be a sequence, "
+                             f"not a {type(self.table).__name__}")
         object.__setattr__(self, "table", tuple(self.table))
         size = 1 << self.width
         if len(self.table) != size:
@@ -244,7 +248,7 @@ def parse_gate_defs(text: str) -> dict[str, GatePermutation]:
     return gates
 
 
-def catalog_from_env(environ: Mapping[str, str] | None = None) -> dict[str, GatePermutation]:
+def catalog_from_env() -> dict[str, GatePermutation]:
     """Built-in gates, overlaid with definitions from ``REVDEC_GATE_DEFS``.
 
     When the environment variable is set it must name a readable
@@ -252,9 +256,8 @@ def catalog_from_env(environ: Mapping[str, str] | None = None) -> dict[str, Gate
     built-in tables by name.  With the variable unset this is exactly
     :func:`builtin_catalog`.
     """
-    env = os.environ if environ is None else environ
     gates = builtin_catalog()
-    path = env.get(ENV_GATE_DEFS)
+    path = os.environ.get(ENV_GATE_DEFS)
     if path:
         with open(path, encoding="utf-8") as handle:
             gates.update(parse_gate_defs(handle.read()))

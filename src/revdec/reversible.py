@@ -94,6 +94,11 @@ class ReversibleAdderBuild:
         :func:`~revdec.classical.digit_table` of :attr:`columns`."""
         return digit_table(self.columns)
 
+    @cached_property
+    def digit_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The ``(sum, cout)`` of each :attr:`_digit_table` result, for ``decimal_add``."""
+        return tuple((r.sum, r.cout) for r in self._digit_table)
+
 
 # A design: netlist name, (gates, garbage) target, the gates it looks up (in
 # the order a missing one is reported) and one (gate, inputs, outputs) row

@@ -183,31 +183,36 @@ class TestTextFormat:
         with pytest.raises(NotBijective):
             parse_gate_defs("DUP 1 0 0")
 
-    def test_load_from_file(self, tmp_path):
+    def test_load_from_file(self, monkeypatch, tmp_path):
         path = tmp_path / "defs.txt"
         swap = GatePermutation("SWAP", 2, (0, 2, 1, 3))
         path.write_text(gate_line(swap) + "\n")
-        assert catalog_from_env({ENV_GATE_DEFS: str(path)}) == {**BUILTINS, "SWAP": swap}
+        monkeypatch.setenv(ENV_GATE_DEFS, str(path))
+        assert catalog_from_env() == {**BUILTINS, "SWAP": swap}
 
 
 class TestCatalogFromEnv:
-    def test_without_override(self):
-        assert catalog_from_env({}) == builtin_catalog()
+    def test_without_override(self, monkeypatch):
+        monkeypatch.delenv(ENV_GATE_DEFS, raising=False)
+        assert catalog_from_env() == builtin_catalog()
 
-    def test_with_override(self, tmp_path):
+    def test_with_override(self, monkeypatch, tmp_path):
         reversed_table = list(range(15, -1, -1))
         path = tmp_path / "defs.txt"
         path.write_text("TSG 4 " + " ".join(map(str, reversed_table)) + "\n")
-        catalog = catalog_from_env({"REVDEC_GATE_DEFS": str(path)})
+        monkeypatch.setenv("REVDEC_GATE_DEFS", str(path))
+        catalog = catalog_from_env()
         assert list(catalog["TSG"].table) == reversed_table
         assert catalog["TS3"] == BUILTINS["TS3"]  # untouched entries remain
 
-    def test_with_new_gate_name(self, tmp_path):
+    def test_with_new_gate_name(self, monkeypatch, tmp_path):
         path = tmp_path / "defs.txt"
         path.write_text("MYNOT 1 1 0\n")
-        catalog = catalog_from_env({"REVDEC_GATE_DEFS": str(path)})
+        monkeypatch.setenv("REVDEC_GATE_DEFS", str(path))
+        catalog = catalog_from_env()
         assert catalog["MYNOT"].table[0] == 1
 
-    def test_missing_file(self):
+    def test_missing_file(self, monkeypatch):
+        monkeypatch.setenv("REVDEC_GATE_DEFS", "/nonexistent/defs.txt")
         with pytest.raises(OSError):
-            catalog_from_env({"REVDEC_GATE_DEFS": "/nonexistent/defs.txt"})
+            catalog_from_env()

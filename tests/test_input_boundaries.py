@@ -4,6 +4,7 @@ wire names, netlist JSON."""
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -11,8 +12,7 @@ from conftest import gate_line
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revdec import classical
-from revdec.classical import BcdOperands, BcdResult, InvalidBcd, decimal_add
+from revdec.classical import ARCHITECTURES, BcdOperands, BcdResult, InvalidBcd, decimal_add
 from revdec.cli import main
 from revdec.gates import (
     BitVector,
@@ -85,8 +85,9 @@ class TestBoolOperands:
         [([True], [2]), ([1.0], [2]), ([2], [True]), ([3, 1], [4, False])],
         ids=["bool-x", "float-x", "bool-y", "bool-second-digit"],
     )
-    def test_decimal_add_rejects_non_int_digits(self, warm, x, y):
-        classical._digit_pairs.cache_clear()
+    def test_decimal_add_rejects_non_int_digits(self, monkeypatch, warm, x, y):
+        # A fresh row has no digit table yet.
+        monkeypatch.setitem(ARCHITECTURES, "conventional", copy.copy(ARCHITECTURES["conventional"]))
         if warm:  # the same digits as ints fill the table the bad call reads
             assert decimal_add([int(d) for d in x], [int(d) for d in y])
         with pytest.raises(InvalidBcd):
@@ -154,6 +155,13 @@ class TestGateNamesAndWidths:
     @pytest.mark.parametrize("table", [[True, False], [1, False], [1.0, 0]])
     def test_table_entries_must_be_ints(self, table):
         with pytest.raises(ValueError, match="table entry"):
+            GatePermutation("X", 1, table)
+
+    @pytest.mark.parametrize("table", [{0: 1, 1: 0}, {1, 0}, iter([1, 0])],
+                             ids=["dict", "set", "iterator"])
+    def test_table_must_be_a_sequence(self, table):
+        # A dict's keys would read as the identity here, not the NOT it spells.
+        with pytest.raises(ValueError, match="sequence"):
             GatePermutation("X", 1, table)
 
     @pytest.mark.parametrize("entry", [True, 1.0])

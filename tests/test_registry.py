@@ -5,9 +5,9 @@ from __future__ import annotations
 import argparse
 
 import pytest
-from conftest import ALL_CODES, PUBLIC_MODELS, counting_row
+from conftest import ALL_CODES, PUBLIC_MODELS, counting_row, scalar_lanes
 
-from revdec import classical, cli, verification
+from revdec import classical, cli, reversible, verification
 from revdec.classical import (
     ARCHITECTURES,
     DECIMAL_ARCHITECTURES,
@@ -16,6 +16,7 @@ from revdec.classical import (
     ClaSignals,
     ConventionalTrace,
     SkipSignals,
+    oracle,
     valid_operands,
 )
 from revdec.cli import build_parser
@@ -188,27 +189,39 @@ class TestDecimalAddTable:
     def test_first_call_makes_one_lane_pass_and_later_calls_none(self, monkeypatch, name):
         calls = []
         monkeypatch.setitem(ARCHITECTURES, name, counting_row(ARCHITECTURES[name], calls))
-        classical._digit_pairs.cache_clear()
-        try:
-            assert classical.decimal_add([9], [1], 0, name) == ([0], 1)
-            assert calls == [ALL_CODES]
-            for cin in (0, 1):
-                assert classical.decimal_add([5, 9, 9], [5, 0, 0], cin, name)[1] == 1
-            assert calls == [ALL_CODES]
-        finally:  # the next caller must not read the counting row's table
-            classical._digit_pairs.cache_clear()
+        assert classical.decimal_add([9], [1], 0, name) == ([0], 1)
+        assert calls == [ALL_CODES]
+        for cin in (0, 1):
+            assert classical.decimal_add([5, 9, 9], [5, 0, 0], cin, name)[1] == 1
+        assert calls == [ALL_CODES]
 
     @pytest.mark.parametrize("name", [n for n in DECIMAL_ARCHITECTURES if ARCHITECTURES[n].build])
     def test_first_call_per_catalog_reads_one_build_and_later_calls_none(self, monkeypatch, name):
-        row, calls = ARCHITECTURES[name], []
-        monkeypatch.setitem(ARCHITECTURES, name, Architecture(
-            name, build=lambda catalog=None: calls.append(catalog) or row.build(catalog)))
-        classical._digit_pairs.cache_clear()
-        try:
-            for catalog in (None, builtin_catalog(), None, builtin_catalog()):
-                assert classical.decimal_add([9], [1], 0, name, catalog) == ([0], 1)
-                for cin in (0, 1):
-                    assert classical.decimal_add([5, 9, 9], [5, 0, 0], cin, name, catalog)[1] == 1
-            assert calls == [None, builtin_catalog()]
-        finally:  # the next caller must not read the counting row's table
-            classical._digit_pairs.cache_clear()
+        builder = f"build_{name.removeprefix('rev_')}_reversible"
+        real, runs, decodes = getattr(reversible, builder), [], []
+        monkeypatch.setattr(reversible, builder, lambda catalog: runs.append(catalog) or real(catalog))
+        monkeypatch.setattr(reversible, "digit_table",
+                            lambda columns: decodes.append(1) or classical.digit_table(columns))
+        classical._cached_build.cache_clear()
+        for catalog in (None, builtin_catalog(), None, builtin_catalog()):
+            assert classical.decimal_add([9], [1], 0, name, catalog) == ([0], 1)
+            for cin in (0, 1):
+                assert classical.decimal_add([5, 9, 9], [5, 0, 0], cin, name, catalog)[1] == 1
+        assert (runs, decodes) == ([builtin_catalog()], [1])
+
+    def test_a_replaced_row_chains_its_own_digits(self, monkeypatch):
+        # The first call fills the old row's table; the new row must not read it.
+        assert classical.decimal_add([2], [3], 0, "carry_skip") == ([5], 0)
+        zero_sums = scalar_lanes(lambda op: BcdResult(0, oracle(op).cout))
+        monkeypatch.setitem(ARCHITECTURES, "carry_skip", Architecture("carry_skip", zero_sums))
+        assert not verification.verify_architecture("carry_skip").passed
+        assert classical.decimal_add([2], [3], 0, "carry_skip") == ([0], 0)
+        assert classical.decimal_add([9, 2], [1, 3], 0, "carry_skip") == ([0, 0], 0)
+
+    def test_a_row_replaced_as_inexact_no_longer_chains(self, monkeypatch):
+        assert classical.decimal_add([2], [3], 0, "carry_skip") == ([5], 0)
+        row = ARCHITECTURES["carry_skip"]
+        monkeypatch.setitem(ARCHITECTURES, "carry_skip",
+                            Architecture("carry_skip", row.lanes, row.signals, exact=False))
+        with pytest.raises(ValueError, match="'carry_skip' cannot chain digits: it is not exact"):
+            classical.decimal_add([2], [3], 0, "carry_skip")

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import GATE_DEFS
+from conftest import ALL_CODES, GATE_DEFS, counting_row
 from test_netlist import reference_depths
 
 from revdec import classical, gates, reversible
@@ -669,7 +669,7 @@ class TestDigitTable:
             with pytest.raises(WidthMismatch) as info:
                 simulate_digit_add(build, op)
             assert str(info.value) == str(direct.value)
-        assert not {"columns", "_digit_table"} & set(vars(build))
+        assert not {"columns", "_digit_table", "digit_pairs"} & set(vars(build))
 
 
 class TestOneDigitPath:
@@ -787,14 +787,14 @@ def chain_cases(rng: random.Random) -> list[tuple[list[int], list[int], int]]:
 
 class TestDecimalChain:
     """``decimal_add`` ripples a row's digits through the build of its
-    catalog, and a classical row's through its ``model``."""
+    catalog, and a classical row's through its own ``digit_pairs``."""
 
     CASES = chain_cases(random.Random(20261020))
 
     @pytest.mark.parametrize("order", ["broken-first", "builtin-first"])
     @pytest.mark.parametrize("arch", TestBuildCache.BUILDERS)
     def test_each_catalog_chains_through_its_own_build(self, arch, order):
-        classical._digit_pairs.cache_clear()
+        classical._cached_build.cache_clear()
         row, catalogs = ARCHITECTURES[arch], {"broken": identity_tsg_catalog(), "builtin": None}
         got = {}
         for key in sorted(catalogs, reverse=order == "builtin-first"):
@@ -805,24 +805,10 @@ class TestDecimalChain:
         assert got["builtin"] == [ripple(oracle, *case) for case in self.CASES] != got["broken"]
 
     @pytest.mark.parametrize("arch", [n for n in DECIMAL_ARCHITECTURES if ARCHITECTURES[n].lanes])
-    def test_a_classical_row_ignores_the_catalog(self, arch):
-        classical._digit_pairs.cache_clear()
+    def test_a_classical_row_ignores_the_catalog(self, monkeypatch, arch):
+        calls = []
+        monkeypatch.setitem(ARCHITECTURES, arch, counting_row(ARCHITECTURES[arch], calls))
         # An empty catalog would fail any build, so none is made.
         for catalog in ({}, identity_tsg_catalog(), None):
             assert decimal_add([5, 9, 9], [5, 0, 0], 1, arch, catalog) == ([1, 0, 0], 1)
-        assert classical._digit_pairs.cache_info().currsize == 1
-
-    def test_digit_tables_never_outgrow_their_bound(self):
-        bound = classical._digit_pairs.cache_info().maxsize
-        for k in range(2 * bound + 1):
-            spare = GatePermutation(f"SPARE{k}", 1, [1, 0])
-            catalog = {**builtin_catalog(), spare.name: spare}
-            assert decimal_add([9, 9], [1, 0], 0, "rev_carry_skip", catalog) == ([0, 0], 1)
-            assert classical._digit_pairs.cache_info().currsize <= bound
-
-    def test_a_failed_build_caches_no_digit_table(self):
-        before = classical._digit_pairs.cache_info().currsize
-        for _ in range(2):
-            with pytest.raises(UnknownGate, match="TSG"):
-                decimal_add([1], [2], 0, "rev_conventional", {})
-        assert classical._digit_pairs.cache_info().currsize == before
+        assert calls == [ALL_CODES]
