@@ -23,8 +23,7 @@ _HOMES = {
     "classical": (
         "BcdOperands", "BcdResult", "ClaSignals", "ConventionalTrace",
         "InvalidBcd", "LengthMismatch", "SkipSignals", "carry_skip_add",
-        "cla_add", "cla_signals", "conventional_add", "decimal_add", "oracle",
-        "valid_operands",
+        "cla_add", "conventional_add", "decimal_add", "oracle", "valid_operands",
     ),
     "gates": (
         "BitVector", "GatePermutation", "NotBijective", "ParseError",

@@ -58,7 +58,6 @@ __all__ = [
     "CLA_VERBATIM",
     "CLA_CORRECTED",
     "ARCHITECTURES",
-    "DECIMAL_ARCHITECTURES",
     "valid_operands",
     "oracle",
     "oracle_sweep",
@@ -67,7 +66,6 @@ __all__ = [
     "conventional_add",
     "detection_terms",
     "naive_detection_terms",
-    "cla_signals",
     "cla_add",
     "carry_skip_add",
     "decimal_add",
@@ -348,11 +346,6 @@ def _cla_layer(a: Sequence[int], b: Sequence[int], cin: int) -> tuple:
     return g, p, h, m, n, g[0] | (p[0] & cin)
 
 
-def cla_signals(op: BcdOperands) -> ClaSignals:
-    """Compute the look-ahead signal layer for one digit addition."""
-    return ClaSignals(*_cla_layer(op.a_bits(), op.b_bits(), op.cin))
-
-
 def _cla_verbatim(a: Sequence[int], b: Sequence[int], cin: int, ones: int) -> tuple:
     """The as-given direct sum equations, transcribed without repair, and
     the signal layer they read.
@@ -405,7 +398,7 @@ def cla_add(op: BcdOperands, variant: str = CLA_CORRECTED) -> BcdResult:
     ``variant="verbatim"`` gives what the as-given direct sum equations
     compute exactly as printed and can return a wrong digit (the carry-out
     is always right).  ``variant="corrected"`` gives what the derived exact
-    covers compute.  Both share the same :func:`cla_signals` layer.
+    covers compute.  Both rows' ``model`` reads the same :class:`ClaSignals` layer.
     """
     if variant not in (CLA_VERBATIM, CLA_CORRECTED):
         raise ValueError(
@@ -451,11 +444,13 @@ class Architecture:
     """One named digit-adder design: the single record every caller looks up.
 
     A classical row has ``lanes``, its design's lane function, and
-    ``signals``, which fills its signal record from 1-bit signal values.  A
-    reversible row instead has a ``build`` that assembles its netlist from
-    an optional gate catalog; nothing is built until it is called.  Every
-    row answers through :meth:`columns`.  ``exact`` is false only for a
-    design whose disagreements with :func:`oracle` are documented errata, not failures.
+    ``signals``, which fills its signal record from 1-bit signal values; it
+    answers through :meth:`model`, :meth:`columns` and :attr:`digit_pairs`.
+    A reversible row instead has a ``build`` that assembles its netlist from
+    an optional gate catalog; nothing is built until it is called, and the
+    row answers only through ``build(catalog)``, whose build has its own
+    ``columns`` and ``digit_pairs``.  ``exact`` is false only for a design
+    whose disagreements with :func:`oracle` are documented errata, not failures.
     """
 
     name: str
@@ -470,13 +465,10 @@ class Architecture:
         sum_bits, cout, signals = self.lanes(op.a_bits(), op.b_bits(), op.cin, 1)
         return BcdResult(_pack(sum_bits), cout), self.signals(*signals)
 
-    def columns(self, catalog: Mapping[str, GatePermutation] | None = None) -> tuple[int, ...]:
-        """The row's five output columns over all 512 input codes, laid out
-        as :func:`oracle_sweep`'s: a reversible row's from its build (of
-        ``catalog``, by default the built-in one), cached on the build; a
-        classical row's from one ``lanes`` pass over :func:`code_lanes`."""
-        if self.build:
-            return self.build(catalog).columns
+    def columns(self) -> tuple[int, ...]:
+        """A classical row's five output columns over all 512 input codes,
+        laid out as :func:`oracle_sweep`'s, from one ``lanes`` pass over
+        :func:`code_lanes`."""
         sum_lanes, cout, _ = self.lanes(*code_lanes())
         return (*sum_lanes, cout)
 
@@ -534,10 +526,6 @@ ARCHITECTURES: dict[str, Architecture] = {
 # multi-digit addition
 # ----------------------------------------------------------------------
 
-# The rows exact at import; decimal_add lists them when it refuses a row.
-DECIMAL_ARCHITECTURES = tuple(n for n, arch in ARCHITECTURES.items() if arch.exact)
-
-
 def decimal_add(
     x_digits: Sequence[int],
     y_digits: Sequence[int],
@@ -568,7 +556,8 @@ def decimal_add(
     if row is None or not row.exact:
         why = (f"architecture {arch!r} cannot chain digits: it is not exact"
                if row is not None else f"unknown architecture {arch!r}")
-        raise ValueError(f"{why}; choose from {DECIMAL_ARCHITECTURES}")
+        exact = tuple(n for n, r in ARCHITECTURES.items() if r.exact)
+        raise ValueError(f"{why}; choose from {exact}")
     table = (row.build(catalog) if row.build else row).digit_pairs
     carry = cin
     out: list[int] = []

@@ -128,19 +128,20 @@ def verify_architecture(
 ) -> VerificationReport:
     """Sweep all 200 valid inputs and report every oracle disagreement.
 
-    The row answers through its :meth:`~revdec.classical.Architecture.columns`
-    (a reversible row built from an optional replacement gate catalog).  One
-    XOR per column against the oracle's columns decides the sweep, and only a
-    failing sweep is decoded.  Reversible reports carry the measured costs
-    and the design targets.
+    A classical row answers through its
+    :meth:`~revdec.classical.Architecture.columns`; a reversible row is built
+    once, from an optional replacement gate catalog, and its build gives both
+    the columns and the report's measured costs and design targets.  One XOR
+    per column against the oracle's columns decides the sweep, and only a
+    failing sweep is decoded.
     """
     arch = ARCHITECTURES.get(architecture)
     if arch is None:
         choices = tuple(ARCHITECTURES)
         raise ValueError(f"unknown architecture {architecture!r}; choose from {choices}")
     sweep, expected, valid = oracle_sweep()
-    columns = arch.columns(catalog)
     build = arch.build(catalog) if arch.build else None
+    columns = build.columns if build else arch.columns()
     diff = 0
     for column, want in zip(columns, expected):
         diff |= column ^ want

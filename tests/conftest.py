@@ -9,13 +9,13 @@ writers that several test modules share.
 from pathlib import Path
 
 from revdec.classical import (
+    ARCHITECTURES,
     CLA_CORRECTED,
     CLA_VERBATIM,
     Architecture,
     BcdOperands,
     carry_skip_add,
     cla_add,
-    cla_signals,
     conventional_add,
 )
 from revdec.verification import EQUATION_NAMES
@@ -26,11 +26,14 @@ ACCEPTANCE_LINES: list[str] = []
 GATE_DEFS = Path(__file__).resolve().parents[1] / "revbench" / "gate_defs.txt"
 
 # Each classical registry row's digit and signal record, from the public
-# functions.
+# functions.  The two CLA rows share one look-ahead layer, so each reads its
+# signals from the other row's model.
 PUBLIC_MODELS = {
     "conventional": conventional_add,
-    "cla_verbatim": lambda op: (cla_add(op, CLA_VERBATIM), cla_signals(op)),
-    "cla_corrected": lambda op: (cla_add(op, CLA_CORRECTED), cla_signals(op)),
+    "cla_verbatim": lambda op: (cla_add(op, CLA_VERBATIM),
+                                ARCHITECTURES["cla_corrected"].model(op)[1]),
+    "cla_corrected": lambda op: (cla_add(op, CLA_CORRECTED),
+                                 ARCHITECTURES["cla_verbatim"].model(op)[1]),
     "carry_skip": carry_skip_add,
 }
 

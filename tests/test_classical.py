@@ -7,6 +7,7 @@ import random
 import pytest
 
 from revdec.classical import (
+    ARCHITECTURES,
     CLA_CORRECTED,
     CLA_VERBATIM,
     BcdOperands,
@@ -16,7 +17,6 @@ from revdec.classical import (
     _corrected_covers,
     carry_skip_add,
     cla_add,
-    cla_signals,
     conventional_add,
     decimal_add,
     detection_terms,
@@ -192,30 +192,33 @@ class TestDetectionTerms:
             assert (t[0] | t[1] | t[2]) == oracle(op).cout
 
 
+@pytest.mark.parametrize("row", ["cla_verbatim", "cla_corrected"])
 class TestClaSignals:
+    """Each CLA row's look-ahead signals, read from its model."""
+
     @pytest.mark.parametrize(
         "a,b,cin,m,n,c1",
         [(9, 9, 1, 1, 1, 1), (5, 7, 0, 1, 1, 1), (0, 0, 0, 0, 0, 0)],
     )
-    def test_examples(self, a, b, cin, m, n, c1):
-        s = cla_signals(BcdOperands(a, b, cin))
+    def test_examples(self, row, a, b, cin, m, n, c1):
+        s = ARCHITECTURES[row].model(BcdOperands(a, b, cin))[1]
         assert (s.m, s.n, s.c1) == (m, n, c1)
 
-    def test_generate_implies_propagate(self):
+    def test_generate_implies_propagate(self, row):
         for op in ALL_OPS:
-            s = cla_signals(op)
+            s = ARCHITECTURES[row].model(op)[1]
             for g, p, h in zip(s.g, s.p, s.h):
                 assert g <= p
                 assert h == (p & (g ^ 1))
 
-    def test_carry_rule_matches_oracle(self):
+    def test_carry_rule_matches_oracle(self, row):
         for op in ALL_OPS:
-            s = cla_signals(op)
+            s = ARCHITECTURES[row].model(op)[1]
             assert (s.m | (s.n & s.c1)) == oracle(op).cout
 
-    def test_m_implies_carry_regardless_of_low_half(self):
+    def test_m_implies_carry_regardless_of_low_half(self, row):
         for op in ALL_OPS:
-            if cla_signals(op).m:
+            if ARCHITECTURES[row].model(op)[1].m:
                 assert op.a + op.b >= 10
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from revdec.classical import DECIMAL_ARCHITECTURES
+from revdec.classical import ARCHITECTURES
 from revdec.cli import main
 
 REVBENCH = Path(__file__).resolve().parents[1] / "revbench"
@@ -34,7 +34,7 @@ def test_stdout_and_exit_code_match_golden(capsys, name):
 
 
 @pytest.mark.parametrize("defs", [None, REVBENCH / "gate_defs.txt"], ids=["builtin", "defs-file"])
-@pytest.mark.parametrize("arch", DECIMAL_ARCHITECTURES)
+@pytest.mark.parametrize("arch", [n for n, row in ARCHITECTURES.items() if row.exact])
 def test_every_exact_row_chains_the_golden_digits(capsys, monkeypatch, arch, defs):
     if defs is None:
         monkeypatch.delenv("REVDEC_GATE_DEFS", raising=False)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 
 import pytest
 from conftest import ALL_CODES, PUBLIC_MODELS, counting_row, scalar_lanes
@@ -10,7 +11,6 @@ from conftest import ALL_CODES, PUBLIC_MODELS, counting_row, scalar_lanes
 from revdec import classical, cli, reversible, verification
 from revdec.classical import (
     ARCHITECTURES,
-    DECIMAL_ARCHITECTURES,
     Architecture,
     BcdResult,
     ClaSignals,
@@ -31,6 +31,9 @@ ORDER = [
     "rev_conventional",
     "rev_carry_skip",
 ]
+
+# The rows decimal_add chains, read from the registry.
+EXACT = [name for name, arch in ARCHITECTURES.items() if arch.exact]
 
 
 def nibble(value: int) -> tuple[int, ...]:
@@ -61,10 +64,11 @@ class TestRegistry:
         assert arch_choices(command) == with_build
 
     def test_every_exact_row_chains(self):
-        exact = [name for name, arch in ARCHITECTURES.items() if arch.exact]
-        assert exact == ["conventional", "cla_corrected", "carry_skip",
+        assert EXACT == ["conventional", "cla_corrected", "carry_skip",
                          "rev_conventional", "rev_carry_skip"]
-        assert list(DECIMAL_ARCHITECTURES) == exact
+        # decimal_add offers exactly these rows when it refuses one.
+        with pytest.raises(ValueError, match=re.escape(f"; choose from {tuple(EXACT)}")):
+            classical.decimal_add([1], [2], 0, "quantum")
 
     def test_verification_does_not_reexport_the_registry(self):
         assert verification.ARCHITECTURES is ARCHITECTURES
@@ -185,7 +189,7 @@ class TestSinglePassAudits:
 
 
 class TestDecimalAddTable:
-    @pytest.mark.parametrize("name", [n for n in DECIMAL_ARCHITECTURES if ARCHITECTURES[n].lanes])
+    @pytest.mark.parametrize("name", [n for n in EXACT if ARCHITECTURES[n].lanes])
     def test_first_call_makes_one_lane_pass_and_later_calls_none(self, monkeypatch, name):
         calls = []
         monkeypatch.setitem(ARCHITECTURES, name, counting_row(ARCHITECTURES[name], calls))
@@ -195,7 +199,7 @@ class TestDecimalAddTable:
             assert classical.decimal_add([5, 9, 9], [5, 0, 0], cin, name)[1] == 1
         assert calls == [ALL_CODES]
 
-    @pytest.mark.parametrize("name", [n for n in DECIMAL_ARCHITECTURES if ARCHITECTURES[n].build])
+    @pytest.mark.parametrize("name", [n for n in EXACT if ARCHITECTURES[n].build])
     def test_first_call_per_catalog_reads_one_build_and_later_calls_none(self, monkeypatch, name):
         builder = f"build_{name.removeprefix('rev_')}_reversible"
         real, runs, decodes = getattr(reversible, builder), [], []
@@ -225,3 +229,13 @@ class TestDecimalAddTable:
                             Architecture("carry_skip", row.lanes, row.signals, exact=False))
         with pytest.raises(ValueError, match="'carry_skip' cannot chain digits: it is not exact"):
             classical.decimal_add([2], [3], 0, "carry_skip")
+
+    def test_a_refusal_offers_only_the_rows_exact_now(self, monkeypatch):
+        row = ARCHITECTURES["carry_skip"]
+        monkeypatch.setitem(ARCHITECTURES, "carry_skip",
+                            Architecture("carry_skip", row.lanes, row.signals, exact=False))
+        for name in ("carry_skip", "quantum"):
+            with pytest.raises(ValueError, match="; choose from ") as refused:
+                classical.decimal_add([1], [2], 0, name)
+            offered = str(refused.value).split("; choose from ", 1)[1]
+            assert offered == str(tuple(n for n in EXACT if n != "carry_skip"))

@@ -76,6 +76,31 @@ class TestVerifyArchitecture:
         classical = verify_architecture("conventional")
         assert classical.metrics is None and classical.targets is None
 
+    @pytest.mark.parametrize("catalog", [None, builtin_catalog()], ids=["default", "given"])
+    def test_a_netlist_row_is_built_once_per_sweep(self, monkeypatch, catalog):
+        # One build gives both the sweep's columns and the report's costs.
+        row, calls = ARCHITECTURES["rev_conventional"], []
+
+        def build(catalog=None):
+            calls.append(catalog)
+            return row.build(catalog)
+
+        monkeypatch.setitem(ARCHITECTURES, "rev_conventional",
+                            Architecture("rev_conventional", build=build))
+        report = verify_architecture("rev_conventional", catalog)
+        assert calls == [catalog]
+        assert report.passed and report.targets == (11, 22)
+        assert report.metrics == row.build(catalog).metrics
+
+    @pytest.mark.parametrize("name", ["rev_conventional", "rev_carry_skip"])
+    def test_a_netlist_row_has_no_columns_of_its_own(self, name):
+        # Only a build, of a catalog the caller names, answers for the row.
+        row = ARCHITECTURES[name]
+        for read in (row.columns, lambda: row.digit_pairs):
+            with pytest.raises(TypeError):
+                read()
+        assert "digit_pairs" not in vars(row)
+
     def test_unknown_architecture(self):
         with pytest.raises(ValueError, match="architecture"):
             verify_architecture("quantum")
