@@ -16,12 +16,34 @@ only) and ``__hash__`` over the tuple of field values; a
 cached properties behind.  ``object.__setattr__`` still stores a value, so
 ``__post_init__`` can coerce a field.
 
-Only ``__init__`` is generated source, compiled once per class.  Importing
-``dataclasses`` would load ``inspect``, ``ast`` and ``dis``, and it compiles
-every generated method separately.
+The class method ``_trusted(*fields)`` stores the fields as given and skips
+``__post_init__``, so nothing is checked or coerced.  Only code that has
+just proved what ``__post_init__`` would check, for values already in
+their stored form, may call it; its copies still run ``__init__``.
+
+Only ``__init__`` and ``_trusted`` are generated source.  ``__init__``
+compiles with its class; ``_trusted`` compiles on its first use, since
+few classes need it and each compile costs about as much as the rest of
+the decorator.  Importing ``dataclasses`` would load ``inspect``, ``ast``
+and ``dis``, and it compiles every generated method separately.
 """
 
 from operator import attrgetter
+
+
+class _Trusted:
+    """A record class's ``_trusted`` until its first use, which compiles it
+    and puts it on the class in place of this descriptor."""
+
+    def __init__(self, cls: type, source: str, namespace: dict) -> None:
+        self.cls, self.source, self.namespace = cls, source, namespace
+
+    def __get__(self, instance: object, owner: type):
+        exec(self.source, self.namespace)
+        function = self.namespace["_trusted"]
+        function.__qualname__ = f"{self.cls.__qualname__}._trusted"
+        setattr(self.cls, "_trusted", classmethod(function))
+        return function.__get__(owner)
 
 
 def record(cls):
@@ -38,12 +60,13 @@ def record(cls):
     cls.__qualname__ = qualname
 
     params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
-    source = "".join(f"\n _set{i}(self, {n})" for i, n in enumerate(names))
-    if hasattr(cls, "__post_init__"):
-        source += "\n self.__post_init__()"
+    stores = "".join(f"\n _set{i}(self, {n})" for i, n in enumerate(names))
+    check = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
     namespace = {f"_set{i}": cls.__dict__[n].__set__ for i, n in enumerate(names)}
-    namespace["_defaults"] = defaults
-    exec(f"def __init__(self, {params}):{source}", namespace)
+    namespace.update(_defaults=defaults, _new=object.__new__)
+    exec(f"def __init__(self, {params}):{stores}{check}", namespace)
+    cls._trusted = _Trusted(cls, f"def _trusted(cls, {params}):\n self = _new(cls){stores}\n"
+                                 " return self", namespace)
     get = attrgetter(*names)
     values = get if len(names) > 1 else lambda self: (get(self),)
 

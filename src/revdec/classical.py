@@ -459,17 +459,25 @@ class Architecture:
     build: Callable[..., Any] | None = None
     exact: bool = True
 
+    def _lane_pass(self, *args: Any) -> tuple:
+        """One pass of ``lanes``; a netlist row, which has none, raises
+        :class:`TypeError` naming where its columns are."""
+        if self.lanes is None:
+            raise TypeError(f"architecture {self.name!r} is a netlist row with no lanes of "
+                            f"its own; read row.build(catalog).columns or .digit_pairs")
+        return self.lanes(*args)
+
     def model(self, op: BcdOperands) -> tuple[BcdResult, Any]:
         """A classical row's digit for ``op`` and its signal record, from one
         pass of ``lanes`` over 1-bit lanes."""
-        sum_bits, cout, signals = self.lanes(op.a_bits(), op.b_bits(), op.cin, 1)
+        sum_bits, cout, signals = self._lane_pass(op.a_bits(), op.b_bits(), op.cin, 1)
         return BcdResult(_pack(sum_bits), cout), self.signals(*signals)
 
     def columns(self) -> tuple[int, ...]:
         """A classical row's five output columns over all 512 input codes,
         laid out as :func:`oracle_sweep`'s, from one ``lanes`` pass over
         :func:`code_lanes`."""
-        sum_lanes, cout, _ = self.lanes(*code_lanes())
+        sum_lanes, cout, _ = self._lane_pass(*code_lanes())
         return (*sum_lanes, cout)
 
     @cached_property

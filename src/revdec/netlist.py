@@ -22,6 +22,7 @@ per process, keyed by the table, to a function over lanes:
 :func:`~revdec.sop.derive_sop` cover.  One pass computes every wire's lane
 over the whole input domain for :meth:`Netlist.columns` and the injectivity
 sweep, and is cached; simulation evaluates its one pattern over 1-bit lanes.
+A netlist looks each of its distinct gate objects up once, on its first pass.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ ROLE_GARBAGE = "garbage"
 
 _INPUT_ROLES = (ROLE_PRIMARY_INPUT, ROLE_ANCILLA)
 _OUTPUT_ROLES = (ROLE_PRIMARY_OUTPUT, ROLE_GARBAGE)
+# The (role, const, type of const) of each valid input declaration: the type
+# keeps True and 1.0, which equal 1, out.
+_INPUT_KINDS = frozenset({(ROLE_PRIMARY_INPUT, None, type(None)),
+                          (ROLE_ANCILLA, 0, int), (ROLE_ANCILLA, 1, int)})
 
 # Up to this many primary inputs, a netlist is evaluated over all 2**n patterns
 # at once and can be swept for injectivity.
@@ -369,14 +374,19 @@ class Netlist:
     def _with_gates(self, gates: Iterable[GatePermutation]) -> Netlist:
         """This netlist with ``gates`` placed on its gates' wires, in order.
 
-        Each new :class:`GateInstance` checks its wires against its gate.
-        The result shares :attr:`inputs` and :attr:`outputs`, and it shares
-        the analysis only once a walk has found no fault (see
+        This netlist's records were checked when made, and only a side's
+        width depends on the gate: a gate as wide as the one it replaces
+        keeps the wire tuples unchecked, any other is checked by
+        :class:`GateInstance`, which raises its width error.  The result
+        shares :attr:`inputs` and :attr:`outputs`, and it shares the
+        analysis only once a walk has found no fault (see
         :class:`_Analysis`); otherwise it walks its own wires when used.
         """
-        placed = tuple([GateInstance(gate, inst.input_wires, inst.output_wires)
-                        for gate, inst in zip(gates, self.gates, strict=True)])
-        net = Netlist(self.name, self.inputs, self.outputs, placed)
+        placed = tuple([
+            (GateInstance._trusted if gate.width == inst.gate.width else GateInstance)(
+                gate, inst.input_wires, inst.output_wires)
+            for gate, inst in zip(gates, self.gates, strict=True)])
+        net = Netlist._trusted(self.name, self.inputs, self.outputs, placed)
         analysis = self.__dict__.get("_analysis")
         if analysis is not None and analysis.fault is None:
             net.__dict__["_analysis"] = analysis
@@ -403,19 +413,34 @@ class Netlist:
         """Every wire's lane, by index, with ``columns`` on the primary inputs.
 
         ``ones`` has a 1 in every lane bit in use.  Each wire has one driver,
-        so its lane is written once, before any gate reads it.
+        so its lane is written once, before any gate reads it.  Gate lane
+        functions are looked up once per netlist (:attr:`_gate_functions`).
         """
         analysis = self._analysis
+        functions = self._gate_functions
         lanes = [ones if d.const else 0 for d in self.inputs]
         lanes += [0] * (len(analysis.wires) - len(lanes))
         for wire, column in zip(analysis.primary_inputs, columns):
             lanes[wire] = column
         for g, ins, outs in analysis.steps:
-            gate = self.gates[g].gate
-            lane_function = _lane_function(gate.width, gate.table)
-            for wire, lane in zip(outs, lane_function(ones, *[lanes[w] for w in ins])):
+            for wire, lane in zip(outs, functions[g](ones, *[lanes[w] for w in ins])):
                 lanes[wire] = lane
         return lanes
+
+    @cached_property
+    def _gate_functions(self) -> list[Callable[..., tuple]]:
+        """Each placed gate's lane function, one :func:`_lane_function` lookup
+        per distinct gate object; cached on the netlist, since builds with
+        other gates share its :class:`_Analysis`."""
+        found: dict[int, Callable[..., tuple]] = {}
+        functions = []
+        for inst in self.gates:
+            gate = inst.gate
+            function = found.get(id(gate))
+            if function is None:
+                function = found[id(gate)] = _lane_function(gate.width, gate.table)
+            functions.append(function)
+        return functions
 
     @cached_property
     def _columns(self) -> list[int]:
@@ -597,6 +622,11 @@ class Netlist:
         Raises :class:`ParseError` for malformed JSON or a wrong document
         shape, :class:`~revdec.gates.NotBijective` for an irreversible gate
         table, and :class:`MalformedNetlist` for structural rule breaks.
+
+        After the name and each gate definition, :func:`_trusted_records`
+        proves the declarations and placed gates valid in bulk; a document
+        it refuses goes through :func:`_checked_records`, one checked record
+        at a time, so each fault keeps its error.
         """
         try:
             doc = json.loads(text)
@@ -615,23 +645,7 @@ class Netlist:
                 if gate.name in defs:
                     raise ParseError(f"gate {gate.name!r} is defined twice")
                 defs[gate.name] = gate
-            inputs = []
-            for e in doc["inputs"]:
-                wire, role, const = e["wire"], e["role"], e.get("const")
-                if const is not None and type(const) is not int:
-                    raise ParseError(f"input {wire!r} has a non-integer const {const!r}")
-                inputs.append(InputDecl(wire, role, const))
-            outputs = tuple(OutputDecl(e["wire"], e["role"]) for e in doc["outputs"])
-            gates = []
-            for e in doc["gates"]:
-                gate_name = e["gate_name"]
-                if gate_name not in defs:
-                    raise ParseError(
-                        f"gate {gate_name!r} is placed but not defined in gate_defs")
-                if not (isinstance(e["in"], list) and isinstance(e["out"], list)):
-                    raise ParseError(f"gate {gate_name!r} needs 'in' and 'out' wire arrays")
-                gates.append(GateInstance(defs[gate_name], tuple(e["in"]), tuple(e["out"])))
-            net = cls(doc["name"], tuple(inputs), tuple(outputs), tuple(gates))
+            net = _trusted_records(cls, doc, defs) or _checked_records(cls, doc, defs)
         except (ParseError, MalformedNetlist, NotBijective):
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -675,6 +689,65 @@ class Netlist:
             lines.append(f'  {source[decl.wire]} -> "out:{wire}" [label="{wire}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _trusted_records(cls: type[Netlist], doc: dict,
+                     defs: dict[str, GatePermutation]) -> Netlist | None:
+    """The ``cls`` netlist of a decoded document with unchecked records, or
+    ``None`` unless it proves over the whole document what the per-record
+    checks would: a string name, non-empty wire names whose concatenation
+    holds no whitespace, valid input kinds and output roles, and per gate a
+    definition, ``in`` and ``out`` lists as long as it is wide and no wire
+    twice.  Any exception (a missing key, an unhashable role) gives
+    ``None`` too."""
+    try:
+        inputs = tuple([InputDecl._trusted(e["wire"], e["role"], e.get("const"))
+                        for e in doc["inputs"]])
+        outputs = tuple([OutputDecl._trusted(e["wire"], e["role"]) for e in doc["outputs"]])
+        names = [d.wire for d in inputs]
+        names += [d.wire for d in outputs]
+        gates = []
+        for e in doc["gates"]:
+            gate, ins, outs = defs[e["gate_name"]], e["in"], e["out"]
+            if not (type(ins) is list and type(outs) is list
+                    and len(ins) == gate.width == len(outs)
+                    and len(set(ins + outs)) == 2 * gate.width):
+                return None
+            names += ins
+            names += outs
+            gates.append(GateInstance._trusted(gate, tuple(ins), tuple(outs)))
+        # Whitespace is per character, so the names hold none exactly when
+        # their concatenation splits into itself; a non-string fails the join.
+        joined = "".join(names)
+        if (type(doc["name"]) is str and joined.split() == [joined] and all(names)
+                and {(d.role, d.const, type(d.const)) for d in inputs} <= _INPUT_KINDS
+                and {d.role for d in outputs}.issubset(_OUTPUT_ROLES)):
+            return cls._trusted(doc["name"], inputs, outputs, tuple(gates))
+    except Exception:
+        pass
+    return None
+
+
+def _checked_records(cls: type[Netlist], doc: dict,
+                     defs: dict[str, GatePermutation]) -> Netlist:
+    """The ``cls`` netlist of a decoded document, built one checked record
+    at a time: the first invalid record raises its error."""
+    inputs = []
+    for e in doc["inputs"]:
+        wire, role, const = e["wire"], e["role"], e.get("const")
+        if const is not None and type(const) is not int:
+            raise ParseError(f"input {wire!r} has a non-integer const {const!r}")
+        inputs.append(InputDecl(wire, role, const))
+    outputs = tuple(OutputDecl(e["wire"], e["role"]) for e in doc["outputs"])
+    gates = []
+    for e in doc["gates"]:
+        gate_name = e["gate_name"]
+        if gate_name not in defs:
+            raise ParseError(f"gate {gate_name!r} is placed but not defined in gate_defs")
+        if not (isinstance(e["in"], list) and isinstance(e["out"], list)):
+            raise ParseError(f"gate {gate_name!r} needs 'in' and 'out' wire arrays")
+        gates.append(GateInstance(defs[gate_name], tuple(e["in"]), tuple(e["out"])))
+    return cls(doc["name"], tuple(inputs), tuple(outputs), tuple(gates))
 
 
 def _json_array(items: Iterable[str], depth: int) -> str:

@@ -196,9 +196,10 @@ def _build(design: tuple,
            catalog: Mapping[str, GatePermutation] | None) -> ReversibleAdderBuild:
     """Look a design's gates up in ``catalog`` and put them on its wiring.
 
-    Each row's new :class:`~revdec.netlist.GateInstance` checks its wires
-    against the catalog's gate, so a gate of the wrong width raises what
-    :func:`_place` would raise for that catalog, in the same row.
+    The template's wires were checked when it was placed, so only a
+    catalog gate whose width differs from the built-in one is checked
+    against its row (see :meth:`~revdec.netlist.Netlist._with_gates`): it
+    raises what :func:`_place` would raise for that catalog, in the same row.
     """
     _, target, lookup, rows = design
     catalog = builtin_catalog() if catalog is None else catalog

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import re
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from revdec import netlist as netlist_module
 from revdec.gates import BitVector, GatePermutation, ParseError, builtin_catalog
 from revdec.netlist import (
     _MAX_INJECTIVITY_INPUTS,
@@ -1117,6 +1119,23 @@ class TestAnalysisCache:
         net.check_injective()
         assert _lane_function.cache_info().misses > 0
 
+    def test_gate_functions_are_looked_up_once_per_distinct_gate(self, monkeypatch):
+        # A parsed netlist holds one gate object per definition: the 17
+        # placed carry-skip gates share 5 of them.
+        calls = []
+        monkeypatch.setattr(netlist_module, "_lane_function",
+                            lambda width, table: calls.append(table) or _lane_function(width, table))
+        net = Netlist.from_json(build_carry_skip_reversible().netlist.to_json())
+        net.simulate(BitVector(9, 0))
+        assert len(calls) == len(set(calls)) == 5
+        net.simulate_trace(BitVector(9, 1))
+        net.check_injective()
+        assert len(calls) == 5
+        # Builds that share an analysis keep their own functions.
+        other = net._with_gates(inst.gate for inst in net.gates)
+        other.simulate(BitVector(9, 0))
+        assert len(calls) == 10 and other._gate_functions == net._gate_functions
+
     def test_unevaluable_netlist_caches_no_columns(self):
         net = undriven_net()
         for _ in range(2):
@@ -1444,3 +1463,116 @@ class TestInterchangeBytes:
         assert len(json.loads(text)["gate_defs"]) == 1
         assert text == json.dumps(reference_doc(net), indent=2)
         assert Netlist.from_json(text) == net
+
+
+# Both builds' interchange documents, decoded.
+ROUND_TRIP_DOCS = [json.loads(build().netlist.to_json())
+                   for build in (build_conventional_reversible, build_carry_skip_reversible)]
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def per_record_from_json(text: str):
+    """The outcome of :meth:`Netlist.from_json` with its bulk step refused,
+    so that it builds every record through ``_checked_records``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(netlist_module, "_trusted_records", lambda cls, doc, defs: None)
+        return outcome(lambda: Netlist.from_json(text))
+
+
+def wire_slots(doc: dict) -> list[tuple]:
+    """``(container, key)`` of every wire name in a document."""
+    return ([(e, "wire") for e in doc["inputs"] + doc["outputs"]]
+            + [(e[side], j) for e in doc["gates"] for side in ("in", "out")
+               for j in range(len(e[side]))])
+
+
+def drop_key(doc, draw):
+    where = draw(st.sampled_from([doc, *doc["inputs"], *doc["outputs"], *doc["gates"]]))
+    del where[draw(st.sampled_from(sorted(where)))]
+
+
+def bad_wire(doc, draw):
+    container, key = draw(st.sampled_from(wire_slots(doc)))
+    container[key] = draw(st.sampled_from(["", " ", "a b", "x\t", " y", "z\n", 7, None,
+                                           ["w"]]))
+
+
+def repeated_wire(doc, draw):
+    e = draw(st.sampled_from(doc["gates"]))
+    source, target = draw(st.sampled_from([("in", "in"), ("out", "out"),
+                                           ("in", "out"), ("out", "in")]))
+    i = draw(st.integers(0, len(e[source]) - 1))
+    j = draw(st.integers(0, len(e[target]) - 1).filter(lambda j: (source, i) != (target, j)))
+    e[target][j] = e[source][i]
+
+
+def bad_role(doc, draw):
+    e = draw(st.sampled_from(doc["inputs"] + doc["outputs"]))
+    e["role"] = draw(st.sampled_from(["bogus", "", [e["role"]], {"role": 1}, None, 1,
+                                      ROLE_PRIMARY_INPUT, ROLE_ANCILLA,
+                                      ROLE_PRIMARY_OUTPUT, ROLE_GARBAGE]))
+
+
+def bad_const(doc, draw):
+    e = draw(st.sampled_from(doc["inputs"]))
+    e["const"] = draw(st.sampled_from([True, False, 1.0, 0.0, 2, -1, "1", None, 0, 1, [1]]))
+
+
+def bad_sides(doc, draw):
+    e = draw(st.sampled_from(doc["gates"]))
+    side = draw(st.sampled_from(["in", "out"]))
+    wires = e[side]
+    e[side] = draw(st.sampled_from([" ".join(wires), "".join(wires), tuple(wires),
+                                    dict.fromkeys(wires, 0), wires[:-1], [*wires, "extra"],
+                                    [], None]))
+
+
+def unknown_gate(doc, draw):
+    e = draw(st.sampled_from(doc["gates"]))
+    e["gate_name"] = draw(st.sampled_from(["NOPE", "tsg", "", 3, None, ["TSG"]]))
+
+
+def bad_name(doc, draw):
+    doc["name"] = draw(st.sampled_from([3, None, ["n"], {"n": 1}, 1.5, True, "", "a b"]))
+
+
+class TestBulkParse:
+    """``from_json`` builds a document's records unchecked once it has proved
+    them valid in bulk; any other document goes through ``_checked_records``,
+    the per-record path, with the same result or the same first error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_edit_parses_as_on_the_per_record_path(self, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(ROUND_TRIP_DOCS)))
+        edit = data.draw(st.sampled_from([drop_key, bad_wire, repeated_wire, bad_role,
+                                          bad_const, bad_sides, unknown_gate, bad_name]))
+        edit(doc, data.draw)
+        text = json.dumps(doc)
+        assert outcome(lambda: Netlist.from_json(text)) == per_record_from_json(text)
+        # The decoded document itself, tuples included, which JSON cannot hold.
+        defs = {e["name"]: GatePermutation(e["name"], e["width"], e["table"])
+                for e in ROUND_TRIP_DOCS[0]["gate_defs"] + ROUND_TRIP_DOCS[1]["gate_defs"]}
+        checked = outcome(lambda: netlist_module._checked_records(Netlist, doc, defs))
+        trusted = netlist_module._trusted_records(Netlist, doc, defs)
+        assert trusted is None or trusted == checked
+
+    @pytest.mark.parametrize("doc", ROUND_TRIP_DOCS, ids=["conventional", "carry_skip"])
+    def test_a_valid_document_checks_no_record(self, monkeypatch, doc):
+        checked = []
+        for cls in (InputDecl, OutputDecl, GateInstance, Netlist):
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda record, real=cls.__post_init__:
+                                checked.append(record) or real(record))
+        net = Netlist.from_json(json.dumps(doc))
+        assert checked == []
+        monkeypatch.undo()
+        assert net == per_record_from_json(json.dumps(doc))
+        assert net.to_json() == json.dumps(doc, indent=2)

@@ -4,8 +4,12 @@ slots, copying and ``repr`` of every frozen record class in the package."""
 from __future__ import annotations
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +183,28 @@ class TestRecords:
         assert pickle.loads(pickle.dumps(record)) == record
 
     @CLASSES
+    def test_trusted_construction_equals_the_checked_one(self, cls, monkeypatch):
+        record = cls(*SAMPLES[cls][0])
+        trusted = cls._trusted(*field_values(record))
+        assert type(trusted) is cls and vars(trusted) == {}
+        assert trusted == record and hash(trusted) == hash(record)
+        assert repr(trusted) == repr(record)
+        # Only the trusted constructor skips the checks: copies run them again.
+        inits, checks = [], []
+        real_init = cls.__init__
+        monkeypatch.setattr(cls, "__init__",
+                            lambda self, *args: inits.append(args) or real_init(self, *args))
+        if hasattr(cls, "__post_init__"):
+            real_check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self: checks.append(self) or real_check(self))
+        assert cls._trusted(*field_values(record)) == record and not inits and not checks
+        copies = (copy.copy(trusted), pickle.loads(pickle.dumps(trusted)))
+        assert copies == (record, record)
+        assert inits == [field_values(record)] * 2
+        assert len(checks) == (2 if hasattr(cls, "__post_init__") else 0)
+
+    @CLASSES
     def test_fields_are_slots_beside_a_dict_and_weakrefs(self, cls):
         # cached_property writes to the instance __dict__; every field lives
         # in its own slot, so no default is left behind as a class attribute.
@@ -186,6 +212,21 @@ class TestRecords:
         record = cls(*SAMPLES[cls][0])
         assert vars(record) == {}
         assert weakref.ref(record)() is record
+
+
+def test_trusted_constructors_compile_on_first_use():
+    # Each compile costs about as much as the rest of the decorator, so a
+    # cold command compiles only the ones it calls.
+    code = ("import revdec.cli, revdec.netlist, revdec.reversible, revdec.verification\n"
+            "from revdec import _record, classical, gates, netlist, reversible, verification\n"
+            "classes = {c for m in (classical, gates, netlist, reversible, verification)\n"
+            "           for c in vars(m).values() if isinstance(c, type) and '_trusted' in vars(c)}\n"
+            "assert len(classes) == 22\n"
+            "assert all(type(vars(c)['_trusted']) is _record._Trusted for c in classes)\n"
+            "netlist.OutputDecl._trusted('w', 'garbage')\n"
+            "assert type(vars(netlist.OutputDecl)['_trusted']) is classmethod\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(netlist.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestReduce:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import os
 import random
 import subprocess
@@ -511,6 +512,29 @@ class TestTemplate:
             nets = [row[k] for row in builds]
             records = {id(inst) for net in nets for inst in net.gates}
             assert len(records) == len(nets) * len(design[3])
+
+    @pytest.mark.parametrize("catalog", [
+        None,
+        parse_gate_defs(GATE_DEFS.read_text(encoding="utf-8")),
+        identity_tsg_catalog(),
+    ], ids=["builtin", "gate_defs", "identity_tsg"])
+    def test_a_same_width_catalog_checks_no_gate_record(self, monkeypatch, catalog):
+        # The template's wires were checked when it was placed, and a gate
+        # as wide as the one it replaces keeps them unchecked.
+        designs = (reversible._CONVENTIONAL, reversible._CARRY_SKIP)
+        for design in designs:
+            reversible._template(design)
+        checked, real = [], GateInstance.__post_init__
+        monkeypatch.setattr(GateInstance, "__post_init__",
+                            lambda inst: checked.append(inst) or real(inst))
+        builds = [reversible._build(design, catalog) for design in designs]
+        assert checked == []
+        monkeypatch.undo()
+        assert builds == [replayed(design, catalog) for design in designs]
+        # A copy runs every check again.
+        for build in builds:
+            assert copy.copy(build.netlist) == build.netlist
+            assert [copy.copy(inst) for inst in build.netlist.gates] == list(build.netlist.gates)
 
     def test_import_places_nothing(self):
         code = ("import revdec, revdec.cli, revdec.reversible as r\n"

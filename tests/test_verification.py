@@ -94,12 +94,17 @@ class TestVerifyArchitecture:
 
     @pytest.mark.parametrize("name", ["rev_conventional", "rev_carry_skip"])
     def test_a_netlist_row_has_no_columns_of_its_own(self, name):
-        # Only a build, of a catalog the caller names, answers for the row.
+        # Only a build, of a catalog the caller names, answers for the row,
+        # and each read says so.
         row = ARCHITECTURES[name]
-        for read in (row.columns, lambda: row.digit_pairs):
-            with pytest.raises(TypeError):
+        message = (f"architecture '{name}' is a netlist row with no lanes of its own; "
+                   f"read row.build(catalog).columns or .digit_pairs")
+        for read in (row.columns, lambda: row.digit_pairs,
+                     lambda: row.model(BcdOperands(2, 3, 1))):
+            with pytest.raises(TypeError) as raised:
                 read()
-        assert "digit_pairs" not in vars(row)
+            assert str(raised.value) == message
+        assert vars(row) == {}
 
     def test_unknown_architecture(self):
         with pytest.raises(ValueError, match="architecture"):
