@@ -98,6 +98,8 @@ class GatePermutation:
     other problems (a name that is not a non-empty upper-case string
     without whitespace, a width that is not an ``int`` in range, a table
     that is no sequence or has a wrong length, entries out of range) raise ``ValueError``.
+    A table of exact ints that sorts to ``range(2**width)`` passes in one
+    step; only another is walked entry by entry, to name its first fault.
     """
 
     name: str
@@ -130,6 +132,8 @@ class GatePermutation:
                 f"gate {self.name!r} of width {self.width} needs a table of "
                 f"{size} entries, got {len(self.table)}"
             )
+        if set(map(type, self.table)) == {int} and sorted(self.table) == list(range(size)):
+            return
         seen: dict[int, int] = {}
         for pattern, out in enumerate(self.table):
             if type(out) is not int or not 0 <= out < size:
@@ -214,11 +218,11 @@ def parse_gate_defs(text: str) -> dict[str, GatePermutation]:
     """Parse a gate-definition text block into a name-to-gate mapping.
 
     Each non-empty line defines one gate as ``NAME WIDTH P0 P1 ... P(2^W-1)``
-    with whitespace-separated entries written in ASCII digits.  Lines
-    starting with ``#`` are comments.  Raises :class:`ParseError` for
-    malformed lines (the checks of :class:`GatePermutation` included) and
-    :class:`NotBijective` for well-formed lines whose table repeats an
-    output pattern.
+    with whitespace-separated entries in ASCII digits, checked at once over
+    the line's joined fields.  Lines starting with ``#`` are comments.
+    Raises :class:`ParseError` for malformed lines (the checks of
+    :class:`GatePermutation` included) and :class:`NotBijective` for
+    well-formed lines whose table repeats an output pattern.
     """
     gates: dict[str, GatePermutation] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -228,13 +232,13 @@ def parse_gate_defs(text: str) -> dict[str, GatePermutation]:
         name, *numbers = line.split()
         if not numbers:
             raise ParseError(f"line {lineno}: expected 'NAME WIDTH P0 ...'")
-        for field in numbers:
-            # int() alone would also take '-1', '1_0' and non-ASCII digits.
-            if not (field.isascii() and field.isdigit()):
-                raise ParseError(
-                    f"line {lineno}: non-integer field {field!r} "
-                    "(expected ASCII digits 0-9)"
-                )
+        # int() alone would also take '-1', '1_0' and non-ASCII digits.  The
+        # joined fields are ASCII digits exactly when every field is.
+        joined = "".join(numbers)
+        if not (joined.isascii() and joined.isdigit()):
+            field = next(f for f in numbers if not (f.isascii() and f.isdigit()))
+            raise ParseError(f"line {lineno}: non-integer field {field!r} "
+                             "(expected ASCII digits 0-9)")
         name = name.upper()
         if name in gates:
             raise ParseError(f"line {lineno}: gate {name!r} defined twice")
@@ -251,14 +255,14 @@ def parse_gate_defs(text: str) -> dict[str, GatePermutation]:
 def catalog_from_env() -> dict[str, GatePermutation]:
     """Built-in gates, overlaid with definitions from ``REVDEC_GATE_DEFS``.
 
-    When the environment variable is set it must name a readable
-    gate-definition file; entries in the file replace (or extend) the
-    built-in tables by name.  With the variable unset this is exactly
-    :func:`builtin_catalog`.
+    When the environment variable is set it must name a readable UTF-8
+    gate-definition file, whose leading byte-order mark is dropped; entries
+    in the file replace (or extend) the built-in tables by name.  With the
+    variable unset this is exactly :func:`builtin_catalog`.
     """
     gates = builtin_catalog()
     path = os.environ.get(ENV_GATE_DEFS)
     if path:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             gates.update(parse_gate_defs(handle.read()))
     return gates

@@ -378,15 +378,16 @@ class Netlist:
         width depends on the gate: a gate as wide as the one it replaces
         keeps the wire tuples unchecked, any other is checked by
         :class:`GateInstance`, which raises its width error.  The result
-        shares :attr:`inputs` and :attr:`outputs`, and it shares the
-        analysis only once a walk has found no fault (see
-        :class:`_Analysis`); otherwise it walks its own wires when used.
+        shares :attr:`inputs`, :attr:`outputs`, the :attr:`_wiring` this
+        netlist renders once, and the analysis only once a walk has found
+        no fault (see :class:`_Analysis`).
         """
         placed = tuple([
             (GateInstance._trusted if gate.width == inst.gate.width else GateInstance)(
                 gate, inst.input_wires, inst.output_wires)
             for gate, inst in zip(gates, self.gates, strict=True)])
         net = Netlist._trusted(self.name, self.inputs, self.outputs, placed)
+        net.__dict__["_wiring"] = self._wiring
         analysis = self.__dict__.get("_analysis")
         if analysis is not None and analysis.fault is None:
             net.__dict__["_analysis"] = analysis
@@ -577,6 +578,23 @@ class Netlist:
     # serialization
     # ------------------------------------------------------------------
 
+    @cached_property
+    def _wiring(self) -> tuple[str, tuple[str, ...]]:
+        """What :meth:`to_json` writes from the wires alone: the text from
+        ``"inputs"`` to ``"gates"``, and per gate the text after its name."""
+        quote = encode_basestring_ascii
+        inputs = [f'{{\n      "wire": {quote(d.wire)},\n      "role": {quote(d.role)}'
+                  + (f',\n      "const": {d.const!r}\n    }}' if d.role == ROLE_ANCILLA
+                     else "\n    }")
+                  for d in self.inputs]
+        outputs = [f'{{\n      "wire": {quote(d.wire)},\n      "role": {quote(d.role)}\n    }}'
+                   for d in self.outputs]
+        return (f'  "inputs": {_json_array(inputs, 2)},\n'
+                f'  "outputs": {_json_array(outputs, 2)},\n  "gates": ',
+                tuple(f',\n      "in": {_json_array(map(quote, inst.input_wires), 6)},\n'
+                      f'      "out": {_json_array(map(quote, inst.output_wires), 6)}\n    }}'
+                      for inst in self.gates))
+
     def to_json(self) -> str:
         """Serialize to the interchange JSON schema (self-contained).
 
@@ -586,33 +604,26 @@ class Netlist:
         characters as ``\\uXXXX`` escapes, an ancilla's ``const`` as its one
         extra key and ``gate_defs`` sorted by name.  The document keys gate
         tables by name, so two placed gates that share a name but not a
-        table raise :class:`MalformedNetlist` naming that gate.
+        table raise :class:`MalformedNetlist` naming that gate.  Only the
+        names and ``gate_defs`` render per call; :attr:`_wiring` is shared.
         """
         self.validate()
         quote = encode_basestring_ascii
-        inputs = [f'{{\n      "wire": {quote(d.wire)},\n      "role": {quote(d.role)}'
-                  + (f',\n      "const": {d.const!r}\n    }}' if d.role == ROLE_ANCILLA
-                     else "\n    }")
-                  for d in self.inputs]
-        outputs = [f'{{\n      "wire": {quote(d.wire)},\n      "role": {quote(d.role)}\n    }}'
-                   for d in self.outputs]
+        wiring, tails = self._wiring
         defs: dict[str, GatePermutation] = {}
         gates = []
-        for inst in self.gates:
+        for inst, tail in zip(self.gates, tails):
             gate = inst.gate
             known = defs.setdefault(gate.name, gate)
             if known is not gate and known != gate:
                 raise MalformedNetlist(
                     f"two placed gates named {gate.name!r} have different tables; "
                     f"the interchange JSON keys gate tables by name")
-            gates.append(f'{{\n      "gate_name": {quote(gate.name)},\n'
-                         f'      "in": {_json_array(map(quote, inst.input_wires), 6)},\n'
-                         f'      "out": {_json_array(map(quote, inst.output_wires), 6)}\n    }}')
+            gates.append(f'{{\n      "gate_name": {quote(gate.name)}{tail}')
         gate_defs = [f'{{\n      "name": {quote(name)},\n      "width": {gate.width!r},\n'
                      f'      "table": {_json_array(map(repr, gate.table), 6)}\n    }}'
                      for name, gate in sorted(defs.items())]
-        return (f'{{\n  "name": {quote(self.name)},\n  "inputs": {_json_array(inputs, 2)},\n'
-                f'  "outputs": {_json_array(outputs, 2)},\n  "gates": {_json_array(gates, 2)},\n'
+        return (f'{{\n  "name": {quote(self.name)},\n{wiring}{_json_array(gates, 2)},\n'
                 f'  "gate_defs": {_json_array(gate_defs, 2)}\n}}')
 
     @classmethod

@@ -360,6 +360,18 @@ class TestGateDefsOverride:
         assert run(capsys, "simulate", *arch, "--digits", "00,00") == (
             0, f"sum=EE cout={cout}\n", "")
 
+    def test_a_byte_order_mark_is_not_part_of_the_first_gate(self, capsys, tmp_path,
+                                                              monkeypatch):
+        # Some editors start a UTF-8 file with a byte-order mark.  It is not
+        # part of the first gate's name, so the file still replaces NEW_GATE.
+        path = tmp_path / "defs.txt"
+        path.write_text(REVERSED_NEW_GATE, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        monkeypatch.setenv("REVDEC_GATE_DEFS", str(path))
+        assert run(capsys, "simulate", "--arch", "rev_conventional", "--a", "0", "--b", "0") == (
+            0, "sum=14 cout=0\n", "")
+        assert "\ufeffNEW_GATE" not in catalog_from_env()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 from conftest import gate_line, gate_outputs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revdec.gates import (
     ENV_GATE_DEFS,
@@ -63,6 +65,72 @@ class TestMakeGate:
     def test_width_bounds(self, width):
         with pytest.raises(ValueError):
             GatePermutation("W", width, [0])
+
+
+def loop_checked(name: str, width: int, table) -> GatePermutation:
+    """``GatePermutation(name, width, table)`` with its table proved one
+    entry at a time: the reference for the one-step check.  It assumes a
+    valid name and width."""
+    table = tuple(table)
+    size = 1 << width
+    if len(table) != size:
+        raise ValueError(f"gate {name!r} of width {width} needs a table of "
+                         f"{size} entries, got {len(table)}")
+    seen: dict[int, int] = {}
+    for pattern, out in enumerate(table):
+        if type(out) is not int or not 0 <= out < size:
+            raise ValueError(f"gate {name!r} table entry {pattern} is {out!r}, "
+                             f"expected an integer in [0, {size})")
+        if out in seen:
+            raise NotBijective(f"gate {name!r} is not reversible: inputs "
+                               f"{seen[out]} and {pattern} both map to output {out}")
+        seen[out] = pattern
+    return GatePermutation._trusted(name, width, table)
+
+
+@st.composite
+def gate_tables(draw):
+    """A width of 1-4 and a table for it: a permutation with some entries
+    replaced by bools, floats, negative, out-of-range or repeated values,
+    sometimes one entry short or long, as a list, tuple, ``range`` or
+    ``bytes``."""
+    width = draw(st.integers(1, 4))
+    size = 1 << width
+    entries = draw(st.permutations(range(size)))
+    wrong = st.one_of(st.integers(-2, size + 1), st.booleans(),
+                      st.floats(-1, size, allow_nan=False), st.sampled_from([0.0, 1.0]))
+    for _ in range(draw(st.integers(0, 2))):
+        entries[draw(st.integers(0, size - 1))] = draw(wrong)
+    entries = entries[:size + draw(st.sampled_from([0, 0, 0, -1, 1]))]
+    if len(entries) > size:
+        entries[-1] = entries[0]
+    kind = draw(st.sampled_from(["list", "tuple", "range", "bytes"]))
+    if kind == "range":
+        return width, draw(st.sampled_from([
+            range(size), range(size - 1, -1, -1), range(1, size + 1),
+            range(-1, size - 1), range(0, 2 * size, 2), range(size - 1)]))
+    if kind == "bytes" and all(type(e) in (int, bool) and 0 <= e < 256 for e in entries):
+        return width, bytes(entries)
+    return width, (tuple if kind == "tuple" else list)(entries)
+
+
+class TestOneStepCheck:
+    """A table passes :class:`GatePermutation`'s one-step check exactly when
+    the per-entry loop accepts it; a refused one gets the loop's error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(gate_tables())
+    def test_the_gate_or_the_error_is_the_loops(self, drawn):
+        width, table = drawn
+        try:
+            expected = loop_checked("G", width, table)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as raised:
+                GatePermutation("G", width, table)
+            assert str(raised.value) == str(exc)
+        else:
+            gate = GatePermutation("G", width, table)
+            assert gate == expected and type(gate.table) is tuple
 
 
 class TestBuiltins:
@@ -178,6 +246,14 @@ class TestTextFormat:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_gate_defs(text)
+
+    @pytest.mark.parametrize("field", ["-1", "1_0", "+1", "\u0663"])
+    def test_the_first_non_digit_field_is_named(self, field):
+        # The second line's first bad field is named, not its later "-2".
+        with pytest.raises(ParseError) as raised:
+            parse_gate_defs(f"A 1 0 1\nN 1 1 {field} -2")
+        assert str(raised.value) == (
+            f"line 2: non-integer field {field!r} (expected ASCII digits 0-9)")
 
     def test_non_bijective_table_is_reported_as_such(self):
         with pytest.raises(NotBijective):

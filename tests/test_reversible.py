@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import os
 import random
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import ALL_CODES, GATE_DEFS, counting_row
-from test_netlist import reference_depths
+from test_netlist import reference_depths, reference_doc
 
 from revdec import classical, gates, reversible
 from revdec.classical import (
@@ -107,8 +108,9 @@ DESIGNS = pytest.mark.parametrize("design", [reversible._CONVENTIONAL, reversibl
 
 def assert_placed_as_replayed(design: tuple, catalog) -> Netlist:
     """``_build`` gives the reference build, byte for byte in both exports,
-    and shares its design's declarations and analysis, which equals a fresh
-    walk of its wires."""
+    and shares its design's declarations, analysis (which equals a fresh
+    walk of its wires) and rendered wiring; its JSON is the dumped
+    :func:`reference_doc` and parses back to it."""
     build, reference = reversible._build(design, catalog), replayed(design, catalog)
     assert build == reference
     assert build.netlist.to_json() == reference.netlist.to_json()
@@ -117,6 +119,11 @@ def assert_placed_as_replayed(design: tuple, catalog) -> Netlist:
     assert net._analysis == Netlist(net.name, net.inputs, net.outputs, net.gates)._analysis
     assert net.inputs is template.inputs and net.outputs is template.outputs
     assert net._analysis is template._analysis
+    # The wiring's JSON is the template's; the rest of the text is the build's.
+    assert net._wiring is template._wiring
+    text = net.to_json()
+    assert text == json.dumps(reference_doc(net), indent=2)
+    assert Netlist.from_json(text) == net
     return net
 
 
@@ -130,6 +137,11 @@ def bijective_catalog(rng: random.Random) -> dict[str, GatePermutation]:
 def identity_tsg_catalog() -> dict[str, GatePermutation]:
     """The built-in gates with ``TSG`` replaced by the identity table."""
     return {**builtin_catalog(), "TSG": GatePermutation("TSG", 4, list(range(16)))}
+
+
+def reversed_new_gate_catalog() -> dict[str, GatePermutation]:
+    """The built-in gates with ``NEW_GATE``'s table reversed."""
+    return {**builtin_catalog(), "NEW_GATE": GatePermutation("NEW_GATE", 3, range(7, -1, -1))}
 
 
 def simulated(build: ReversibleAdderBuild, op: BcdOperands) -> BcdResult:
@@ -468,7 +480,10 @@ class TestPlacement:
         None,
         parse_gate_defs(GATE_DEFS.read_text(encoding="utf-8")),
         identity_tsg_catalog(),
-    ], ids=["builtin", "gate_defs", "identity_tsg"])
+        reversed_new_gate_catalog(),
+        *(bijective_catalog(random.Random(seed)) for seed in range(3)),
+    ], ids=["builtin", "gate_defs", "identity_tsg", "reversed_new_gate",
+            "random0", "random1", "random2"])
     def test_placement_is_the_builder_replay(self, design, catalog):
         assert_placed_as_replayed(design, catalog)
 
@@ -535,6 +550,40 @@ class TestTemplate:
         for build in builds:
             assert copy.copy(build.netlist) == build.netlist
             assert [copy.copy(inst) for inst in build.netlist.gates] == list(build.netlist.gates)
+
+    @DESIGNS
+    def test_builds_of_two_catalogs_keep_their_own_gates(self, design):
+        # Renamed gates show that names render per build, and the random
+        # tables that gate_defs does; serialising in turns shows that one
+        # build's text never leaks into the other's.
+        rng = random.Random(35)
+        renamed = {name: GatePermutation(f"MY_{name}", gate.width, gate.table)
+                   for name, gate in bijective_catalog(rng).items()}
+        catalogs = [renamed, bijective_catalog(rng), None]
+        nets = [reversible._build(design, catalog).netlist for catalog in catalogs]
+        for _ in range(2):
+            for net, catalog in zip(nets, catalogs):
+                doc = json.loads(net.to_json())
+                gates = builtin_catalog() if catalog is None else catalog
+                assert [g["gate_name"] for g in doc["gates"]] == [
+                    gates[row[0]].name for row in design[3]]
+                assert {d["name"]: tuple(d["table"]) for d in doc["gate_defs"]} == {
+                    gates[name].name: gates[name].table for name in design[2]}
+
+    def test_the_wiring_renders_once_per_design(self, monkeypatch):
+        reversible._template.cache_clear()
+        rendered, real = [], Netlist._wiring.func
+        wiring = cached_property(lambda net: rendered.append(net.name) or real(net))
+        wiring.__set_name__(Netlist, "_wiring")
+        monkeypatch.setattr(Netlist, "_wiring", wiring)
+        rng = random.Random(35)
+        catalogs = [None, parse_gate_defs(GATE_DEFS.read_text(encoding="utf-8")),
+                    reversed_new_gate_catalog(), *(bijective_catalog(rng) for _ in range(3))]
+        designs = (reversible._CONVENTIONAL, reversible._CARRY_SKIP)
+        for catalog in catalogs:
+            for design in designs:
+                reversible._build(design, catalog).netlist.to_json()
+        assert rendered == [design[0] for design in designs]
 
     def test_import_places_nothing(self):
         code = ("import revdec, revdec.cli, revdec.reversible as r\n"
