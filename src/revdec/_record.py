@@ -12,14 +12,18 @@ only) and ``__hash__`` over the tuple of field values; a
 ``Name(field=value!r, ...)`` ``__repr__``; ``__match_args__``;
 ``__setattr__``/``__delattr__`` that refuse every change; and a
 ``__reduce__`` that rebuilds an instance from its field values, so
-``copy`` and ``pickle`` run ``__init__`` (and its checks) again and leave
+``copy`` and ``pickle`` call the class (and its checks) again and leave
 cached properties behind.  ``object.__setattr__`` still stores a value, so
 ``__post_init__`` can coerce a field.
 
-The class method ``_trusted(*fields)`` stores the fields as given and skips
-``__post_init__``, so nothing is checked or coerced.  Only code that has
-just proved what ``__post_init__`` would check, for values already in
-their stored form, may call it; its copies still run ``__init__``.
+A class that defines ``__new__`` gets no ``__init__``: its ``__new__``
+checks the fields and makes or picks the instance itself, so a closed set
+of values can hand out one shared instance per value.
+
+The class method ``_trusted(*fields)`` stores the fields as given in a new
+instance and skips the checks, so nothing is checked or coerced.  Only code
+that has just proved what the checks would, for values already in their
+stored form, may call it; its copies still run the checks.
 
 Only ``__init__`` and ``_trusted`` are generated source.  ``__init__``
 compiles with its class; ``_trusted`` compiles on its first use, since
@@ -64,7 +68,6 @@ def record(cls):
     check = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
     namespace = {f"_set{i}": cls.__dict__[n].__set__ for i, n in enumerate(names)}
     namespace.update(_defaults=defaults, _new=object.__new__)
-    exec(f"def __init__(self, {params}):{stores}{check}", namespace)
     cls._trusted = _Trusted(cls, f"def _trusted(cls, {params}):\n self = _new(cls){stores}\n"
                                  " return self", namespace)
     get = attrgetter(*names)
@@ -92,7 +95,10 @@ def record(cls):
         return self.__class__, values(self)
 
     methods = (__eq__, __hash__, __repr__, __setattr__, __delattr__, __reduce__)
-    for method in (namespace["__init__"], *methods):
+    if "__new__" not in body:  # a class that defines __new__ makes its instances there
+        exec(f"def __init__(self, {params}):{stores}{check}", namespace)
+        methods += (namespace["__init__"],)
+    for method in methods:
         method.__qualname__ = f"{qualname}.{method.__name__}"
         setattr(cls, method.__name__, method)
     cls.__match_args__ = names

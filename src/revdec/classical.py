@@ -37,7 +37,7 @@ it adds one digit, whose signals fill the row's signal record.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import TYPE_CHECKING, Any
 
 from ._record import record
@@ -85,21 +85,27 @@ class LengthMismatch(ValueError):
 
 @record
 class BcdOperands:
-    """One digit-adder input: two decimal digits and a carry-in bit."""
+    """One digit-adder input: two decimal digits and a carry-in bit.
+
+    The 200 valid operands are a closed set, made once per process on first
+    use: ``BcdOperands(a, b, cin)`` checks its fields and returns the shared
+    instance, so equal operands are one object.  A subclass makes its own.
+    """
 
     a: int
     b: int
     cin: int
 
-    def __post_init__(self) -> None:
-        a, b, cin = self.a, self.b, self.cin
-        if (type(a) is int and 0 <= a <= 9 and type(b) is int and 0 <= b <= 9
+    def __new__(cls, a: int, b: int, cin: int) -> BcdOperands:
+        if not (type(a) is int and 0 <= a <= 9 and type(b) is int and 0 <= b <= 9
                 and type(cin) is int and 0 <= cin <= 1):
-            return
-        for label, digit in (("a", a), ("b", b)):
-            if type(digit) is not int or not 0 <= digit <= 9:
-                raise InvalidBcd(f"operand {label}={digit!r} is not a BCD digit")
-        _check_carry(cin)
+            for label, digit in (("a", a), ("b", b)):
+                if type(digit) is not int or not 0 <= digit <= 9:
+                    raise InvalidBcd(f"operand {label}={digit!r} is not a BCD digit")
+            _check_carry(cin)
+        if cls is not BcdOperands:
+            return cls._trusted(a, b, cin)
+        return _operands()[a * 20 + b * 2 + cin]
 
     def a_bits(self) -> tuple[int, int, int, int]:
         return tuple((self.a >> i) & 1 for i in range(4))  # type: ignore[return-value]
@@ -121,17 +127,21 @@ class BcdResult:
 
     ``sum`` ranges over 0..15 so that measured behavior of faulty equation
     sets can be represented; results consistent with :func:`oracle` always
-    satisfy ``sum <= 9`` and ``10 * cout + sum == a + b + cin``.
+    satisfy ``sum <= 9`` and ``10 * cout + sum == a + b + cin``.  Like the
+    operands, the 32 results are made once per process and shared.
     """
 
     sum: int
     cout: int
 
-    def __post_init__(self) -> None:
-        if type(self.sum) is not int or not 0 <= self.sum <= 15:
-            raise ValueError(f"sum {self.sum!r} does not fit in four bits")
-        if type(self.cout) is not int or self.cout not in (0, 1):
-            raise ValueError(f"cout must be 0 or 1, got {self.cout!r}")
+    def __new__(cls, sum: int, cout: int) -> BcdResult:
+        if type(sum) is not int or not 0 <= sum <= 15:
+            raise ValueError(f"sum {sum!r} does not fit in four bits")
+        if type(cout) is not int or cout not in (0, 1):
+            raise ValueError(f"cout must be 0 or 1, got {cout!r}")
+        if cls is not BcdResult:
+            return cls._trusted(sum, cout)
+        return _results()[sum | cout << 4]
 
     def sum_bits(self) -> tuple[int, int, int, int]:
         return tuple((self.sum >> i) & 1 for i in range(4))  # type: ignore[return-value]
@@ -211,14 +221,28 @@ def _check_carry(cin: object) -> None:
         raise ValueError(f"cin must be 0 or 1, got {cin!r}")
 
 
+@cache
+def _operands() -> tuple[BcdOperands, ...]:
+    """The shared valid operands at slot ``a*20 + b*2 + cin``, made on first use."""
+    return tuple(BcdOperands._trusted(a, b, cin)
+                 for a in range(10) for b in range(10) for cin in (0, 1))
+
+
+@cache
+def _results() -> tuple[BcdResult, ...]:
+    """The shared results at slot :meth:`BcdResult.code`, made on first use."""
+    return tuple(BcdResult._trusted(code & 15, code >> 4) for code in range(32))
+
+
 def valid_operands() -> Iterator[BcdOperands]:
     """All 200 valid digit-adder inputs in canonical sweep order.
 
     The order (``a`` outermost, then ``b``, then ``cin``) is the one every
     exhaustive check and every "first failing input" report in this package
-    uses.  They are the operands of :func:`oracle_sweep`, made once per process.
+    uses.  They are the shared instances that ``BcdOperands(a, b, cin)``
+    returns, and :func:`oracle_sweep` reads the same table.
     """
-    return (op for op, _ in oracle_sweep()[0])
+    return iter(_operands())
 
 
 def oracle(op: BcdOperands) -> BcdResult:
@@ -232,9 +256,8 @@ def oracle_sweep() -> tuple[tuple[tuple[BcdOperands, BcdResult], ...], tuple[int
     """Every valid input with its oracle result in canonical order, the
     oracle's five output columns (bit ``op.code()`` of column ``i`` is bit
     ``i`` of ``result.code()``) and the mask of the valid input codes;
-    computed once per process."""
-    ops = (BcdOperands(a, b, cin) for a in range(10) for b in range(10) for cin in (0, 1))
-    pairs = tuple((op, oracle(op)) for op in ops)
+    computed once per process over the shared :func:`valid_operands`."""
+    pairs = tuple((op, oracle(op)) for op in valid_operands())
     columns = tuple(sum((r.code() >> i & 1) << op.code() for op, r in pairs) for i in range(5))
     return pairs, columns, sum(1 << op.code() for op, _ in pairs)
 

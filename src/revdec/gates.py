@@ -95,8 +95,8 @@ class GatePermutation:
     accepted as the table and stored as a tuple.
     Construction fails with :class:`NotBijective` if any output pattern
     repeats, so holding an instance is proof the gate loses no information;
-    other problems (a name that is not a non-empty upper-case string
-    without whitespace, a width that is not an ``int`` in range, a table
+    other problems (a name that is not a non-empty upper-case string of
+    printable ASCII without whitespace, a width that is not an ``int`` in range, a table
     that is no sequence or has a wrong length, entries out of range) raise ``ValueError``.
     A table of exact ints that sorts to ``range(2**width)`` passes in one
     step; only another is walked entry by entry, to name its first fault.
@@ -107,11 +107,14 @@ class GatePermutation:
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # parse_gate_defs must read the name back as one field of a line.
-        if not isinstance(self.name, str) or self.name.split() != [self.name]:
+        # parse_gate_defs must read the name back as one field of a line, and
+        # a reader must see every character of it (no invisible marks).
+        name = self.name
+        if not (isinstance(name, str) and name.isascii() and name.isprintable()
+                and name.split() == [name]):
             raise ValueError(
-                "gate name must be a non-empty string without whitespace, "
-                f"got {self.name!r}"
+                "gate name must be a non-empty string of printable ASCII without "
+                f"whitespace, got {name!r}"
             )
         # The catalog reads names case-insensitively (parse_gate_defs and
         # the CLI upper-case them), so only upper case round-trips.

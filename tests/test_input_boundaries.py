@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 
 import pytest
 from conftest import gate_line
@@ -326,6 +327,32 @@ class TestWireNames:
         else:
             accepted = True
         assert accepted == (bool(wire) and not any(c.isspace() for c in wire))
+
+
+class TestGateNames:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.sampled_from(SPACES + NEAR_SPACES) | st.characters(), max_size=6))
+    def test_accepts_exactly_upper_case_printable_ascii_without_spaces(self, name):
+        try:
+            GatePermutation(name, 1, [1, 0])
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (bool(name) and all("!" <= c <= "~" for c in name)
+                            and name == name.upper())
+
+    @pytest.mark.parametrize("mark", NEAR_SPACES)
+    def test_invisible_marks_are_refused_wherever_a_name_is_read(self, mark):
+        for name in (mark + "NEW_GATE", "NEW" + mark + "GATE", "NEW_GATE" + mark):
+            with pytest.raises(ValueError, match=f"printable ASCII.*got {re.escape(repr(name))}$"):
+                GatePermutation(name, 3, range(8))
+            with pytest.raises(ParseError, match="^line 1: gate name must be"):
+                parse_gate_defs(f"{name} 3 7 6 5 4 3 2 1 0")
+            doc = json.loads(build_conventional_reversible().netlist.to_json())
+            doc["gate_defs"][0]["name"] = name
+            with pytest.raises(ParseError, match="printable ASCII"):
+                Netlist.from_json(json.dumps(doc))
 
 
 JSON_VALUES = st.recursive(

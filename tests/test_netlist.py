@@ -371,8 +371,10 @@ def mutated_net(rng: random.Random, n_mutations: int) -> Netlist:
 AWKWARD_TEXT = st.text(st.sampled_from('a"\\\x00\x07\x1b\x7f\u00e9\u20ac\U0001f600')
                        | st.characters(), min_size=1, max_size=5)
 WIRE_TEXT = AWKWARD_TEXT.filter(lambda s: s.split() == [s])
-GATE_TEXT = WIRE_TEXT.map(str.upper).filter(
-    lambda s: s.split() == [s] and s.upper() == s and s not in BUILTINS)
+# Gate names are printable ASCII without whitespace, in upper case.
+GATE_TEXT = st.text(st.sampled_from('A"\\_0') | st.characters(min_codepoint=0x21,
+                                                                max_codepoint=0x7e),
+                    min_size=1, max_size=5).map(str.upper).filter(lambda s: s not in BUILTINS)
 
 
 # Wire names that DOT must escape, or pass as they are: quotes, backslashes,

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import os
 import pickle
+import re
 import subprocess
 import sys
 import weakref
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from revdec import classical, gates, netlist, reversible, verification
+from revdec._record import record
 from revdec.classical import (
     Architecture,
     BcdOperands,
@@ -22,6 +24,9 @@ from revdec.classical import (
     ConventionalTrace,
     SkipSignals,
     conventional_add,
+    oracle,
+    oracle_sweep,
+    valid_operands,
 )
 from revdec.gates import BitVector, GatePermutation
 from revdec.netlist import (
@@ -189,20 +194,25 @@ class TestRecords:
         assert type(trusted) is cls and vars(trusted) == {}
         assert trusted == record and hash(trusted) == hash(record)
         assert repr(trusted) == repr(record)
-        # Only the trusted constructor skips the checks: copies run them again.
-        inits, checks = [], []
-        real_init = cls.__init__
-        monkeypatch.setattr(cls, "__init__",
-                            lambda self, *args: inits.append(args) or real_init(self, *args))
+        # Only the trusted constructor skips the checks: copies run them again,
+        # in __post_init__ or, for a class that defines __new__, in __new__.
+        calls, checks = [], []
+        hook = "__new__" if "__new__" in vars(cls) else "__init__"
+        real_hook = getattr(cls, hook)
+        monkeypatch.setattr(cls, hook,
+                            lambda first, *args: calls.append(args) or real_hook(first, *args))
         if hasattr(cls, "__post_init__"):
             real_check = cls.__post_init__
             monkeypatch.setattr(cls, "__post_init__",
                                 lambda self: checks.append(self) or real_check(self))
-        assert cls._trusted(*field_values(record)) == record and not inits and not checks
+        elif hook == "__new__":
+            checks = calls
+        assert cls._trusted(*field_values(record)) == record and not calls and not checks
         copies = (copy.copy(trusted), pickle.loads(pickle.dumps(trusted)))
         assert copies == (record, record)
-        assert inits == [field_values(record)] * 2
-        assert len(checks) == (2 if hasattr(cls, "__post_init__") else 0)
+        assert calls == [field_values(record)] * 2
+        checked = hasattr(cls, "__post_init__") or hook == "__new__"
+        assert len(checks) == (2 if checked else 0)
 
     @CLASSES
     def test_fields_are_slots_beside_a_dict_and_weakrefs(self, cls):
@@ -227,6 +237,81 @@ def test_trusted_constructors_compile_on_first_use():
             "assert type(vars(netlist.OutputDecl)['_trusted']) is classmethod\n")
     env = dict(os.environ, PYTHONPATH=str(Path(netlist.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+SHARED = {
+    BcdOperands: [(a, b, cin) for a in range(10) for b in range(10) for cin in (0, 1)],
+    BcdResult: [(total, cout) for cout in (0, 1) for total in range(16)],
+}
+SHARED_CLASSES = pytest.mark.parametrize("cls", list(SHARED), ids=lambda c: c.__name__)
+
+
+class TestSharedValues:
+    """The valid digit operands and results are closed sets of shared instances."""
+
+    @SHARED_CLASSES
+    def test_every_construction_returns_the_shared_instance(self, cls):
+        shared = list(valid_operands()) if cls is BcdOperands else [
+            BcdResult.from_code(code) for code in range(32)]
+        assert len(shared) == len(SHARED[cls]) == len(set(map(id, shared)))
+        for args, instance in zip(SHARED[cls], shared):
+            assert field_values(instance) == args
+            assert cls(*args) is instance
+            assert cls(**dict(zip(cls.__match_args__, args))) is instance
+
+    def test_oracle_sweep_and_oracle_hand_out_the_shared_instances(self):
+        for op, (swept, result) in zip(valid_operands(), oracle_sweep()[0], strict=True):
+            assert swept is op
+            assert result is oracle(op) is BcdResult.from_code(result.code())
+
+    @SHARED_CLASSES
+    def test_copies_are_the_shared_instance(self, cls):
+        for args in SHARED[cls]:
+            instance = cls(*args)
+            assert copy.copy(instance) is instance
+            assert copy.deepcopy(instance) is instance
+            assert pickle.loads(pickle.dumps(instance)) is instance
+
+    @SHARED_CLASSES
+    def test_a_subclass_makes_its_own_unequal_instances(self, cls):
+        sub = type("Sub", (cls,), {})
+        args = SHARED[cls][7]
+        mine = sub(*args)
+        assert type(mine) is sub and mine is not sub(*args) and mine == sub(*args)
+        assert mine != cls(*args) and cls(*args) != mine
+        assert copy.copy(mine) == mine and type(copy.deepcopy(mine)) is sub
+        with pytest.raises(ValueError):
+            sub(*(99 for _ in args))
+
+    @pytest.mark.parametrize("cls, name, value, error", [
+        (BcdOperands, "b", 12, "operand b=12 is not a BCD digit"),
+        (BcdOperands, "cin", 2, "cin must be 0 or 1, got 2"),
+        (BcdResult, "sum", True, "sum True does not fit in four bits"),
+        (BcdResult, "cout", -1, "cout must be 0 or 1, got -1"),
+    ])
+    def test_copying_an_altered_value_runs_the_checks(self, cls, name, value, error):
+        # An unshared instance: altering a shared one would alter every user's.
+        altered = cls._trusted(*SHARED[cls][3])
+        object.__setattr__(altered, name, value)
+        for again in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                again(altered)
+
+    def test_a_record_with_its_own_new_gets_no_generated_init(self):
+        @record
+        class Doubled:
+            x: int
+
+            def __new__(cls, x):
+                return cls._trusted(2 * x)
+
+        @record
+        class Plain:
+            x: int
+
+        assert "__init__" not in vars(Doubled) and "__init__" in vars(Plain)
+        assert Doubled(3).x == 6 and Doubled(x=4) == Doubled(4)
+        assert copy.copy(Doubled(3)).x == 12  # a copy calls the class again
 
 
 class TestReduce:
