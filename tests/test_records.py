@@ -315,7 +315,7 @@ class TestSharedValues:
 
 
 class TestReduce:
-    """``copy`` and ``pickle`` rebuild a record through ``__init__``."""
+    """``copy`` and ``pickle`` rebuild a record by calling its class again."""
 
     def test_unpickling_runs_post_init_again(self):
         inst = GateInstance(NOT, ["a"], ["b"])
