@@ -20,34 +20,18 @@ A class that defines ``__new__`` gets no ``__init__``: its ``__new__``
 checks the fields and makes or picks the instance itself, so a closed set
 of values can hand out one shared instance per value.
 
-The class method ``_trusted(*fields)`` stores the fields as given in a new
-instance and skips the checks, so nothing is checked or coerced.  Only code
-that has just proved what the checks would, for values already in their
-stored form, may call it; its copies still run the checks.
+The class method ``_trusted(*fields)`` takes every field by position,
+stores each as given in a new instance and skips the checks, so nothing is
+checked or coerced.  Only code that has just proved what the checks would,
+for values already in their stored form, may call it; its copies still run
+the checks.  It is a closure over the slot setters, so it compiles nothing.
 
-Only ``__init__`` and ``_trusted`` are generated source.  ``__init__``
-compiles with its class; ``_trusted`` compiles on its first use, since
-few classes need it and each compile costs about as much as the rest of
-the decorator.  Importing ``dataclasses`` would load ``inspect``, ``ast``
-and ``dis``, and it compiles every generated method separately.
+Only ``__init__`` is generated source, compiled with its class.  Importing
+``dataclasses`` would load ``inspect``, ``ast`` and ``dis``, and it
+compiles every generated method separately.
 """
 
 from operator import attrgetter
-
-
-class _Trusted:
-    """A record class's ``_trusted`` until its first use, which compiles it
-    and puts it on the class in place of this descriptor."""
-
-    def __init__(self, cls: type, source: str, namespace: dict) -> None:
-        self.cls, self.source, self.namespace = cls, source, namespace
-
-    def __get__(self, instance: object, owner: type):
-        exec(self.source, self.namespace)
-        function = self.namespace["_trusted"]
-        function.__qualname__ = f"{self.cls.__qualname__}._trusted"
-        setattr(self.cls, "_trusted", classmethod(function))
-        return function.__get__(owner)
 
 
 def record(cls):
@@ -66,10 +50,16 @@ def record(cls):
     params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
     stores = "".join(f"\n _set{i}(self, {n})" for i, n in enumerate(names))
     check = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-    namespace = {f"_set{i}": cls.__dict__[n].__set__ for i, n in enumerate(names)}
-    namespace.update(_defaults=defaults, _new=object.__new__)
-    cls._trusted = _Trusted(cls, f"def _trusted(cls, {params}):\n self = _new(cls){stores}\n"
-                                 " return self", namespace)
+    setters = tuple(cls.__dict__[n].__set__ for n in names)
+    namespace = {f"_set{i}": setter for i, setter in enumerate(setters)}
+    namespace["_defaults"] = defaults
+
+    def _trusted(owner, *fields):
+        self = object.__new__(owner)
+        for setter, value in zip(setters, fields, strict=True):
+            setter(self, value)
+        return self
+
     get = attrgetter(*names)
     values = get if len(names) > 1 else lambda self: (get(self),)
 
@@ -101,5 +91,7 @@ def record(cls):
     for method in methods:
         method.__qualname__ = f"{qualname}.{method.__name__}"
         setattr(cls, method.__name__, method)
+    _trusted.__qualname__ = f"{qualname}._trusted"
+    cls._trusted = classmethod(_trusted)
     cls.__match_args__ = names
     return cls

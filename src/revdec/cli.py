@@ -48,6 +48,13 @@ def _parse_digit_pair(text: str) -> tuple[list[int], list[int]]:
     return tuple([int(c) for c in reversed(p)] for p in padded)  # type: ignore[return-value]
 
 
+def _decimal(text: str) -> int:
+    """An argparse type: ``text`` must be ASCII digits only, as in ``--digits``."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a decimal number, got {text!r}")
+    return int(text)
+
+
 def _assignments(pairs: Iterable[tuple[str, object]]) -> str:
     """``name=value`` for each pair, joined by spaces."""
     return " ".join(f"{name}={value}" for name, value in pairs)
@@ -243,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="add two digits (or digit strings)")
     p_sim.add_argument("--arch", required=True, choices=ARCHITECTURES)
-    p_sim.add_argument("--a", type=int, default=None, help="first digit (0..9)")
-    p_sim.add_argument("--b", type=int, default=None, help="second digit (0..9)")
-    p_sim.add_argument("--cin", type=int, default=0, choices=(0, 1))
+    p_sim.add_argument("--a", type=_decimal, default=None, help="first digit (0..9)")
+    p_sim.add_argument("--b", type=_decimal, default=None, help="second digit (0..9)")
+    p_sim.add_argument("--cin", type=_decimal, default=0, choices=(0, 1))
     p_sim.add_argument(
         "--digits",
         default=None,

@@ -58,10 +58,6 @@ ROLE_GARBAGE = "garbage"
 
 _INPUT_ROLES = (ROLE_PRIMARY_INPUT, ROLE_ANCILLA)
 _OUTPUT_ROLES = (ROLE_PRIMARY_OUTPUT, ROLE_GARBAGE)
-# The (role, const, type of const) of each valid input declaration: the type
-# keeps True and 1.0, which equal 1, out.
-_INPUT_KINDS = frozenset({(ROLE_PRIMARY_INPUT, None, type(None)),
-                          (ROLE_ANCILLA, 0, int), (ROLE_ANCILLA, 1, int)})
 
 # Up to this many primary inputs, a netlist is evaluated over all 2**n patterns
 # at once and can be swept for injectivity.
@@ -634,10 +630,9 @@ class Netlist:
         shape, :class:`~revdec.gates.NotBijective` for an irreversible gate
         table, and :class:`MalformedNetlist` for structural rule breaks.
 
-        After the name and each gate definition, :func:`_trusted_records`
-        proves the declarations and placed gates valid in bulk; a document
-        it refuses goes through :func:`_checked_records`, one checked record
-        at a time, so each fault keeps its error.
+        Every declaration and placed gate goes through its checked record
+        constructor in document order, valid document or not, so the first
+        faulty record raises its own error.
         """
         try:
             doc = json.loads(text)
@@ -656,7 +651,22 @@ class Netlist:
                 if gate.name in defs:
                     raise ParseError(f"gate {gate.name!r} is defined twice")
                 defs[gate.name] = gate
-            net = _trusted_records(cls, doc, defs) or _checked_records(cls, doc, defs)
+            inputs = []
+            for e in doc["inputs"]:
+                wire, role, const = e["wire"], e["role"], e.get("const")
+                if const is not None and type(const) is not int:
+                    raise ParseError(f"input {wire!r} has a non-integer const {const!r}")
+                inputs.append(InputDecl(wire, role, const))
+            outputs = [OutputDecl(e["wire"], e["role"]) for e in doc["outputs"]]
+            gates = []
+            for e in doc["gates"]:
+                gate_name = e["gate_name"]
+                if gate_name not in defs:
+                    raise ParseError(f"gate {gate_name!r} is placed but not defined in gate_defs")
+                if not (isinstance(e["in"], list) and isinstance(e["out"], list)):
+                    raise ParseError(f"gate {gate_name!r} needs 'in' and 'out' wire arrays")
+                gates.append(GateInstance(defs[gate_name], tuple(e["in"]), tuple(e["out"])))
+            net = cls(doc["name"], inputs, outputs, gates)
         except (ParseError, MalformedNetlist, NotBijective):
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -700,65 +710,6 @@ class Netlist:
             lines.append(f'  {source[decl.wire]} -> "out:{wire}" [label="{wire}"];')
         lines.append("}")
         return "\n".join(lines)
-
-
-def _trusted_records(cls: type[Netlist], doc: dict,
-                     defs: dict[str, GatePermutation]) -> Netlist | None:
-    """The ``cls`` netlist of a decoded document with unchecked records, or
-    ``None`` unless it proves over the whole document what the per-record
-    checks would: a string name, non-empty wire names whose concatenation
-    holds no whitespace, valid input kinds and output roles, and per gate a
-    definition, ``in`` and ``out`` lists as long as it is wide and no wire
-    twice.  Any exception (a missing key, an unhashable role) gives
-    ``None`` too."""
-    try:
-        inputs = tuple([InputDecl._trusted(e["wire"], e["role"], e.get("const"))
-                        for e in doc["inputs"]])
-        outputs = tuple([OutputDecl._trusted(e["wire"], e["role"]) for e in doc["outputs"]])
-        names = [d.wire for d in inputs]
-        names += [d.wire for d in outputs]
-        gates = []
-        for e in doc["gates"]:
-            gate, ins, outs = defs[e["gate_name"]], e["in"], e["out"]
-            if not (type(ins) is list and type(outs) is list
-                    and len(ins) == gate.width == len(outs)
-                    and len(set(ins + outs)) == 2 * gate.width):
-                return None
-            names += ins
-            names += outs
-            gates.append(GateInstance._trusted(gate, tuple(ins), tuple(outs)))
-        # Whitespace is per character, so the names hold none exactly when
-        # their concatenation splits into itself; a non-string fails the join.
-        joined = "".join(names)
-        if (type(doc["name"]) is str and joined.split() == [joined] and all(names)
-                and {(d.role, d.const, type(d.const)) for d in inputs} <= _INPUT_KINDS
-                and {d.role for d in outputs}.issubset(_OUTPUT_ROLES)):
-            return cls._trusted(doc["name"], inputs, outputs, tuple(gates))
-    except Exception:
-        pass
-    return None
-
-
-def _checked_records(cls: type[Netlist], doc: dict,
-                     defs: dict[str, GatePermutation]) -> Netlist:
-    """The ``cls`` netlist of a decoded document, built one checked record
-    at a time: the first invalid record raises its error."""
-    inputs = []
-    for e in doc["inputs"]:
-        wire, role, const = e["wire"], e["role"], e.get("const")
-        if const is not None and type(const) is not int:
-            raise ParseError(f"input {wire!r} has a non-integer const {const!r}")
-        inputs.append(InputDecl(wire, role, const))
-    outputs = tuple(OutputDecl(e["wire"], e["role"]) for e in doc["outputs"])
-    gates = []
-    for e in doc["gates"]:
-        gate_name = e["gate_name"]
-        if gate_name not in defs:
-            raise ParseError(f"gate {gate_name!r} is placed but not defined in gate_defs")
-        if not (isinstance(e["in"], list) and isinstance(e["out"], list)):
-            raise ParseError(f"gate {gate_name!r} needs 'in' and 'out' wire arrays")
-        gates.append(GateInstance(defs[gate_name], tuple(e["in"]), tuple(e["out"])))
-    return cls(doc["name"], tuple(inputs), tuple(outputs), tuple(gates))
 
 
 def _json_array(items: Iterable[str], depth: int) -> str:

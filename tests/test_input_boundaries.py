@@ -56,6 +56,24 @@ class TestDigitStrings:
         assert captured.out == ""
         assert "--digits expects two comma-separated decimal numbers" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--a", "--b", "--cin"])
+    @pytest.mark.parametrize(
+        "text",
+        ["\u0667", "\uff17", " 7", "7 ", "+7", "-1", "1_0", ""],
+        ids=["arabic-indic", "fullwidth", "space-before", "space-after", "plus", "minus",
+             "underscore", "empty"],
+    )
+    def test_operand_flags_take_ascii_digits_only(self, capsys, flag, text):
+        # int() reads most of these as a number; --digits refuses them all.
+        args = {"--a": "1", "--b": "1", "--cin": "0", flag: text}
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--arch", "conventional", *(x for kv in args.items() for x in kv)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"revdec simulate: error: argument {flag}: expected a decimal number, got {text!r}")
+
     def test_ascii_digits_still_add(self, capsys):
         code = main(["simulate", "--arch", "conventional", "--digits", "3,1"])
         assert code == 0

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revdec import netlist as netlist_module
-from revdec.gates import BitVector, GatePermutation, ParseError, builtin_catalog
+from revdec.gates import BitVector, GatePermutation, NotBijective, ParseError, builtin_catalog
 from revdec.netlist import (
     _MAX_INJECTIVITY_INPUTS,
     ROLE_ANCILLA,
@@ -1472,22 +1472,6 @@ ROUND_TRIP_DOCS = [json.loads(build().netlist.to_json())
                    for build in (build_conventional_reversible, build_carry_skip_reversible)]
 
 
-def outcome(call):
-    """What ``call()`` returns, or the type and message of what it raises."""
-    try:
-        return call()
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-def per_record_from_json(text: str):
-    """The outcome of :meth:`Netlist.from_json` with its bulk step refused,
-    so that it builds every record through ``_checked_records``."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(netlist_module, "_trusted_records", lambda cls, doc, defs: None)
-        return outcome(lambda: Netlist.from_json(text))
-
-
 def wire_slots(doc: dict) -> list[tuple]:
     """``(container, key)`` of every wire name in a document."""
     return ([(e, "wire") for e in doc["inputs"] + doc["outputs"]]
@@ -1545,36 +1529,67 @@ def bad_name(doc, draw):
     doc["name"] = draw(st.sampled_from([3, None, ["n"], {"n": 1}, 1.5, True, "", "a b"]))
 
 
-class TestBulkParse:
-    """``from_json`` builds a document's records unchecked once it has proved
-    them valid in bulk; any other document goes through ``_checked_records``,
-    the per-record path, with the same result or the same first error."""
+def set_in(doc, path, value):
+    """Set ``doc[path[0]][path[1]]...`` to ``value``."""
+    *parents, key = path
+    for step in parents:
+        doc = doc[step]
+    doc[key] = value
+
+
+class TestEditedDocuments:
+    """``from_json`` builds every record of a document through its checked
+    constructor in document order, so an edited document raises only a
+    boundary error, and the first faulty record names itself."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_one_edit_parses_as_on_the_per_record_path(self, data):
+    def test_one_edit_raises_only_a_boundary_error(self, data):
         doc = copy.deepcopy(data.draw(st.sampled_from(ROUND_TRIP_DOCS)))
         edit = data.draw(st.sampled_from([drop_key, bad_wire, repeated_wire, bad_role,
                                           bad_const, bad_sides, unknown_gate, bad_name]))
         edit(doc, data.draw)
-        text = json.dumps(doc)
-        assert outcome(lambda: Netlist.from_json(text)) == per_record_from_json(text)
-        # The decoded document itself, tuples included, which JSON cannot hold.
-        defs = {e["name"]: GatePermutation(e["name"], e["width"], e["table"])
-                for e in ROUND_TRIP_DOCS[0]["gate_defs"] + ROUND_TRIP_DOCS[1]["gate_defs"]}
-        checked = outcome(lambda: netlist_module._checked_records(Netlist, doc, defs))
-        trusted = netlist_module._trusted_records(Netlist, doc, defs)
-        assert trusted is None or trusted == checked
+        try:
+            net = Netlist.from_json(json.dumps(doc))
+        except (ParseError, MalformedNetlist, NotBijective):
+            return
+        # An edit can leave a valid document (a role set to its own value,
+        # say); its netlist round-trips.
+        assert Netlist.from_json(net.to_json()) == net
 
-    @pytest.mark.parametrize("doc", ROUND_TRIP_DOCS, ids=["conventional", "carry_skip"])
-    def test_a_valid_document_checks_no_record(self, monkeypatch, doc):
-        checked = []
-        for cls in (InputDecl, OutputDecl, GateInstance, Netlist):
-            monkeypatch.setattr(cls, "__post_init__",
-                                lambda record, real=cls.__post_init__:
-                                checked.append(record) or real(record))
-        net = Netlist.from_json(json.dumps(doc))
-        assert checked == []
-        monkeypatch.undo()
-        assert net == per_record_from_json(json.dumps(doc))
-        assert net.to_json() == json.dumps(doc, indent=2)
+    # The first faulty record's own error, from its checked constructor.
+    @pytest.mark.parametrize("edits, error, message", [
+        ([(("inputs", 0, "wire"), "a b")], MalformedNetlist,
+         "wire names must be non-empty strings without whitespace, got 'a b'"),
+        ([(("gates", 0, "out", 0), "a0")], MalformedNetlist,
+         "gate 'TSG' would drive its own input wire(s) ['a0']; give outputs fresh names"),
+        ([(("outputs", 0, "role"), "bogus")], MalformedNetlist,
+         "output 's0' has role 'bogus', expected one of ('primary_output', 'garbage')"),
+        ([(("inputs", -1, "const"), True)], ParseError,
+         "input 'zero8' has a non-integer const True"),
+        ([(("inputs", -1, "const"), 2)], MalformedNetlist,
+         "ancilla 'zero8' needs a constant of 0 or 1, got 2"),
+        ([(("gates", 0, "in"), ["a0", "b0", "zero0"])], MalformedNetlist,
+         "gate 'TSG' has 4 lines but 3 input wires were given"),
+        ([(("gates", 0, "gate_name"), "NOPE")], ParseError,
+         "gate 'NOPE' is placed but not defined in gate_defs"),
+        ([(("name",), 3)], ParseError, "netlist name must be a string, got 3"),
+        # Two faults: the one earlier in the document raises.
+        ([(("outputs", -1, "wire"), 7), (("gates", 0, "gate_name"), "NOPE")],
+         MalformedNetlist, "wire names must be non-empty strings without whitespace, got 7"),
+        ([(("gates", -1, "in"), None), (("inputs", -1, "role"), "garbage")], MalformedNetlist,
+         "input 'zero8' has role 'garbage', expected one of ('primary_input', 'ancilla')"),
+    ], ids=["bad_wire", "repeated_wire", "bad_role", "bool_const", "const_2", "bad_sides",
+            "unknown_gate", "bad_name", "output_before_gate", "input_before_gate"])
+    def test_a_fault_keeps_its_message(self, edits, error, message):
+        doc = copy.deepcopy(ROUND_TRIP_DOCS[0])
+        for path, value in edits:
+            set_in(doc, path, value)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Netlist.from_json(json.dumps(doc))
+
+    def test_a_missing_key_is_a_wrong_shape(self):
+        doc = copy.deepcopy(ROUND_TRIP_DOCS[0])
+        del doc["inputs"][0]["role"]
+        with pytest.raises(ParseError, match=r"^netlist document has a wrong shape: 'role'$"):
+            Netlist.from_json(json.dumps(doc))

@@ -224,17 +224,27 @@ class TestRecords:
         assert weakref.ref(record)() is record
 
 
-def test_trusted_constructors_compile_on_first_use():
-    # Each compile costs about as much as the rest of the decorator, so a
-    # cold command compiles only the ones it calls.
-    code = ("import revdec.cli, revdec.netlist, revdec.reversible, revdec.verification\n"
-            "from revdec import _record, classical, gates, netlist, reversible, verification\n"
+def test_trusted_constructors_compile_nothing():
+    # _trusted is a closure over the slot setters: importing the package
+    # compiles only the generated __init__s, and a first call compiles nothing.
+    code = ("import builtins\n"
+            "sources = []\n"
+            "real_exec = builtins.exec\n"
+            "builtins.exec = lambda source, *rest: sources.append(source) or real_exec(source, *rest)\n"
+            "import revdec.cli, revdec.netlist, revdec.reversible, revdec.verification\n"
+            "sources = [s for s in sources if type(s) is str]  # not the modules' code\n"
+            "from revdec import classical, gates, netlist, reversible, verification\n"
+            "assert any(s.startswith('def __init__(') for s in sources)\n"
+            "assert not any('_trusted' in s for s in sources)\n"
             "classes = {c for m in (classical, gates, netlist, reversible, verification)\n"
             "           for c in vars(m).values() if isinstance(c, type) and '_trusted' in vars(c)}\n"
             "assert len(classes) == 22\n"
-            "assert all(type(vars(c)['_trusted']) is _record._Trusted for c in classes)\n"
-            "netlist.OutputDecl._trusted('w', 'garbage')\n"
-            "assert type(vars(netlist.OutputDecl)['_trusted']) is classmethod\n")
+            "assert all(type(vars(c)['_trusted']) is classmethod for c in classes)\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('compiled')\n"
+            "builtins.exec = builtins.eval = builtins.compile = refuse\n"
+            "for c in classes:\n"
+            "    assert type(c._trusted(*[None] * len(c.__match_args__))) is c\n")
     env = dict(os.environ, PYTHONPATH=str(Path(netlist.__file__).parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
