@@ -14,14 +14,20 @@ user-supplied tables.  A plain-text catalog format lets callers replace any
 built-in table, for example after re-measuring a gate from a schematic,
 without touching code (see :func:`parse_gate_defs` and
 :func:`catalog_from_env`).
+
+A gate's :attr:`~GatePermutation.lane_function` evaluates it bitsliced, over
+lanes whose bit ``p`` is a line's value under pattern ``p``; each distinct
+table compiles once per process from its output columns' covers.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import cached_property, lru_cache
 
 from ._record import record
+from .sop import compile_lanes, derive_sop
 
 __all__ = [
     "MAX_WIDTH",
@@ -98,8 +104,8 @@ class GatePermutation:
     other problems (a name that is not a non-empty upper-case string of
     printable ASCII without whitespace, a width that is not an ``int`` in range, a table
     that is no sequence or has a wrong length, entries out of range) raise ``ValueError``.
-    A table of exact ints that sorts to ``range(2**width)`` passes in one
-    step; only another is walked entry by entry, to name its first fault.
+    The table is walked entry by entry, so an error names its first fault.
+    :attr:`lane_function` evaluates the gate over bit lanes.
     """
 
     name: str
@@ -135,8 +141,6 @@ class GatePermutation:
                 f"gate {self.name!r} of width {self.width} needs a table of "
                 f"{size} entries, got {len(self.table)}"
             )
-        if set(map(type, self.table)) == {int} and sorted(self.table) == list(range(size)):
-            return
         seen: dict[int, int] = {}
         for pattern, out in enumerate(self.table):
             if type(out) is not int or not 0 <= out < size:
@@ -150,6 +154,21 @@ class GatePermutation:
                     f"{seen[out]} and {pattern} both map to output {out}"
                 )
             seen[out] = pattern
+
+    @cached_property
+    def lane_function(self) -> Callable[..., tuple]:
+        """The gate over lanes: ``lane_function(ones, *lanes)`` gives the output
+        lines' lanes; ``ones`` has a 1 in every lane bit in use."""
+        return _lane_function(self.width, self.table)
+
+
+@lru_cache(maxsize=256)
+def _lane_function(width: int, table: tuple[int, ...]) -> Callable[..., tuple]:
+    """One gate table's lane function, compiled once per process from each
+    output line's cover."""
+    return compile_lanes(width, [
+        derive_sop(width, [p for p, out in enumerate(table) if out >> j & 1])
+        for j in range(width)])
 
 
 def _table_from_function(width, fn):
@@ -221,8 +240,9 @@ def parse_gate_defs(text: str) -> dict[str, GatePermutation]:
     """Parse a gate-definition text block into a name-to-gate mapping.
 
     Each non-empty line defines one gate as ``NAME WIDTH P0 P1 ... P(2^W-1)``
-    with whitespace-separated entries in ASCII digits, checked at once over
-    the line's joined fields.  Lines starting with ``#`` are comments.
+    with whitespace-separated fields of ASCII digits, checked field by field
+    so that an error names the first bad one.  Lines starting with ``#`` are
+    comments.
     Raises :class:`ParseError` for malformed lines (the checks of
     :class:`GatePermutation` included) and :class:`NotBijective` for
     well-formed lines whose table repeats an output pattern.
@@ -235,13 +255,11 @@ def parse_gate_defs(text: str) -> dict[str, GatePermutation]:
         name, *numbers = line.split()
         if not numbers:
             raise ParseError(f"line {lineno}: expected 'NAME WIDTH P0 ...'")
-        # int() alone would also take '-1', '1_0' and non-ASCII digits.  The
-        # joined fields are ASCII digits exactly when every field is.
-        joined = "".join(numbers)
-        if not (joined.isascii() and joined.isdigit()):
-            field = next(f for f in numbers if not (f.isascii() and f.isdigit()))
-            raise ParseError(f"line {lineno}: non-integer field {field!r} "
-                             "(expected ASCII digits 0-9)")
+        # int() alone would also take '-1', '1_0' and non-ASCII digits.
+        for field in numbers:
+            if not (field.isascii() and field.isdigit()):
+                raise ParseError(f"line {lineno}: non-integer field {field!r} "
+                                 "(expected ASCII digits 0-9)")
         name = name.upper()
         if name in gates:
             raise ParseError(f"line {lineno}: gate {name!r} defined twice")

@@ -16,25 +16,23 @@ simulation, cost metrics, an exhaustive injectivity check, and JSON / DOT
 serialization.
 
 Evaluation is lane-parallel: bit ``p`` of a wire's *lane* int is its value
-under primary input pattern ``p``.  Each distinct gate table compiles once
-per process, keyed by the table, to a function over lanes:
-:func:`~revdec.sop.compile_lanes` of each output column's
-:func:`~revdec.sop.derive_sop` cover.  One pass computes every wire's lane
-over the whole input domain for :meth:`Netlist.columns` and the injectivity
-sweep, and is cached; simulation evaluates its one pattern over 1-bit lanes.
-A netlist looks each of its distinct gate objects up once, on its first pass.
+under primary input pattern ``p``, and each gate step calls its gate's
+:attr:`~revdec.gates.GatePermutation.lane_function`.  One pass computes
+every wire's lane over the whole input domain for :meth:`Netlist.columns`
+and the injectivity sweep, and is cached; simulation evaluates its one
+pattern over 1-bit lanes.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 
 from ._record import record
 from .gates import BitVector, GatePermutation, NotBijective, ParseError, WidthMismatch
-from .sop import compile_lanes, derive_sop, input_lanes
+from .sop import input_lanes
 
 __all__ = [
     "ROLE_PRIMARY_INPUT",
@@ -66,15 +64,6 @@ _MAX_INJECTIVITY_INPUTS = 20
 
 class MalformedNetlist(ValueError):
     """The netlist breaks a structural rule (drivers, consumers, cycles)."""
-
-
-@lru_cache(maxsize=256)
-def _lane_function(width: int, table: tuple[int, ...]) -> Callable[..., tuple]:
-    """One gate table's lane function, compiled once per process from each
-    output line's cover."""
-    return compile_lanes(width, [
-        derive_sop(width, [p for p, out in enumerate(table) if out >> j & 1])
-        for j in range(width)])
 
 
 _WORD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
@@ -231,9 +220,9 @@ class _Analysis:
     order; every other wire here is an index.
 
     The walk reads wire names and roles, never a gate's table; a gate's name
-    appears only in ``fault``'s message.  So a netlist that places other
-    gates on the same wires has an equal analysis whenever ``fault`` is
-    ``None``, and :meth:`Netlist._with_gates` shares it then.
+    appears only in ``fault``'s message.  So a valid netlist's analysis
+    holds for any gates placed on its wires, and :meth:`Netlist._with_gates`
+    shares it.
     """
 
     wires: tuple[str, ...]
@@ -368,25 +357,23 @@ class Netlist:
                          primary_inputs, primary_outputs, outputs, fault)
 
     def _with_gates(self, gates: Iterable[GatePermutation]) -> Netlist:
-        """This netlist with ``gates`` placed on its gates' wires, in order.
+        """Validate, then place ``gates`` on this netlist's gates' wires, in order.
 
-        This netlist's records were checked when made, and only a side's
-        width depends on the gate: a gate as wide as the one it replaces
-        keeps the wire tuples unchecked, any other is checked by
-        :class:`GateInstance`, which raises its width error.  The result
-        shares :attr:`inputs`, :attr:`outputs`, the :attr:`_wiring` this
-        netlist renders once, and the analysis only once a walk has found
-        no fault (see :class:`_Analysis`).
+        Its records were checked when made, and only a side's width depends
+        on the gate: a gate as wide as the one it replaces keeps the wire
+        tuples unchecked, any other is checked by :class:`GateInstance`,
+        which raises its width error.  The result shares :attr:`inputs`,
+        :attr:`outputs`, the analysis (see :class:`_Analysis`) and the
+        :attr:`_wiring` this netlist renders once.
         """
+        self.validate()
         placed = tuple([
             (GateInstance._trusted if gate.width == inst.gate.width else GateInstance)(
                 gate, inst.input_wires, inst.output_wires)
             for gate, inst in zip(gates, self.gates, strict=True)])
         net = Netlist._trusted(self.name, self.inputs, self.outputs, placed)
         net.__dict__["_wiring"] = self._wiring
-        analysis = self.__dict__.get("_analysis")
-        if analysis is not None and analysis.fault is None:
-            net.__dict__["_analysis"] = analysis
+        net.__dict__["_analysis"] = self._analysis
         return net
 
     def validate(self) -> None:
@@ -410,11 +397,10 @@ class Netlist:
         """Every wire's lane, by index, with ``columns`` on the primary inputs.
 
         ``ones`` has a 1 in every lane bit in use.  Each wire has one driver,
-        so its lane is written once, before any gate reads it.  Gate lane
-        functions are looked up once per netlist (:attr:`_gate_functions`).
+        so its lane is written once, before any gate reads it.
         """
         analysis = self._analysis
-        functions = self._gate_functions
+        functions = [inst.gate.lane_function for inst in self.gates]
         lanes = [ones if d.const else 0 for d in self.inputs]
         lanes += [0] * (len(analysis.wires) - len(lanes))
         for wire, column in zip(analysis.primary_inputs, columns):
@@ -423,21 +409,6 @@ class Netlist:
             for wire, lane in zip(outs, functions[g](ones, *[lanes[w] for w in ins])):
                 lanes[wire] = lane
         return lanes
-
-    @cached_property
-    def _gate_functions(self) -> list[Callable[..., tuple]]:
-        """Each placed gate's lane function, one :func:`_lane_function` lookup
-        per distinct gate object; cached on the netlist, since builds with
-        other gates share its :class:`_Analysis`."""
-        found: dict[int, Callable[..., tuple]] = {}
-        functions = []
-        for inst in self.gates:
-            gate = inst.gate
-            function = found.get(id(gate))
-            if function is None:
-                function = found[id(gate)] = _lane_function(gate.width, gate.table)
-            functions.append(function)
-        return functions
 
     @cached_property
     def _columns(self) -> list[int]:

@@ -69,7 +69,7 @@ class TestMakeGate:
 
 def loop_checked(name: str, width: int, table) -> GatePermutation:
     """``GatePermutation(name, width, table)`` with its table proved one
-    entry at a time: the reference for the one-step check.  It assumes a
+    entry at a time: the reference for the table check.  It assumes a
     valid name and width."""
     table = tuple(table)
     size = 1 << width
@@ -114,9 +114,9 @@ def gate_tables(draw):
     return width, (tuple if kind == "tuple" else list)(entries)
 
 
-class TestOneStepCheck:
-    """A table passes :class:`GatePermutation`'s one-step check exactly when
-    the per-entry loop accepts it; a refused one gets the loop's error."""
+class TestTableCheck:
+    """A table passes :class:`GatePermutation`'s check exactly when the
+    reference loop accepts it; a refused one gets the loop's error."""
 
     @settings(max_examples=400, deadline=None)
     @given(gate_tables())

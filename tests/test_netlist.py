@@ -10,11 +10,20 @@ from collections import deque
 from functools import cached_property
 
 import pytest
+from conftest import gate_line
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revdec import netlist as netlist_module
-from revdec.gates import BitVector, GatePermutation, NotBijective, ParseError, builtin_catalog
+from revdec import gates as gates_module
+from revdec.gates import (
+    BitVector,
+    GatePermutation,
+    NotBijective,
+    ParseError,
+    _lane_function,
+    builtin_catalog,
+    parse_gate_defs,
+)
 from revdec.netlist import (
     _MAX_INJECTIVITY_INPUTS,
     ROLE_ANCILLA,
@@ -30,7 +39,6 @@ from revdec.netlist import (
     OutputDecl,
     TraceStep,
     _dot_escape,
-    _lane_function,
 )
 from revdec.reversible import build_carry_skip_reversible, build_conventional_reversible
 
@@ -992,7 +1000,8 @@ class TestReferenceEvaluator:
     def test_lane_functions_equal_the_gate_tables(self, width_table):
         width, table = width_table
         gate = GatePermutation("RANDOM", width, table)
-        lane_function = _lane_function(gate.width, gate.table)
+        lane_function = gate.lane_function
+        assert lane_function is _lane_function(width, table)
         size = 1 << width
         ins = [sum(1 << p for p in range(size) if (p >> i) & 1) for i in range(width)]
         outs = lane_function((1 << size) - 1, *ins)
@@ -1110,9 +1119,11 @@ class TestAnalysisCache:
 
     def test_validation_and_export_compile_no_gate(self):
         # Lane functions compile where a netlist is first evaluated, so the
-        # cold metrics and export paths never derive a gate's covers.
+        # cold metrics and export paths never derive a gate's covers.  The
+        # catalog is parsed afresh: a built-in gate may hold its function.
         _lane_function.cache_clear()
-        net = build_carry_skip_reversible().netlist
+        catalog = parse_gate_defs("\n".join(map(gate_line, BUILTINS.values())))
+        net = build_carry_skip_reversible(catalog).netlist
         net.validate()
         net.metrics()
         net.to_json()
@@ -1121,11 +1132,11 @@ class TestAnalysisCache:
         net.check_injective()
         assert _lane_function.cache_info().misses > 0
 
-    def test_gate_functions_are_looked_up_once_per_distinct_gate(self, monkeypatch):
+    def test_lane_functions_are_looked_up_once_per_gate_object(self, monkeypatch):
         # A parsed netlist holds one gate object per definition: the 17
-        # placed carry-skip gates share 5 of them.
+        # placed carry-skip gates share 5 of them, and each keeps its function.
         calls = []
-        monkeypatch.setattr(netlist_module, "_lane_function",
+        monkeypatch.setattr(gates_module, "_lane_function",
                             lambda width, table: calls.append(table) or _lane_function(width, table))
         net = Netlist.from_json(build_carry_skip_reversible().netlist.to_json())
         net.simulate(BitVector(9, 0))
@@ -1133,10 +1144,10 @@ class TestAnalysisCache:
         net.simulate_trace(BitVector(9, 1))
         net.check_injective()
         assert len(calls) == 5
-        # Builds that share an analysis keep their own functions.
+        # Another netlist over the same gate objects looks up none.
         other = net._with_gates(inst.gate for inst in net.gates)
-        other.simulate(BitVector(9, 0))
-        assert len(calls) == 10 and other._gate_functions == net._gate_functions
+        assert other.simulate(BitVector(9, 0)) == net.simulate(BitVector(9, 0))
+        assert other.check_injective() is None and len(calls) == 5
 
     def test_unevaluable_netlist_caches_no_columns(self):
         net = undriven_net()
@@ -1172,8 +1183,9 @@ def placed_afresh(net: Netlist, gates) -> Netlist:
 
 
 class TestWithGates:
-    """``_with_gates`` puts other tables on a netlist's wires: it shares the
-    declarations, and the analysis only once a walk has found no fault."""
+    """``_with_gates`` puts other tables on a valid netlist's wires: it shares
+    the declarations, the analysis and the wiring.  An invalid netlist
+    raises its :meth:`~Netlist.validate` error."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -1207,33 +1219,34 @@ class TestWithGates:
             net._with_gates(gates[:-1])
 
     # A seeded Random, as for the three-pass reference: most mutants break
-    # a rule, and a fault may name a gate, so the tables get fresh names.
+    # a rule, and the error must name the netlist's own gates.
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 2))
-    def test_a_netlist_with_a_fault_shares_no_analysis(self, seed, n_mutations):
+    def test_a_netlist_with_a_fault_raises_its_validate_error(self, seed, n_mutations):
         rng = random.Random(seed)
         net = mutated_net(rng, n_mutations)
-        unevaluable, invalid = reference_faults(net)
-        if unevaluable is None:
-            assert net._analysis.fault == invalid
+        invalid = reference_faults(net)[1]
         gates = random_tables(rng, net)
-        swapped, fresh = net._with_gates(gates), placed_afresh(net, gates)
-        assert swapped == fresh
-        assert ("_analysis" in vars(swapped)) == (invalid is None)
-        assert reference_faults(swapped) == reference_faults(fresh)
-        if unevaluable is None:
+        if invalid is None:
+            swapped, fresh = net._with_gates(gates), placed_afresh(net, gates)
+            assert swapped == fresh and swapped._analysis is net._analysis
             assert swapped._analysis == fresh._analysis
-            assert swapped._analysis.fault == reference_faults(fresh)[1]
+            assert swapped.columns() == fresh.columns()
+        else:
+            with pytest.raises(MalformedNetlist) as raised:
+                net._with_gates(gates)
+            assert str(raised.value) == invalid
 
     @pytest.mark.parametrize("make", [undriven_net, cyclic_net, lambda: Netlist(
         "dangling", (InputDecl("a", ROLE_PRIMARY_INPUT), InputDecl("z", ROLE_ANCILLA, 0)),
         (OutputDecl("a", ROLE_PRIMARY_OUTPUT),), ())], ids=["undriven", "cyclic", "dangling"])
-    def test_a_rejected_netlist_shares_nothing_it_walked(self, make):
+    def test_a_rejected_netlist_raises_its_validate_error(self, make):
         net = make()
-        with pytest.raises(MalformedNetlist):
+        with pytest.raises(MalformedNetlist) as expected:
             net.validate()
-        swapped = net._with_gates([inst.gate for inst in net.gates])
-        assert swapped == net and "_analysis" not in vars(swapped)
+        with pytest.raises(MalformedNetlist) as raised:
+            net._with_gates([inst.gate for inst in net.gates])
+        assert str(raised.value) == str(expected.value)
 
 
 ONE_PATTERN_NETS = {
